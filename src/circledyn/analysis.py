@@ -193,6 +193,8 @@ def measure_profile(
     intervals probes measure preservation on a generating family.
     """
     ensure_valid(spec)
+    if len(intervals) == 0:
+        raise ValueError("interval list is empty")
     a = np.asarray([iv[0] for iv in intervals], dtype=float)
     b = np.asarray([iv[1] for iv in intervals], dtype=float)
     if np.any(a < 0) or np.any(b > 1) or np.any(a >= b):

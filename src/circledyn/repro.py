@@ -121,31 +121,29 @@ def criterion_3(config: ReproConfig = ReproConfig()) -> CriterionResult:
         "smooth": smooth_sine_map(2, 0.5),
     }
     margin = 1e-12
-    bound_ok = True
-    for spec in maps.values():
-        for word in (Word((0,)), Word((0, 1))):
-            report = tail_sum(
-                spec, word, 10, work_cap=config.work_cap, cell_cap=config.cell_cap
-            )
-            for row in report.rows:
-                if row.excluded_sum > row.bound_empirical + margin:
-                    bound_ok = False
-    linear_report = tail_sum(
-        maps["linear"], Word((0,)), 10, work_cap=config.work_cap, cell_cap=config.cell_cap
+    reports = {
+        (name, word): tail_sum(
+            spec, word, 10, work_cap=config.work_cap, cell_cap=config.cell_cap
+        )
+        for name, spec in maps.items()
+        for word in (Word((0,)), Word((0, 1)))
+    }
+    bound_ok = not any(
+        row.excluded_sum > row.bound_empirical + margin
+        for report in reports.values()
+        for row in report.rows
     )
+    linear_report = reports["linear", Word((0,))]
     linear_err = max(
         abs(row.excluded_sum - 2.0**-row.k) for row in linear_report.rows
     )
     equality_err = max(
         abs(row.excluded_sum - row.bound_empirical) for row in linear_report.rows
     )
-    decay_ok = True
-    for spec in maps.values():
-        report = tail_sum(
-            spec, Word((0,)), 10, work_cap=config.work_cap, cell_cap=config.cell_cap
-        )
-        if not any(row.excluded_sum < 1e-3 for row in report.rows):
-            decay_ok = False
+    decay_ok = all(
+        any(row.excluded_sum < 1e-3 for row in reports[name, Word((0,))].rows)
+        for name in maps
+    )
     ok = bound_ok and linear_err <= 1e-12 and equality_err <= 1e-12 and decay_ok
     return CriterionResult(
         cid="3",

@@ -142,7 +142,7 @@ class CylinderInterval:
 
 
 def _per_solve_error(spec: CircleMapSpec, tol: float) -> float:
-    # closed forms are accurate to a few ulps; bisection to its tolerance
+    # closed forms are accurate to a few ulps; root solves to their tolerance
     if spec.kind in ("linear", "piecewise_linear_full_branch"):
         return 1e-15
     return tol

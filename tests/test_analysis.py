@@ -150,6 +150,10 @@ class TestMeasureDeviation:
         with pytest.raises(ValueError):
             measure_deviation(lin2, [(0.5, 0.5)])
 
+    def test_empty_interval_list(self, smooth05):
+        with pytest.raises(ValueError, match="interval list is empty"):
+            measure_profile(smooth05, [])
+
 
 class TestDilatationReport:
     def test_identity_pair(self, f06):

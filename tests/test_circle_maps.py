@@ -1,5 +1,7 @@
 """Lift evaluation, branch inversion, validation, and spec ingestion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from circledyn import (
     CircleMapSpec,
     DepthCapExceeded,
     InvalidMapError,
+    SolverError,
     SpecFormatError,
     compose_homeos,
     eval_lift,
@@ -16,6 +19,7 @@ from circledyn import (
     homeo_lift_values,
     identity_homeo,
     inverse_branch,
+    inverse_branch_values,
     linear_map,
     make_conjugated,
     map_spec_from_json,
@@ -25,8 +29,32 @@ from circledyn import (
     sine_homeo,
     smooth_sine_map,
     validate,
+    validate_homeo,
 )
-from _oracles import bisect_root, conjugated_inverse_branch, pl_lift, sine_homeo_lift
+from circledyn import circle_maps, defaults
+from _oracles import (
+    bisect_root,
+    conjugated_inverse_branch,
+    pl_lift,
+    sine_homeo_lift,
+    smooth_lift,
+)
+
+TOL = defaults.SOLVER_TOL
+UNIT_YS = np.linspace(0.0, 1.0, 33)
+
+
+def _solve_counted(fn, targets):
+    """Roots of ``fn = targets`` on [0, 1], and how many points ``fn`` was evaluated at."""
+    evaluated = 0
+
+    def counted(u):
+        nonlocal evaluated
+        evaluated += np.size(u)
+        return fn(u)
+
+    roots = circle_maps._bisect_increasing(counted, 0.0, 1.0, targets, TOL)
+    return roots, evaluated
 
 
 class TestEvalLift:
@@ -92,6 +120,83 @@ class TestInverseBranch:
             inverse_branch(f06, 2, 0.5)
 
 
+class TestRootSolver:
+    def test_smooth_sine_matches_oracle(self, smooth05):
+        for branch in (0, 1):
+            got = inverse_branch_values(smooth05, branch, UNIT_YS)
+            want = [
+                bisect_root(lambda x: smooth_lift(2, 0.5, x), 0.0, 1.0, branch + y)
+                for y in UNIT_YS
+            ]
+            assert np.max(np.abs(got - want)) <= TOL
+
+    @pytest.mark.parametrize("c", [0.5, 0.999])
+    def test_sine_homeo_matches_oracle(self, c):
+        got = homeo_inverse_values(sine_homeo(c), UNIT_YS)
+        want = [bisect_root(lambda u: sine_homeo_lift(c, u), 0.0, 1.0, y) for y in UNIT_YS]
+        assert np.max(np.abs(got - want)) <= TOL
+
+    def test_conjugated_matches_oracle(self, conj_smooth):
+        for branch in (0, 1):
+            got = inverse_branch_values(conj_smooth, branch, UNIT_YS)
+            want = [conjugated_inverse_branch(0.5, branch, y) for y in UNIT_YS]
+            assert np.max(np.abs(got - want)) <= TOL
+
+    @pytest.mark.parametrize(
+        "fn, targets, root",
+        [
+            # slope 1e6 at the root: the secant over [0, 1] is a poor model
+            (
+                lambda u: np.arctan(1e6 * (u - 0.5)),
+                np.linspace(-1.5, 1.5, 101),
+                lambda t: 0.5 + np.tan(t) / 1e6,
+            ),
+            (lambda u: u**21, np.linspace(0.0, 1.0, 101), lambda t: t ** (1.0 / 21.0)),
+            (
+                lambda u: np.exp(50.0 * u),
+                np.linspace(1.0, math.exp(50.0), 101),
+                lambda t: np.log(t) / 50.0,
+            ),
+        ],
+        ids=["steep_arctan", "power_21", "exp_50"],
+    )
+    def test_hard_monotone_functions(self, fn, targets, root):
+        got, evaluated = _solve_counted(fn, targets)
+        assert np.max(np.abs(got - root(targets))) <= TOL
+        # never more than twice the steps of plain bisection on [0, 1]
+        assert evaluated <= 2 * (math.ceil(math.log2(1.0 / TOL)) + 1) * targets.size
+
+    def test_exact_end_hits(self, smooth05, conj_smooth):
+        assert inverse_branch_values(smooth05, 0, 0.0) == 0.0
+        assert inverse_branch_values(conj_smooth, 0, 0.0) == 0.0
+        assert inverse_branch_values(conj_smooth, 1, 1.0) == 1.0
+        lo = np.array([0.5, 0.5, 0.5])
+        hi = np.array([1.0, 1.0, 1.0])
+        got = circle_maps._bisect_increasing(
+            lambda u: u**3, lo, hi, np.array([0.125, 1.0, 0.3]), TOL
+        )
+        assert got[0] == 0.5 and got[1] == 1.0
+        assert abs(got[2] - 0.3 ** (1.0 / 3.0)) <= TOL
+
+    def test_element_alone_matches_batch_bitwise(self, smooth05, conj_smooth):
+        block = circle_maps._SOLVER_BLOCK
+        ys = np.random.default_rng(3).random(block + 100)
+        for spec in (smooth05, conj_smooth):
+            batch = inverse_branch_values(spec, 1, ys)
+            for i in (0, 7, block - 1, block, block + 99):
+                alone = inverse_branch_values(spec, 1, ys[i : i + 1])
+                assert alone[0] == batch[i]
+
+    def test_evaluations_per_target(self, smooth05):
+        targets = np.linspace(0.0, 2.0, 1001)
+        _, evaluated = _solve_counted(lambda u: circle_maps.lift_values(smooth05, u), targets)
+        assert evaluated <= 16 * targets.size
+
+    def test_non_finite_target_rejected(self, smooth05):
+        with pytest.raises(SolverError, match="non-finite"):
+            inverse_branch_values(smooth05, 0, [math.nan])
+
+
 class TestGlobalInverseLift:
     def test_linear(self, lin2):
         assert global_inverse_lift(lin2, 0.8, 3) == pytest.approx(0.1, abs=1e-15)
@@ -155,6 +260,25 @@ class TestValidate:
         report = validate(piecewise_linear([0.5, 0.5 + 1e-12]))
         assert not report.ok
         assert any(v.code == "branch_too_small" for v in report.violations)
+
+    def test_cut_one_ulp_from_grid_point_passes(self):
+        # 0.49999999999999994 sits one ulp below the grid point 0.5, where
+        # the lift step rounds to zero
+        spec = piecewise_linear([0.4411764705882352, 0.49999999999999994, 0.9411764705882353])
+        assert validate(spec).ok
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_numbers_rejected(self, value):
+        for spec in (
+            piecewise_linear([value]),
+            smooth_sine_map(2, value),
+            CircleMapSpec(kind="conjugated", base=linear_map(2), homeo=sine_homeo(value)),
+        ):
+            codes = [v.code for v in validate(spec).violations]
+            assert codes == ["non_finite"]
+        assert [v.code for v in validate_homeo(sine_homeo(value)).violations] == ["non_finite"]
+        with pytest.raises(InvalidMapError, match="finite"):
+            make_conjugated(linear_map(2), sine_homeo(value))
 
     def test_homeo_amplitude_bound(self):
         with pytest.raises(InvalidMapError):
@@ -241,6 +365,24 @@ class TestJsonIngestion:
     def test_bad_cut_entry_has_field_path(self):
         with pytest.raises(SpecFormatError, match=r"cuts\[1\]"):
             map_spec_from_json('{"kind":"piecewise_linear_full_branch","cuts":[0.3,"x"]}')
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"kind":"piecewise_linear_full_branch","cuts":[NaN]}', r"\$\.cuts\[0\]"),
+            ('{"kind":"smooth_sine","degree":2,"epsilon":Infinity}', r"\$\.epsilon"),
+            ('{"kind":"smooth_sine","degree":2,"epsilon":1' + "0" * 400 + "}", r"\$\.epsilon"),
+            (
+                '{"kind":"conjugated","base":{"kind":"linear","degree":2},'
+                '"homeo":{"kind":"sine_homeo","c":-Infinity}}',
+                r"\$\.homeo\.c",
+            ),
+        ],
+        ids=["cut", "epsilon", "huge_int_epsilon", "homeo_c"],
+    )
+    def test_non_finite_number_names_field(self, text, field):
+        with pytest.raises(SpecFormatError, match=field + ": not a finite number"):
+            map_spec_from_json(text)
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(SpecFormatError, match="line"):

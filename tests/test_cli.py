@@ -81,6 +81,15 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "non_monotone" in out
 
+    def test_non_finite_cut_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "nan.json"
+        p.write_text('{"kind": "piecewise_linear_full_branch", "cuts": [NaN]}')
+        assert main(["validate", "--map", str(p)]) == 1
+        assert main(["partition", "--map", str(p), "--level", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert "$.cuts[0]: not a finite number" in captured.err
+
     def test_schema_error_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"kind": "nope"}')
@@ -161,6 +170,11 @@ class TestAnalyzeCommands:
         assert "# max_deviation=" in out
         _, rows = _data_rows(out)
         assert len(rows) == 16
+
+    def test_measure_empty_intervals_exits_1(self, specs, capsys):
+        code = main(["analyze", "measure", "--map", specs["conj"], "--intervals", "dyadic:0"])
+        assert code == 1
+        assert "interval list is empty" in capsys.readouterr().err
 
     def test_phi_growth(self, specs, capsys):
         code = main(
