@@ -124,7 +124,10 @@ def symmetry_modulus(
 
     Raises:
         ResolutionExhausted: some increment at some grid point vanished.
+        ValueError: a scale outside (0, 0.5], or grid < 1.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     fn, subject = _lift_fn(h)
     ladder = sorted({float(t) for t in scales}, reverse=True)
     if not ladder or ladder[0] > 0.5 or ladder[-1] <= 0.0:

@@ -44,6 +44,7 @@ from . import defaults
 from .errors import DepthCapExceeded, InvalidMapError, SolverError, SpecFormatError
 
 _TWO_PI = 2.0 * math.pi
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _MAX_SOLVER_STEPS = 200
 _SOLVER_BLOCK = 2**15
 
@@ -460,14 +461,21 @@ def _solve_block(fn, lo, hi, flo, fhi, target, tol: float) -> np.ndarray:
 # Endomorphism lift evaluation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=512)
+def _pl_ext(cuts: tuple[float, ...]) -> np.ndarray:
+    """``[0, c_1, ..., c_{d-1}, 1]`` of a piecewise-linear map, built once (read-only)."""
+    ext = np.concatenate(([0.0], np.asarray(cuts, dtype=float), [1.0]))
+    ext.setflags(write=False)
+    return ext
+
+
 def _unit_lift(spec: CircleMapSpec, u: np.ndarray, tol: float) -> np.ndarray:
     """Lift values for ``u`` in [0,1); returns values in [0, degree)."""
     if spec.kind == "linear":
         return spec.degree * u
     if spec.kind == "piecewise_linear_full_branch":
-        cuts = np.asarray(spec.cuts, dtype=float)
-        idx = np.searchsorted(cuts, u, side="right")
-        ext = np.concatenate(([0.0], cuts, [1.0]))
+        ext = _pl_ext(spec.cuts)
+        idx = np.searchsorted(ext[1:-1], u, side="right")
         left = ext[idx]
         right = ext[idx + 1]
         return idx + (u - left) / (right - left)
@@ -486,6 +494,96 @@ def lift_values(spec: CircleMapSpec, x, tol: float = defaults.SOLVER_TOL) -> np.
     k = np.floor(x)
     u = x - k
     return _unit_lift(spec, u, tol) + k * spec.degree
+
+
+def _homeo_slope_values(spec: CircleHomeoSpec, x: np.ndarray) -> np.ndarray:
+    """Derivative ``H'(x)`` of a homeomorphism lift."""
+    if spec.kind == "identity":
+        return np.ones_like(x)
+    if spec.kind == "sine_homeo":
+        return 1.0 + spec.c * np.cos(_TWO_PI * x)
+    out = np.ones_like(x)
+    for part in reversed(spec.parts):
+        out = out * _homeo_slope_values(part, x)
+        x = homeo_lift_values(part, x)
+    return out
+
+
+def _homeo_slope_bounds(spec: CircleHomeoSpec) -> tuple[float, float]:
+    """Bounds ``(min H', max H')`` of a homeomorphism lift."""
+    if spec.kind == "sine_homeo":
+        return 1.0 - abs(spec.c), 1.0 + abs(spec.c)
+    lo = hi = 1.0
+    for part in spec.parts:
+        a, b = _homeo_slope_bounds(part)
+        lo, hi = lo * a, hi * b
+    return lo, hi
+
+
+def lift_slope_values(spec: CircleMapSpec, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """Derivative ``F'(x)``, given ``fx = F(x)`` (the conjugated kind needs both)."""
+    if spec.kind == "linear":
+        return np.full_like(x, float(spec.degree))
+    if spec.kind == "piecewise_linear_full_branch":
+        ext = _pl_ext(spec.cuts)
+        idx = np.searchsorted(ext[1:-1], x - np.floor(x), side="right")
+        return 1.0 / (ext[idx + 1] - ext[idx])
+    if spec.kind == "smooth_sine":
+        return spec.degree + spec.epsilon * np.cos(_TWO_PI * x)
+    # F = H^{-1} o G o H, so F'(x) = G'(H(x)) H'(x) / H'(F(x)) and G(H(x)) = H(F(x))
+    hx = homeo_lift_values(spec.homeo, x)
+    base = lift_slope_values(spec.base, hx, homeo_lift_values(spec.homeo, fx))
+    return base * _homeo_slope_values(spec.homeo, x) / _homeo_slope_values(spec.homeo, fx)
+
+
+def slope_bounds(spec: CircleMapSpec) -> tuple[float, float]:
+    """Bounds ``(min F', max F')`` of a valid map, from its formula."""
+    if spec.kind == "linear":
+        return float(spec.degree), float(spec.degree)
+    if spec.kind == "piecewise_linear_full_branch":
+        widths = np.diff(_pl_ext(spec.cuts))
+        return 1.0 / float(np.max(widths)), 1.0 / float(np.min(widths))
+    if spec.kind == "smooth_sine":
+        return spec.degree - abs(spec.epsilon), spec.degree + abs(spec.epsilon)
+    g_lo, g_hi = slope_bounds(spec.base)
+    h_lo, h_hi = _homeo_slope_bounds(spec.homeo)
+    return g_lo * h_lo / h_hi, g_hi * h_hi / h_lo
+
+
+def _chain_lipschitz(spec: CircleMapSpec) -> tuple[float, float]:
+    """``(rho, lam)`` with every depth-j backward chain ``rho*lam**j``-Lipschitz."""
+    if spec.kind != "conjugated":
+        return 1.0, 1.0 / slope_bounds(spec)[0]
+    rho, lam = _chain_lipschitz(spec.base)
+    h_lo, h_hi = _homeo_slope_bounds(spec.homeo)
+    return rho * h_hi / h_lo, lam
+
+
+def _step_error(spec: CircleMapSpec, tol: float) -> float:
+    """Error of one computed inverse branch: 4 ulps of 1 for a lerp, ``tol/2``
+    per root solve, carried through the inverse homeomorphism of a
+    conjugated map."""
+    if spec.kind in ("linear", "piecewise_linear_full_branch"):
+        return 4.0 * _UNIT_ROUNDOFF
+    if spec.kind == "smooth_sine":
+        return 0.5 * tol + 4.0 * _UNIT_ROUNDOFF
+    h_lo = _homeo_slope_bounds(spec.homeo)[0]
+    solves = max(1, len(spec.homeo.parts))
+    return (0.5 * tol * solves + _step_error(spec.base, tol)) / h_lo + 4.0 * _UNIT_ROUNDOFF
+
+
+def chain_error_bound(spec: CircleMapSpec, tol: float, depth_cap: int) -> np.ndarray:
+    """``out[k]`` bounds the error of a value computed by a depth-k backward chain.
+
+    Each step adds one inverse-branch error, which the outer steps carry to
+    the result with their Lipschitz bound.  The bound is rigorous for the
+    closed-form kinds; for root-solved kinds it rests on the solver's
+    ``tol/2`` and on the slope bounds of :func:`slope_bounds`.
+    """
+    rho, lam = _chain_lipschitz(spec)
+    with np.errstate(over="ignore"):  # lam > 1 for weakly expanding maps
+        reach = rho * lam ** np.arange(depth_cap)
+    return _step_error(spec, tol) * np.concatenate(([0.0], np.cumsum(reach)))
 
 
 def eval_lift(spec: CircleMapSpec, x: float, tol: float = defaults.SOLVER_TOL) -> float:
@@ -508,11 +606,14 @@ def inverse_branch_values(
     use the bracketed root solver on the unit interval.
     """
     y = np.asarray(y, dtype=float)
-    branch = np.broadcast_to(np.asarray(branch, dtype=np.int64), y.shape)
+    branch = np.asarray(branch, dtype=np.int64)
+    # a branch array that already broadcasts to y's shape is used as it is
+    if branch.ndim > y.ndim or branch.shape != y.shape[y.ndim - branch.ndim:]:
+        branch = np.broadcast_to(branch, y.shape)
     if spec.kind == "linear":
         return (branch + y) / spec.degree
     if spec.kind == "piecewise_linear_full_branch":
-        ext = np.concatenate(([0.0], np.asarray(spec.cuts, float), [1.0]))
+        ext = _pl_ext(spec.cuts)
         # lerp form is exact at y = 0 and y = 1
         return (1.0 - y) * ext[branch] + y * ext[branch + 1]
     if spec.kind == "smooth_sine":

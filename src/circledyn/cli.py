@@ -177,6 +177,8 @@ def _cmd_conjugacy(args, caps) -> int:
         ]
         _write_report(args, ["word", "f_endpoint", "g_endpoint"], rows, config)
         return EXIT_OK
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     xs = np.arange(args.grid, dtype=float) / args.grid
     lo, hi, depth, met = conjugacy_enclosures(f, g, xs, tol=args.tol, depth_cap=depth_cap)
     unreached = int(np.count_nonzero(~met))
@@ -244,6 +246,8 @@ def _cmd_analyze_symmetry(args, caps) -> int:
 
 def _cmd_analyze_uqs(args, caps) -> int:
     spec = _load_map(args.map)
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     depth_cap = caps.get("depth_cap", defaults.DEPTH_CAP)
     rows = []
     for n in range(1, args.n + 1):

@@ -3,10 +3,21 @@
 For full-branch maps ``f`` and ``g`` of degree d, the conjugacy ``h`` with
 ``h o f = g o h`` and ``h(0) = 0`` maps every f-cylinder onto the g-cylinder
 of the same word.  Point values are therefore computed by word matching: refine
-the word of x under f until the g-cylinder of that word is narrower than the
-requested tolerance, and return that g-cylinder as a certified enclosure.
+the word of x under f until the g-cylinder of that word is at most the
+requested tolerance wide, and return that g-cylinder as a certified enclosure.
 Convergence relies on g's mesh decay; neither map needs to be uniformly
 quasisymmetric.
+
+The f-word comes from the refinement kernel shared with itineraries
+(:func:`circledyn.symbolic_partition.refine_words`): a word model proposes
+each symbol in O(1) per level, and the backward chain decides only the
+comparisons the model's error bound cannot settle.  The stop test is modelled
+the same way: an affine g-cylinder's width is the product of its level-1
+branch widths, and a root-solved g is measured with the chain only once
+``(max g')^-k`` no longer rules the tolerance out.  The enclosure itself is one
+backward g-chain at the stop depth.  Refining to depth K thus costs O(K)
+inverse-branch calls per batch instead of O(K^2), and for affine maps the
+enclosures equal those of a full chain per depth bit for bit.
 
 When x lands exactly on a cylinder endpoint of f (within a snap distance) the
 corresponding g-endpoint is returned as a zero-width enclosure: endpoints of
@@ -15,6 +26,7 @@ f-cylinders map to g-endpoints exactly, up to solver tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -22,9 +34,19 @@ from typing import Iterator
 import numpy as np
 
 from . import defaults
-from .circle_maps import CircleMapSpec, branch_points, ensure_valid, lift_values, inverse_branch_values
+from .circle_maps import CircleMapSpec, branch_points, ensure_valid, lift_values, slope_bounds
 from .errors import CellCapExceeded, DegreeMismatchError, InvalidMapError
-from .symbolic_partition import Word, level_endpoints, mesh, word_of_index
+from .symbolic_partition import (
+    Word,
+    chain_error_bound,
+    chain_values,
+    check_points,
+    level_endpoints,
+    mesh,
+    ragged_chain_values,
+    refine_words,
+    word_of_index,
+)
 
 
 @dataclass(frozen=True)
@@ -105,6 +127,55 @@ def _check_pair(f: CircleMapSpec, g: CircleMapSpec) -> None:
     _mesh_decay_probe(g)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+class _WidthStop:
+    """Stop rule of a conjugacy: the g-cylinder of the word is at most tol wide.
+
+    The rule keeps bounds ``lower <= width <= upper`` on the width that the
+    backward chain would measure, and runs the chain only where ``tol`` lies
+    between them.  An affine g-cylinder's width is the product of the
+    level-1 branch widths along the word, off by at most twice the chain's
+    error bound and two relative ulps per level.  No cheap model follows a
+    root-solved g-cylinder closely, but ``(max g')^-k`` bounds its width from
+    below (with no upper bound), so the chain measures it from the depth
+    where that bound reaches ``tol`` on.
+    """
+
+    def __init__(self, g: CircleMapSpec, m: int, tol: float, solver_tol: float, depth_cap: int):
+        self.g = g
+        self.tol = tol
+        self.solver_tol = solver_tol
+        self.cuts = np.asarray(branch_points(g), dtype=float)
+        self.err = 2.0 * chain_error_bound(g, solver_tol, depth_cap)
+        if g.kind in ("linear", "piecewise_linear_full_branch"):
+            self.factors = np.diff(self.cuts)
+            self.slack = (np.finfo(float).eps, np.finfo(float).eps)
+        else:
+            self.factors = np.full(g.degree, 1.0 / slope_bounds(g)[1])
+            self.slack = (0.0, np.inf)
+        self.width = np.ones(m)
+
+    def __call__(self, k, rows, sel, words, done) -> np.ndarray:
+        self.width = self.width * self.factors[sel]
+        spread = (k + 2) * self.width
+        finished = self.width + self.err[k] + self.slack[1] * spread <= self.tol
+        lower = self.width - self.err[k] - self.slack[0] * spread
+        unsure = np.flatnonzero((lower <= self.tol) & ~finished & ~done)
+        if unsure.size:
+            ends = chain_values(
+                self.g, words[rows[unsure], :k], self.cuts[[sel[unsure], sel[unsure] + 1]], self.solver_tol
+            )
+            finished[unsure] = ends[1] - ends[0] <= self.tol
+        return finished
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.width = self.width[mask]
+
+
 def conjugacy_enclosures(
     f: CircleMapSpec,
     g: CircleMapSpec,
@@ -116,82 +187,47 @@ def conjugacy_enclosures(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conjugacy enclosures for points of [0,1].
 
-    Returns arrays ``(lo, hi, depth, tol_met)``.  All points are refined in
-    lockstep; a point stops once its g-cylinder is narrower than ``tol`` or it
-    snaps onto a cylinder endpoint (zero width).
+    Returns arrays ``(lo, hi, depth, tol_met)``.  Each point's f-word is
+    refined by the shared kernel (:func:`refine_words`) until its g-cylinder
+    is at most ``tol`` wide or x snaps onto the left end of its f-cylinder
+    (zero width).  The enclosure is then one backward g-chain at the stop
+    depth: ``hi - lo`` is the width the stop rule measured, and the values
+    are those the per-depth chains gave before, bit for bit.
+
+    Raises:
+        ValueError: a point is not a finite number in [0,1], tol is negative
+            or not finite, or depth_cap is negative.
     """
-    _check_pair(f, g)
-    xs = np.asarray(xs, dtype=float)
+    xs = check_points(xs, "conjugacy evaluation points")
     if xs.ndim != 1:
         raise ValueError("xs must be one-dimensional")
-    if np.any((xs < 0.0) | (xs > 1.0)):
-        raise ValueError("conjugacy evaluation points must lie in [0,1]")
+    _check_tol(tol)
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap must be >= 0, got {depth_cap}")
+    _check_pair(f, g)
     m = xs.size
-    d = f.degree
-    f_cuts = np.asarray(branch_points(f), dtype=float)
-    g_cuts = np.asarray(branch_points(g), dtype=float)
-
-    lo_f = np.zeros(m)
-    hi_f = np.ones(m)
-    lo_g = np.zeros(m)
-    hi_g = np.ones(m)
+    lo = np.zeros(m)
+    hi = np.ones(m)
     depth = np.zeros(m, dtype=np.int64)
-    symbols = np.zeros((m, depth_cap), dtype=np.int64)
-
-    done = np.zeros(m, dtype=bool)
     # exact fixed endpoints of the circle
     at_one = xs == 1.0
-    lo_g[at_one] = 1.0
-    hi_g[at_one] = 1.0
+    lo[at_one] = 1.0
     at_zero = xs == 0.0
-    hi_g[at_zero] = 0.0
-    done |= at_one | at_zero
-    done |= (hi_g - lo_g) <= tol
-
-    for k in range(depth_cap):
-        if done.all():
-            break
-        act = np.where(~done)[0]
-        x_act = xs[act]
-        sub_symbols = symbols[act, :k]
-
-        def chain(spec: CircleMapSpec, start: np.ndarray) -> np.ndarray:
-            v = start
-            for j in range(k - 1, -1, -1):
-                v = inverse_branch_values(spec, sub_symbols[:, j], v, tol=solver_tol)
-            return v
-
-        # division points of the current f-cylinders, then the chosen child
-        divisions = np.empty((d + 1, act.size))
-        divisions[0] = lo_f[act]
-        divisions[d] = hi_f[act]
-        for s in range(1, d):
-            divisions[s] = chain(f, np.full(act.size, f_cuts[s]))
-        sel = np.zeros(act.size, dtype=np.int64)
-        for s in range(1, d):
-            sel += divisions[s] <= x_act
-        symbols[act, k] = sel
-        cols = np.arange(act.size)
-        new_lo_f = divisions[sel, cols]
-        new_hi_f = divisions[sel + 1, cols]
-        new_lo_g = chain(g, g_cuts[sel])
-        new_hi_g = chain(g, g_cuts[sel + 1])
-
-        lo_f[act], hi_f[act] = new_lo_f, new_hi_f
-        lo_g[act], hi_g[act] = new_lo_g, new_hi_g
-        depth[act] = k + 1
-
-        # exact endpoint: x sits on the left end of its (fresh) f-cylinder
-        width_f = new_hi_f - new_lo_f
-        exact = (np.abs(x_act - new_lo_f) <= snap) & (width_f > 1e3 * snap)
-        if exact.any():
-            hit = act[exact]
-            lo_g[hit] = hi_g[hit] = new_lo_g[exact]
-        converged = exact | ((new_hi_g - new_lo_g) <= tol)
-        done[act[converged]] = True
-
-    tol_met = (hi_g - lo_g) <= tol
-    return lo_g, hi_g, depth, tol_met
+    hi[at_zero] = 0.0
+    rows = np.flatnonzero(~(at_one | at_zero)) if tol < 1.0 else np.arange(0)
+    stop = _WidthStop(g, rows.size, tol, solver_tol, depth_cap)
+    words, k, snapped = refine_words(f, xs[rows], depth_cap, solver_tol, snap=snap, stop=stop)
+    deep = k > 0
+    rows, words, k, snapped = rows[deep], words[deep], k[deep], snapped[deep]
+    last = words[np.arange(rows.size), k - 1]
+    # the g-cylinder of the word: the chain of all but the last symbol,
+    # applied to the last symbol's branch ends
+    ends = ragged_chain_values(g, words, k - 1, stop.cuts[[last, last + 1]], solver_tol)
+    lo[rows] = ends[0]
+    hi[rows] = np.where(snapped, ends[0], ends[1])
+    depth[rows] = k
+    tol_met = (hi - lo) <= tol
+    return lo, hi, depth, tol_met
 
 
 def conjugacy_eval(
@@ -238,6 +274,7 @@ class ConjugacyMap:
         tol: float = 1e-10,
         depth_cap: int = defaults.CONJUGACY_DEPTH_CAP,
     ):
+        _check_tol(tol)
         _check_pair(f, g)
         self.f = f
         self.g = g
@@ -306,7 +343,12 @@ def conjugacy_residual(
 
     h-values are enclosure midpoints; the report carries the worst enclosure
     width so callers can attribute the residual to enclosure error.
+
+    Raises:
+        ValueError: grid_size < 1, or an invalid tol.
     """
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     _check_pair(f, g)
     xs = np.arange(grid_size, dtype=float) / grid_size
     lo1, hi1, _, met1 = conjugacy_enclosures(f, g, xs, tol=tol, depth_cap=depth_cap)

@@ -7,6 +7,11 @@ branches.  Cylinders are computed on demand by iterated inverse branches
 (right-to-left through the word), so a single deep cylinder costs O(n) root
 solves; full levels are enumerated with each interior endpoint computed once
 and shared between neighbors, which makes the tiling exact by construction.
+
+Itineraries of point batches come from :func:`refine_words`, the refinement
+kernel that conjugacy enclosures share: a cheap word model proposes each
+symbol and the backward chain decides only the comparisons the model's error
+bound leaves open, so refining to depth K costs O(K) inverse-branch calls.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from .circle_maps import (
     branch_points,
     ensure_valid,
     inverse_branch_values,
+    chain_error_bound,
+    lift_slope_values,
     lift_values,
 )
 from .errors import CellCapExceeded, DepthCapExceeded
@@ -191,6 +198,205 @@ def interval_of_word(
     )
 
 
+def check_points(xs, what: str) -> np.ndarray:
+    """``xs`` as a float array of finite points of [0,1].
+
+    Raises:
+        ValueError: a point is NaN, infinite or outside [0,1].
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"{what} must be finite")
+    if np.any((xs < 0.0) | (xs > 1.0)):
+        raise ValueError(f"{what} must lie in [0,1]")
+    return xs
+
+
+def chain_values(spec: CircleMapSpec, words: np.ndarray, values: np.ndarray, tol: float) -> np.ndarray:
+    """The backward chain ``phi_{w_0} o ... o phi_{w_{k-1}}`` of each row's word.
+
+    ``words`` is an (n, k) symbol matrix and ``values`` has shape (..., n):
+    every value in column i goes through the chain of row i.  Costs k calls.
+    """
+    for j in range(words.shape[1] - 1, -1, -1):
+        values = inverse_branch_values(spec, words[:, j], values, tol=tol)
+    return values
+
+
+def ragged_chain_values(
+    spec: CircleMapSpec, words: np.ndarray, lengths: np.ndarray, values: np.ndarray, tol: float
+) -> np.ndarray:
+    """:func:`chain_values` where row i uses only its first ``lengths[i]`` symbols.
+
+    Rows are sorted by length, so each step is one call on a prefix of them:
+    max(lengths) calls in all.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    steps = -lengths[order]
+    out = np.asarray(values, dtype=float)[..., order]
+    rows = words[order]
+    for j in range(int(-steps[0]) - 1 if steps.size else -1, -1, -1):
+        n = int(np.searchsorted(steps, -j, side="left"))
+        out[..., :n] = inverse_branch_values(spec, rows[:n, j], out[..., :n], tol=tol)
+    result = np.empty_like(out)
+    result[..., order] = out
+    return result
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+class _AffineWords:
+    """Word model of a linear or piecewise-linear map.
+
+    The chain of a word is one affine map ``v -> off + scale*v``, updated in
+    O(1) per level.  ``bound[k]`` bounds the distance between a model value
+    at depth k and the same value from the backward chain: the chain's own
+    error, plus the model's rounding, one ulp of 1 per level for the offset
+    and two relative ulps per level for the scale.
+    """
+
+    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int, tol: float):
+        self.cuts = np.asarray(branch_points(spec), dtype=float)
+        self.widths = np.diff(self.cuts)
+        self.off = np.zeros(x.size)
+        self.scale = np.ones(x.size)
+        j = np.arange(depth_cap + 1)
+        drift = 2.0 * _UNIT_ROUNDOFF * np.cumsum((1 + j) * float(np.max(self.widths)) ** j)
+        self.bound = chain_error_bound(spec, tol, depth_cap) + 2.0 * _UNIT_ROUNDOFF * (j + 1) + drift
+
+    def propose(self, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        divisions = self.off + self.scale * self.cuts[1:-1, None]
+        sel = np.sum(divisions <= x, axis=0)
+        unsure = np.any(np.abs(divisions - x) <= self.bound[k], axis=0)
+        return sel, unsure
+
+    def advance(self, sel: np.ndarray) -> None:
+        self.off = self.off + self.scale * self.cuts[sel]
+        self.scale = self.scale * self.widths[sel]
+
+    def may_snap(self, k: int, x: np.ndarray, snap: float) -> np.ndarray:
+        err = 2.0 * self.bound[k]
+        return (np.abs(x - self.off) <= snap + err) & (self.scale > 1e3 * snap - 2.0 * err)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.off, self.scale = self.off[mask], self.scale[mask]
+
+
+class _OrbitWords:
+    """Word model of a root-solved map: the forward orbit ``u <- F(u) - symbol``.
+
+    ``slope`` is the derivative of F^k at x, so ``|u - c| / slope`` is, to
+    first order, the distance in x from x to the division point that the cut
+    c maps to.  ``bound[k]`` estimates how far that distance may be from the
+    backward chain's: the error bound of a chain one step deeper, and as much
+    again for the orbit's own lift errors carried back to x.  A division
+    within twice the bound of x counts as unsettled.
+    """
+
+    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int, tol: float):
+        self.spec = spec
+        self.tol = tol
+        self.cuts = np.asarray(branch_points(spec), dtype=float)
+        self.u = x.copy()
+        self.slope = np.ones(x.size)
+        self.bound = 2.0 * chain_error_bound(spec, tol, depth_cap + 1)[1:]
+
+    def propose(self, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        gaps = self.u - self.cuts[1:-1, None]
+        sel = np.sum(gaps >= 0.0, axis=0)
+        unsure = np.any(np.abs(gaps) <= 2.0 * self.bound[k] * self.slope, axis=0)
+        return sel, unsure
+
+    def advance(self, sel: np.ndarray) -> None:
+        fu = lift_values(self.spec, self.u, tol=self.tol)
+        self.slope = self.slope * lift_slope_values(self.spec, self.u, fu)
+        self.u = np.clip(fu - sel, 0.0, 1.0)
+
+    def may_snap(self, k: int, x: np.ndarray, snap: float) -> np.ndarray:
+        # 1/slope estimates the cylinder's width only up to its distortion,
+        # so the width test keeps a factor 1e3 of slack
+        return (self.u <= 2.0 * (snap + 2.0 * self.bound[k]) * self.slope) & (self.slope < 1.0 / snap)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.u, self.slope = self.u[mask], self.slope[mask]
+
+
+def refine_words(
+    spec: CircleMapSpec,
+    xs: np.ndarray,
+    depth_cap: int,
+    tol: float = defaults.SOLVER_TOL,
+    snap: float | None = None,
+    stop=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The refinement kernel shared by itineraries and conjugacy enclosures.
+
+    Refines the word of every point of ``xs`` level by level, up to
+    ``depth_cap``.  The symbol at depth k is the number of division points
+    ``chain_k(c_s)`` (s = 1..d-1) at or left of x, so ties go right.  A word
+    model proposes each symbol in O(1) per point: the composed affine map of
+    the word for linear and piecewise-linear maps, the forward orbit of x for
+    root-solved maps.  Where a division point lies within the model's error
+    bound of x, the symbol is decided by the backward chain itself, for those
+    points only, at that depth (k calls).
+
+    With ``snap``, a point stops once x lies within ``snap`` of the left end
+    of its cylinder and the cylinder is wider than ``1e3*snap``; the model
+    only picks the candidates, the backward chain decides.  ``stop(k, rows,
+    sel, words, done)`` may stop more points (a bool mask over the live
+    points; ``rows`` index ``words``) and ``stop.keep(mask)`` drops the
+    stopped ones from its state.
+
+    Returns ``(words, depth, snapped)``: the (m, depth_cap) symbol matrix
+    (row i is valid up to ``depth[i]``), the stop depth of each point, and
+    which points stopped on the snap rule.
+    """
+    m = xs.size
+    words = np.zeros((m, depth_cap), dtype=np.int64)
+    depth = np.full(m, depth_cap, dtype=np.int64)
+    snapped = np.zeros(m, dtype=bool)
+    affine = spec.kind in ("linear", "piecewise_linear_full_branch")
+    model = (_AffineWords if affine else _OrbitWords)(spec, xs, depth_cap, tol)
+    cuts = model.cuts
+    rows = np.arange(m)
+    x = xs
+    # x's distance to the left end of its cylinder was measured and did not
+    # snap; that end stays put, bit for bit, while the next symbols are 0
+    measured = np.zeros(m, dtype=bool)
+    for k in range(depth_cap):
+        if rows.size == 0:
+            break
+        sel, unsure = model.propose(k, x)
+        if unsure.any():
+            sub = np.flatnonzero(unsure)
+            start = np.broadcast_to(cuts[1:-1, None], (cuts.size - 2, sub.size))
+            divisions = chain_values(spec, words[rows[sub], :k], start, tol)
+            sel[sub] = np.sum(divisions <= x[sub], axis=0)
+        words[rows, k] = sel
+        model.advance(sel)
+        done = np.zeros(rows.size, dtype=bool)
+        if snap is not None:
+            measured &= sel == 0
+            near = np.flatnonzero(model.may_snap(k, x, snap) & ~measured)
+            if near.size:
+                ends = chain_values(spec, words[rows[near], :k], cuts[[sel[near], sel[near] + 1]], tol)
+                hit = near[(np.abs(x[near] - ends[0]) <= snap) & (ends[1] - ends[0] > 1e3 * snap)]
+                done[hit] = True
+                snapped[rows[hit]] = True
+                measured[near] = True
+        if stop is not None:
+            done |= stop(k, rows, sel, words, done)
+        if done.any():
+            depth[rows[done]] = k + 1
+            keep = ~done
+            rows, x, measured = rows[keep], x[keep], measured[keep]
+            model.keep(keep)
+            if stop is not None:
+                stop.keep(keep)
+    return words, depth, snapped
+
+
 def itinerary_batch(
     spec: CircleMapSpec,
     xs: np.ndarray,
@@ -199,24 +405,27 @@ def itinerary_batch(
 ) -> np.ndarray:
     """Level-n words for each x in ``xs`` (shape (len(xs), n) symbol matrix).
 
-    Symbols are chosen by comparing x against the cylinder division points,
-    which are computed by backward (contracting) inverse-branch chains; this
-    stays accurate at depths where forward iteration of x would have lost all
-    precision.  At a shared endpoint the right-hand cylinder wins.
+    The symbol at depth k counts the cylinder division points at or left of
+    x (so at a shared endpoint the right-hand cylinder wins).  A division
+    point is the image of a cut under the backward (contracting) chain of
+    inverse branches, which stays accurate at depths where forward iteration
+    of x alone would have lost all precision.  The kernel
+    (:func:`refine_words`) proposes each symbol from an O(1)-per-level word
+    model and runs the backward chain only where the model cannot settle the
+    comparison, so a batch costs O(n) inverse-branch calls rather than the
+    O(n^2) of a chain per depth.
+
+    Raises:
+        ValueError: a point is not a finite number in [0,1], or n < 0.
+        DepthCapExceeded: n beyond ``defaults.DEPTH_CAP``.
     """
-    xs = np.asarray(xs, dtype=float)
-    d = spec.degree
-    cuts = np.asarray(branch_points(spec), dtype=float)
-    symbols = np.zeros((xs.size, n), dtype=np.int64)
-    for k in range(n):
-        sel = np.zeros(xs.size, dtype=np.int64)
-        for s in range(1, d):
-            division = np.full(xs.size, cuts[s])
-            for j in range(k - 1, -1, -1):
-                division = inverse_branch_values(spec, symbols[:, j], division, tol=tol)
-            sel += division <= xs
-        symbols[:, k] = sel
-    return symbols
+    ensure_valid(spec)
+    xs = check_points(xs, "itinerary points").reshape(-1)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > defaults.DEPTH_CAP:
+        raise DepthCapExceeded(f"level {n} exceeds cap {defaults.DEPTH_CAP}")
+    return refine_words(spec, xs, n, tol)[0]
 
 
 def word_of_point(
@@ -230,7 +439,8 @@ def word_of_point(
 
     Raises:
         ValueError: x outside [0,1).
-        DepthCapExceeded: n beyond the depth cap.
+        DepthCapExceeded: n beyond the depth cap, or beyond
+            ``defaults.DEPTH_CAP`` (the cap of :func:`itinerary_batch`).
     """
     ensure_valid(spec)
     if not 0.0 <= x < 1.0:
@@ -239,7 +449,7 @@ def word_of_point(
         raise DepthCapExceeded(f"level {n} exceeds cap {depth_cap}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    symbols = itinerary_batch(spec, np.asarray([x]), n, tol=tol)
+    symbols = itinerary_batch(spec, np.asarray([x], dtype=float), n, tol=tol)
     return Word(tuple(int(s) for s in symbols[0]))
 
 

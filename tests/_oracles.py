@@ -88,3 +88,87 @@ def pl_tail_sum_bruteforce(cuts: list[float], word: tuple[int, ...], k: int) -> 
         a, b = pl_cylinder(cuts, flat)
         total += b - a
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference refinement loops
+# ---------------------------------------------------------------------------
+# The package's refinement used to rebuild the whole backward chain of
+# inverse branches at every depth, O(K^2) inverse solves per point.  These
+# loops are that computation, kept as the reference the O(K) kernel must
+# reproduce; unlike the rest of this file they call the package's inverse
+# branches, since bit-identical results are the point of the comparison.
+
+def reference_itinerary(spec, xs, n: int, tol: float):
+    """Level-n symbol matrix by a full backward chain per depth and cut."""
+    import numpy as np
+    from circledyn.circle_maps import branch_points, inverse_branch_values
+
+    xs = np.asarray(xs, dtype=float)
+    d = spec.degree
+    cuts = np.asarray(branch_points(spec), dtype=float)
+    symbols = np.zeros((xs.size, n), dtype=np.int64)
+    for k in range(n):
+        sel = np.zeros(xs.size, dtype=np.int64)
+        for s in range(1, d):
+            division = np.full(xs.size, cuts[s])
+            for j in range(k - 1, -1, -1):
+                division = inverse_branch_values(spec, symbols[:, j], division, tol=tol)
+            sel += division <= xs
+        symbols[:, k] = sel
+    return symbols
+
+
+def reference_enclosures(f, g, xs, tol: float, depth_cap: int, solver_tol: float, snap: float):
+    """(lo, hi, depth, tol_met) by refining all points in lockstep, one full
+    backward chain per depth for every division point and g-endpoint."""
+    import numpy as np
+    from circledyn.circle_maps import branch_points, inverse_branch_values
+
+    xs = np.asarray(xs, dtype=float)
+    m = xs.size
+    d = f.degree
+    f_cuts = np.asarray(branch_points(f), dtype=float)
+    g_cuts = np.asarray(branch_points(g), dtype=float)
+    lo_f, hi_f = np.zeros(m), np.ones(m)
+    lo_g, hi_g = np.zeros(m), np.ones(m)
+    depth = np.zeros(m, dtype=np.int64)
+    symbols = np.zeros((m, depth_cap), dtype=np.int64)
+    at_one = xs == 1.0
+    lo_g[at_one] = hi_g[at_one] = 1.0
+    at_zero = xs == 0.0
+    hi_g[at_zero] = 0.0
+    done = at_one | at_zero | ((hi_g - lo_g) <= tol)
+    for k in range(depth_cap):
+        if done.all():
+            break
+        act = np.where(~done)[0]
+        x_act = xs[act]
+        sub = symbols[act, :k]
+
+        def chain(spec, start):
+            v = start
+            for j in range(k - 1, -1, -1):
+                v = inverse_branch_values(spec, sub[:, j], v, tol=solver_tol)
+            return v
+
+        divisions = np.empty((d + 1, act.size))
+        divisions[0] = lo_f[act]
+        divisions[d] = hi_f[act]
+        for s in range(1, d):
+            divisions[s] = chain(f, np.full(act.size, f_cuts[s]))
+        sel = np.zeros(act.size, dtype=np.int64)
+        for s in range(1, d):
+            sel += divisions[s] <= x_act
+        symbols[act, k] = sel
+        cols = np.arange(act.size)
+        new_lo_f, new_hi_f = divisions[sel, cols], divisions[sel + 1, cols]
+        new_lo_g, new_hi_g = chain(g, g_cuts[sel]), chain(g, g_cuts[sel + 1])
+        lo_f[act], hi_f[act] = new_lo_f, new_hi_f
+        lo_g[act], hi_g[act] = new_lo_g, new_hi_g
+        depth[act] = k + 1
+        exact = (np.abs(x_act - new_lo_f) <= snap) & ((new_hi_f - new_lo_f) > 1e3 * snap)
+        hit = act[exact]
+        lo_g[hit] = hi_g[hit] = new_lo_g[exact]
+        done[act[exact | ((new_hi_g - new_lo_g) <= tol)]] = True
+    return lo_g, hi_g, depth, (hi_g - lo_g) <= tol

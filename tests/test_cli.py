@@ -134,7 +134,39 @@ class TestConjugacyCommand:
         assert len(rows) == 8
 
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_empty_grid_exits_1(self, specs, capsys, grid):
+        code = main(["conjugacy", "--from", specs["f06"], "--to", specs["lin2"], "--grid", grid])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_invalid_tol_exits_1(self, specs, capsys, tol):
+        code = main(["conjugacy", "--from", specs["f06"], "--to", specs["lin2"], "--grid", "4", "--tol", tol])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be a finite number >= 0" in captured.err
+
+
 class TestAnalyzeCommands:
+    def test_uqs_zero_n_exits_1(self, specs, capsys):
+        code = main(["analyze", "uqs", "--map", specs["f06"], "--x", "0", "--t", "0.2", "--n", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n must be >= 1" in captured.err
+
+    def test_symmetry_zero_grid_exits_1(self, specs, capsys):
+        code = main(["analyze", "symmetry", "--from", specs["f06"], "--to", specs["lin2"], "--grid", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "grid must be >= 1" in captured.err
+        assert "zero-size array" not in captured.err
+
+
     def test_uqs_rows(self, specs, capsys):
         code = main(
             ["analyze", "uqs", "--map", specs["f06"], "--x", "0", "--t", "0.2", "--n", "6"]

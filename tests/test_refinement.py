@@ -1,0 +1,261 @@
+"""The shared refinement kernel against the per-depth backward-chain loops.
+
+Itineraries and conjugacy enclosures come from one kernel that proposes each
+decision with an O(1)-per-level word model and runs the backward chain only
+where the model's error bound cannot settle it.  For linear and
+piecewise-linear maps the result must equal the old loops (kept in
+``_oracles``) bit for bit, also on points placed on cylinder endpoints, one
+ulp off them and one snap distance off them.  For root-solved maps the
+words may differ only where x lies within 1e-12 of a cylinder boundary.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import circledyn
+from circledyn import (
+    Word,
+    conjugacy_enclosures,
+    interval_of_word,
+    level_endpoints,
+    linear_map,
+    make_conjugated,
+    piecewise_linear,
+    sine_homeo,
+    smooth_sine_map,
+)
+from circledyn import circle_maps, defaults
+from circledyn.circle_maps import branch_points, inverse_branch_values
+from circledyn.symbolic_partition import chain_values, itinerary_batch
+from _oracles import reference_enclosures, reference_itinerary
+
+TIE = 1e-12
+SNAP = defaults.ENDPOINT_SNAP
+OFFSETS = (0.0, "up", "down", SNAP, -SNAP, 5e-13, -5e-13, 2 * SNAP, -2 * SNAP)
+
+
+@st.composite
+def affine_maps(draw, degree):
+    if draw(st.booleans()):
+        return linear_map(degree)
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=degree, max_size=degree))
+    return piecewise_linear(np.cumsum(gaps)[:-1] / sum(gaps))
+
+
+@st.composite
+def endpoint_points(draw, spec):
+    """Cylinder endpoints of levels 1..4, moved by an ulp or a snap distance,
+    plus a few free points."""
+    level = draw(st.integers(1, 4 if spec.degree == 2 else 3))
+    ends = level_endpoints(spec, level)
+    picks = draw(st.lists(st.integers(0, ends.size - 1), min_size=1, max_size=12))
+    xs = []
+    for i in picks:
+        offset = draw(st.sampled_from(OFFSETS))
+        if offset == "up":
+            xs.append(np.nextafter(ends[i], 2.0))
+        elif offset == "down":
+            xs.append(np.nextafter(ends[i], -1.0))
+        else:
+            xs.append(ends[i] + offset)
+    xs += draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    return np.clip(np.asarray(xs, dtype=float), 0.0, 1.0)
+
+
+def _assert_same(got, want):
+    for name, a, b in zip(("lo", "hi", "depth", "tol_met"), got, want):
+        assert np.array_equal(a, b), (name, a, b)
+
+
+class TestAffineBitIdentical:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_enclosures(self, data):
+        d = data.draw(st.integers(2, 4))
+        f, g = data.draw(affine_maps(d)), data.draw(affine_maps(d))
+        xs = data.draw(endpoint_points(f))
+        tol = data.draw(st.sampled_from([1e-4, 1e-8, 1e-10, 1e-12, 1e-14]))
+        cap = data.draw(st.sampled_from([defaults.CONJUGACY_DEPTH_CAP, 7]))
+        got = conjugacy_enclosures(f, g, xs, tol=tol, depth_cap=cap)
+        want = reference_enclosures(f, g, xs, tol, cap, defaults.SOLVER_TOL, SNAP)
+        _assert_same(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_itineraries(self, data):
+        f = data.draw(affine_maps(data.draw(st.integers(2, 4))))
+        xs = data.draw(endpoint_points(f))
+        n = data.draw(st.integers(0, 40))
+        got = itinerary_batch(f, xs, n)
+        assert np.array_equal(got, reference_itinerary(f, xs, n, defaults.SOLVER_TOL))
+
+    @pytest.mark.parametrize("cuts", [[0.6], [0.37, 0.81], [2e-9, 0.5]])
+    def test_points_a_few_ulps_from_the_snap_distance(self, cuts):
+        # the snap rule's threshold, |x - lo| <= snap, decided on both sides.
+        # Left ends of level-12 cylinders matter for the map with a 2e-9
+        # branch: there a point just over snap from a left end can later fall
+        # into the next child, whose left end is within snap of it.
+        f = piecewise_linear(cuts)
+        deep = [Word((s,) * 12) for s in range(1, f.degree)] + [Word((1, f.degree - 1) * 6)]
+        ends = np.append(level_endpoints(f, 3), [interval_of_word(f, w).left for w in deep])
+        xs = []
+        for base in (ends + SNAP, ends - SNAP, ends + 2e-12, ends[:-1] + 1.5e-12):
+            for _ in range(4):
+                base = np.nextafter(base, 2.0)
+            for _ in range(9):
+                xs.append(base)
+                base = np.nextafter(base, -1.0)
+        xs = np.clip(np.concatenate(xs), 0.0, 1.0)
+        for g in (f, linear_map(f.degree)):
+            got = conjugacy_enclosures(f, g, xs, tol=1e-10)
+            _assert_same(got, reference_enclosures(f, g, xs, 1e-10, 48, defaults.SOLVER_TOL, SNAP))
+
+    def test_criterion_6_grid_and_shifts(self, f06):
+        grid = np.arange(1024) / 1024
+        for shift in (0.0, 2.0**-1, -(2.0**-1), 2.0**-5, -(2.0**-5), 2.0**-10, -(2.0**-10)):
+            xs = np.clip(grid + shift, 0.0, 1.0)
+            got = conjugacy_enclosures(f06, f06, xs, tol=1e-10)
+            want = reference_enclosures(f06, f06, xs, 1e-10, 48, defaults.SOLVER_TOL, SNAP)
+            _assert_same(got, want)
+
+
+def _margins(spec, x, word):
+    """Distance from x to the nearer end of its cylinder at each depth."""
+    out = []
+    for k in range(1, len(word) + 1):
+        lo, hi = chain_values(spec, np.asarray([word[:k]]), np.asarray([[0.0], [1.0]]), defaults.SOLVER_TOL)
+        out.append(min(abs(x - lo[0]), abs(hi[0] - x)))
+    return out
+
+
+def _words_agree(spec, x, got, want) -> bool:
+    """Equal words, or equal up to a depth where x sits within TIE of a boundary."""
+    diff = np.flatnonzero(got != want)
+    if diff.size == 0:
+        return True
+    k = int(diff[0])
+    return min(_margins(spec, x, want[: k + 1])[-1], _margins(spec, x, got[: k + 1])[-1]) <= TIE
+
+
+@st.composite
+def solved_maps(draw):
+    d = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        eps = draw(st.floats(-0.9, 0.9)) * (d - 1)
+        return smooth_sine_map(d, eps)
+    base = linear_map(d) if d == 2 else piecewise_linear([0.3, 0.55])
+    return make_conjugated(base, sine_homeo(draw(st.floats(-0.6, 0.6))))
+
+
+class TestSolvedKinds:
+    @settings(max_examples=12, deadline=None)
+    @given(solved_maps(), st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12))
+    def test_itineraries(self, spec, points):
+        xs = np.asarray(points)
+        got = itinerary_batch(spec, xs, 14)
+        want = reference_itinerary(spec, xs, 14, defaults.SOLVER_TOL)
+        for i, x in enumerate(xs):
+            assert _words_agree(spec, x, got[i], want[i]), (x, got[i], want[i])
+
+    @settings(max_examples=10, deadline=None)
+    @given(solved_maps(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_enclosures(self, spec, points):
+        xs = np.asarray(points)
+        g = linear_map(spec.degree)
+        got = conjugacy_enclosures(spec, g, xs, tol=1e-6)
+        want = reference_enclosures(spec, g, xs, 1e-6, 48, defaults.SOLVER_TOL, SNAP)
+        for i, x in enumerate(xs):
+            if all(a[i] == b[i] for a, b in zip(got, want)):
+                continue
+            depth = max(got[2][i], want[2][i])
+            word = itinerary_batch(spec, np.asarray([x]), int(depth))[0]
+            assert min(_margins(spec, x, word)) <= 2 * TIE, (x, [a[i] for a in got], [b[i] for b in want])
+
+    def test_solved_target_matches_reference(self, f06, smooth05):
+        xs = np.arange(64) / 64
+        got = conjugacy_enclosures(f06, smooth05, xs, tol=1e-8)
+        _assert_same(got, reference_enclosures(f06, smooth05, xs, 1e-8, 48, defaults.SOLVER_TOL, SNAP))
+
+
+class TestBranchEnds:
+    """The kernel's single final chain relies on inverse branches hitting the
+    branch ends bit for bit: ``phi_s(0) == c_s`` and ``phi_s(1) == c_{s+1}``."""
+
+    @pytest.mark.parametrize("spec", [
+        linear_map(3),
+        piecewise_linear([0.2, 0.45, 0.8]),
+        smooth_sine_map(3, 1.1),
+        make_conjugated(linear_map(2), sine_homeo(0.7)),
+        make_conjugated(piecewise_linear([0.3, 0.55]), sine_homeo(-0.4)),
+    ])
+    def test_ends_are_cuts(self, spec):
+        cuts = np.asarray(branch_points(spec))
+        d = spec.degree
+        for s in range(d):
+            lo = inverse_branch_values(spec, np.full(5, s), np.zeros(5))
+            hi = inverse_branch_values(spec, np.full(5, s), np.ones(5))
+            assert np.all(lo == cuts[s]) and np.all(hi == cuts[s + 1])
+
+
+def _count_inverse_calls(monkeypatch):
+    """Count inverse_branch_values calls through every module that binds it."""
+    calls = [0]
+    original = circle_maps.inverse_branch_values
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name in ("circle_maps", "symbolic_partition", "conjugacy", "analysis"):
+        module = getattr(circledyn, name)
+        if getattr(module, "inverse_branch_values", None) is original:
+            monkeypatch.setattr(module, "inverse_branch_values", counted)
+    return calls
+
+
+class TestCost:
+    def test_criterion_6_call_bound(self, f06, monkeypatch):
+        xs = np.arange(1024, dtype=float) / 1024
+        conjugacy_enclosures(f06, f06, xs[:2], tol=1e-2)  # fill the caches first
+        calls = _count_inverse_calls(monkeypatch)
+        conjugacy_enclosures(f06, f06, xs, tol=1e-10)
+        assert calls[0] <= 400
+
+    def test_itinerary_call_bound(self, f06, monkeypatch):
+        xs = np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 1024))
+        itinerary_batch(f06, xs[:2], 2)
+        calls = _count_inverse_calls(monkeypatch)
+        itinerary_batch(f06, xs, 32)
+        assert calls[0] <= 128
+
+
+class TestInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.5])
+    def test_enclosures_reject_points(self, f06, lin2, bad):
+        with pytest.raises(ValueError):
+            conjugacy_enclosures(f06, lin2, np.asarray([bad, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0])
+    def test_enclosures_reject_tol(self, f06, lin2, bad):
+        with pytest.raises(ValueError, match="tol"):
+            conjugacy_enclosures(f06, lin2, np.asarray([0.5]), tol=bad)
+
+    def test_enclosures_reject_negative_depth_cap(self, f06, lin2):
+        with pytest.raises(ValueError, match="depth_cap"):
+            conjugacy_enclosures(f06, lin2, np.asarray([0.5]), depth_cap=-1)
+
+    def test_zero_tol_still_refines_to_the_cap(self, f06, lin2):
+        lo, hi, depth, met = conjugacy_enclosures(f06, lin2, np.asarray([0.37]), tol=0.0, depth_cap=20)
+        assert depth[0] == 20 and not met[0] and lo[0] < hi[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.5])
+    def test_itinerary_rejects_points(self, f06, bad):
+        with pytest.raises(ValueError):
+            itinerary_batch(f06, np.asarray([0.5, bad]), 4)
+
+    def test_itinerary_depth_cap(self, f06):
+        with pytest.raises(circledyn.DepthCapExceeded):
+            itinerary_batch(f06, np.asarray([0.5]), defaults.DEPTH_CAP + 1)
+        with pytest.raises(ValueError):
+            itinerary_batch(f06, np.asarray([0.5]), -1)
