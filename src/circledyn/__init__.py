@@ -81,6 +81,7 @@ from .symbolic_partition import (
     drop_last,
     enumerate_level,
     interval_of_word,
+    iter_levels,
     left_shift,
     level_endpoints,
     mesh,

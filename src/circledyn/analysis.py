@@ -25,7 +25,6 @@ from .circle_maps import (
 )
 from .conjugacy import ConjugacyMap
 from .errors import (
-    CellCapExceeded,
     DegreeMismatchError,
     ResolutionExhausted,
     WorkCapExceeded,
@@ -35,6 +34,7 @@ from .symbolic_partition import (
     check_word,
     cylinder_lengths,
     index_of_word,
+    iter_levels,
     word_of_index,
 )
 
@@ -375,31 +375,19 @@ def tail_sum(
             rows=tuple(rows),
         )
 
-    deepest = n * k_max
-    if d**deepest > cell_cap:
-        raise CellCapExceeded(
-            f"enumeration to level {deepest} needs {d}^{deepest} cells (cap {cell_cap})"
-        )
-    # walk the levels once; keep block-level length arrays and the running mask
+    # one walk: parent/child ratios at every level, n-level descent ratios at blocks
     widx = index_of_word(word, d)
-    lefts = np.zeros(1)
-    prev_lengths = np.asarray([1.0])
+    prev = parent = np.ones(1)
     block_lengths: list[np.ndarray] = []
-    bg_worst = 1.0
-    for level in range(1, deepest + 1):
-        lefts = np.concatenate(
-            [inverse_branch_values(spec, s, lefts, tol=tol) for s in range(d)]
-        )
+    bg_worst = ratio_floor = 1.0
+    for level, lefts in enumerate(iter_levels(spec, n * k_max, tol=tol, cell_cap=cell_cap), 1):
         lengths = np.diff(np.append(lefts, 1.0))
-        bg_worst = max(bg_worst, float(np.max(np.repeat(prev_lengths, d) / lengths)))
-        prev_lengths = lengths
+        bg_worst = max(bg_worst, float(np.max(np.repeat(prev, d) / lengths)))
+        prev = lengths
         if level % n == 0:
+            ratio_floor = min(ratio_floor, float(np.min(lengths / np.repeat(parent, d**n))))
+            parent = lengths
             block_lengths.append(lengths)
-    ratio_floor = 1.0
-    parent = np.asarray([1.0])
-    for lengths in block_lengths:
-        ratio_floor = min(ratio_floor, float(np.min(lengths / np.repeat(parent, d**n))))
-        parent = lengths
     bg_floor = bg_worst**-n
     rows = []
     mask = np.ones(1, dtype=bool)

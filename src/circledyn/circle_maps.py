@@ -601,15 +601,13 @@ def inverse_branch_values(
 ) -> np.ndarray:
     """Vectorized inverse branch: the x in branch ``b`` with ``F(x) = y + b``.
 
-    ``branch`` is an integer array (or scalar), ``y`` lies in [0,1].  Closed
+    ``branch`` is an integer array (or scalar) that broadcasts against ``y``,
+    whose values lie in [0,1]; the result has the broadcast shape.  Closed
     forms are used for the linear and piecewise-linear kinds; the other kinds
     use the bracketed root solver on the unit interval.
     """
     y = np.asarray(y, dtype=float)
     branch = np.asarray(branch, dtype=np.int64)
-    # a branch array that already broadcasts to y's shape is used as it is
-    if branch.ndim > y.ndim or branch.shape != y.shape[y.ndim - branch.ndim:]:
-        branch = np.broadcast_to(branch, y.shape)
     if spec.kind == "linear":
         return (branch + y) / spec.degree
     if spec.kind == "piecewise_linear_full_branch":
@@ -755,9 +753,9 @@ def _cached_validation(spec: CircleMapSpec, grid: int) -> ValidationReport:
         if s.kind not in MAP_KINDS:
             violations.append(Violation("unknown_kind", f"{path}: unknown kind {s.kind!r}"))
             return False
-        if not isinstance(s.degree, int) or s.degree < 2:
+        if not isinstance(s.degree, int) or not 2 <= s.degree <= defaults.DEGREE_CAP:
             violations.append(
-                Violation("bad_degree", f"{path}: degree must be an integer >= 2, got {s.degree!r}")
+                Violation("bad_degree", f"{path}: degree must be an integer in [2, {defaults.DEGREE_CAP}], got {s.degree!r}")
             )
             ok = False
         if s.kind == "piecewise_linear_full_branch":

@@ -35,14 +35,14 @@ import numpy as np
 
 from . import defaults
 from .circle_maps import CircleMapSpec, branch_points, ensure_valid, lift_values, slope_bounds
-from .errors import CellCapExceeded, DegreeMismatchError, InvalidMapError
+from .errors import DegreeMismatchError, InvalidMapError
 from .symbolic_partition import (
     Word,
     chain_error_bound,
     chain_values,
     check_points,
+    iter_levels,
     level_endpoints,
-    mesh,
     ragged_chain_values,
     refine_words,
     word_of_index,
@@ -109,7 +109,7 @@ class ConjugacyResidual:
 @lru_cache(maxsize=256)
 def _mesh_decay_probe(spec: CircleMapSpec, probe_level: int = defaults.PROBE_LEVEL) -> None:
     """Cheap bounded-geometry sanity check: the mesh must decay level by level."""
-    meshes = [mesh(spec, n) for n in range(1, probe_level + 1)]
+    meshes = [float(np.max(np.diff(np.append(lefts, 1.0)))) for lefts in iter_levels(spec, probe_level)]
     for a, b in zip(meshes, meshes[1:]):
         if not b < a:
             raise InvalidMapError(
@@ -318,8 +318,6 @@ def endpoint_table(
         DegreeMismatchError, CellCapExceeded
     """
     _check_pair(f, g)
-    if f.degree**n > cell_cap:
-        raise CellCapExceeded(f"{f.degree}^{n} cells exceed cap {cell_cap}")
     return EndpointTable(
         level=n,
         f_points=level_endpoints(f, n, tol=solver_tol, cell_cap=cell_cap),

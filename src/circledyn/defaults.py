@@ -12,6 +12,8 @@ SOLVER_TOL           1e-13         bracket width at which every root solve stops
 DEPTH_CAP            60            max word length / inverse-iteration depth
 CONJUGACY_DEPTH_CAP  48            max refinement depth for conjugacy enclosures
 CELL_CAP             2**20         max cylinder count for a fully enumerated level
+DEGREE_CAP           2**10         max map degree, checked at validation before any
+                                   per-branch table is built
 WORK_CAP             10**7         max excluded-word tuple count in tail sums
 MIN_CUT_GAP          1e-9          smallest admissible branch width at validation
 MONOTONE_GRID        2048          sample count for the monotonicity validation check
@@ -32,6 +34,7 @@ SOLVER_TOL = 1e-13
 DEPTH_CAP = 60
 CONJUGACY_DEPTH_CAP = 48
 CELL_CAP = 2**20
+DEGREE_CAP = 2**10
 WORK_CAP = 10**7
 MIN_CUT_GAP = 1e-9
 MONOTONE_GRID = 2048

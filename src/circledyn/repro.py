@@ -38,8 +38,7 @@ from .conjugacy import ConjugacyMap, conjugacy_enclosures, conjugacy_residual, e
 from .symbolic_partition import (
     Word,
     bounded_geometry_constant,
-    cylinder_lengths,
-    level_endpoints,
+    iter_levels,
 )
 
 # regression constant: measure deviation of conjugated(linear d=2, sine_homeo c=0.5)
@@ -97,8 +96,8 @@ def criterion_2(config: ReproConfig = ReproConfig()) -> CriterionResult:
     allowed = np.asarray([1.0 / 0.6, 1.0 / 0.4])
     worst_off = 0.0
     prev = np.asarray([1.0])
-    for n in range(1, 13):
-        lengths = cylinder_lengths(f, n, cell_cap=config.cell_cap)
+    for lefts in iter_levels(f, 12, cell_cap=config.cell_cap):
+        lengths = np.diff(np.append(lefts, 1.0))
         ratios = np.repeat(prev, 2) / lengths
         off = np.min(np.abs(ratios[:, None] - allowed[None, :]), axis=1)
         worst_off = max(worst_off, float(np.max(off)))
@@ -266,8 +265,8 @@ def criterion_8(config: ReproConfig = ReproConfig()) -> CriterionResult:
     for spec in maps:
         d = spec.degree
         level = 8
-        ends_prev = level_endpoints(spec, level - 1, cell_cap=config.cell_cap)
-        ends = level_endpoints(spec, level, cell_cap=config.cell_cap)
+        *_, lefts_prev, lefts = iter_levels(spec, level, cell_cap=config.cell_cap)
+        ends_prev, ends = np.append(lefts_prev, 1.0), np.append(lefts, 1.0)
         if not (ends[0] == 0.0 and ends[-1] == 1.0 and np.all(np.diff(ends) > 0)):
             structure_ok = False
         worst_tiling = max(worst_tiling, abs(float(np.sum(np.diff(ends))) - 1.0))

@@ -5,8 +5,10 @@ closed cylinder intervals.  A cylinder is labeled by the word
 ``w = i_0 i_1 ... i_{n-1}``: the itinerary of its points through the level-1
 branches.  Cylinders are computed on demand by iterated inverse branches
 (right-to-left through the word), so a single deep cylinder costs O(n) root
-solves; full levels are enumerated with each interior endpoint computed once
-and shared between neighbors, which makes the tiling exact by construction.
+solves.  Full levels come from :func:`iter_levels`, which computes each
+endpoint once: a word ending in symbol 0 shares its parent's left end, so a
+level copies its parents and solves only the other children.  Neighbors
+share endpoints, which makes the tiling exact by construction.
 
 Itineraries of point batches come from :func:`refine_words`, the refinement
 kernel that conjugacy enclosures share: a cheap word model proposes each
@@ -148,25 +150,15 @@ class CylinderInterval:
         return self.left <= x <= self.right
 
 
-def _per_solve_error(spec: CircleMapSpec, tol: float) -> float:
+def _endpoint_radius(spec: CircleMapSpec, level: int, tol: float) -> float:
+    """Conservative radius of computed level-``level`` endpoints: (number of
+    solves) x (per-solve error) x (max per-step error expansion, estimated as
+    max(1, 1/min F') from a sampled slope bound; for expanding maps it is 1)."""
     # closed forms are accurate to a few ulps; root solves to their tolerance
-    if spec.kind in ("linear", "piecewise_linear_full_branch"):
-        return 1e-15
-    return tol
-
-
-def _error_expansion(spec: CircleMapSpec) -> float:
-    """Max per-step expansion of endpoint error under one inverse branch.
-
-    Estimated as max(1, 1/min F') from a sampled slope bound; for expanding
-    maps the inverse contracts and the factor is 1.
-    """
-    xs = np.linspace(0.0, 1.0, 257)
-    vals = lift_values(spec, xs)
-    min_slope = float(np.min(np.diff(vals))) * 256
-    if min_slope <= 0:
-        return float("inf")
-    return max(1.0, 1.0 / min_slope)
+    per_solve = 1e-15 if spec.kind in ("linear", "piecewise_linear_full_branch") else tol
+    min_slope = float(np.min(np.diff(lift_values(spec, np.linspace(0.0, 1.0, 257))))) * 256
+    expansion = max(1.0, 1.0 / min_slope) if min_slope > 0 else float("inf")
+    return level * per_solve * expansion
 
 
 def interval_of_word(
@@ -188,13 +180,12 @@ def interval_of_word(
     ab = np.array([0.0, 1.0])
     for s in reversed(word.symbols):
         ab = inverse_branch_values(spec, s, ab, tol=tol)
-    radius = word.level * _per_solve_error(spec, tol) * _error_expansion(spec)
     return CylinderInterval(
         word=word,
         left=float(ab[0]),
         right=float(ab[1]),
         level=word.level,
-        endpoint_radius=radius,
+        endpoint_radius=_endpoint_radius(spec, word.level, tol),
     )
 
 
@@ -457,11 +448,43 @@ def word_of_point(
 # Full-level enumeration
 # ---------------------------------------------------------------------------
 
-def _check_cell_cap(degree: int, n: int, cell_cap: int) -> None:
+def iter_levels(
+    spec: CircleMapSpec,
+    n: int,
+    tol: float = defaults.SOLVER_TOL,
+    cell_cap: int = defaults.CELL_CAP,
+) -> Iterator[np.ndarray]:
+    """Left endpoints of levels 1..n in word order, one array per level.
+
+    ``level[k+1][::d] == level[k]`` bit for bit: ``phi_0(0) = 0`` exactly and
+    solves are elementwise deterministic.  Root-solved kinds copy those
+    parents and solve only the other children, d^n solves for a level-n walk
+    instead of d(d^n - 1)/(d - 1); closed forms, cheaper to recompute than to
+    scatter, apply the d branches to every parent.  The next level is built
+    from the yielded array, so callers must not modify it.
+
+    Raises:
+        CellCapExceeded: if d^n exceeds ``cell_cap``.
+    """
+    ensure_valid(spec)
+    d = spec.degree
     if n < 0:
         raise ValueError("level must be >= 0")
-    if degree**n > cell_cap:
-        raise CellCapExceeded(f"{degree}^{n} cylinders exceed cell cap {cell_cap}")
+    if d**n > cell_cap:
+        raise CellCapExceeded(f"{d}^{n} cylinders exceed cell cap {cell_cap}")
+    solve_once = spec.kind not in ("linear", "piecewise_linear_full_branch")
+    branches = np.arange(d).reshape(d, 1, 1)
+    lefts = np.zeros(1)
+    for _ in range(n):
+        if solve_once and lefts.size > 1:
+            # entry s*D + q*d + c of the new level (D parents) is phi_s(parents[q*d + c]);
+            # for c = 0 that is parents[s*D/d + q], which is copied
+            children = inverse_branch_values(spec, branches, lefts.reshape(-1, d)[:, 1:], tol=tol)
+            lefts = np.concatenate((lefts.reshape(d, -1, 1), children), axis=2).reshape(-1)
+            del children  # hold no level across the yield
+        else:
+            lefts = np.concatenate([inverse_branch_values(spec, s, lefts, tol=tol) for s in range(d)])
+        yield lefts
 
 
 def level_left_endpoints(
@@ -472,17 +495,13 @@ def level_left_endpoints(
 ) -> np.ndarray:
     """Left endpoints of all level-n cylinders in word order (d^n values).
 
-    Each endpoint is computed once, as the image of 0 under the inverse-branch
-    chain of its word; neighbors share it, so the level tiles [0,1] exactly.
+    Each endpoint is the image of 0 under the inverse-branch chain of its
+    word, computed once by :func:`iter_levels`; neighbors share it, so the
+    level tiles [0,1] exactly.
     """
-    ensure_valid(spec)
-    _check_cell_cap(spec.degree, n, cell_cap)
-    d = spec.degree
     lefts = np.zeros(1)
-    for _ in range(n):
-        lefts = np.concatenate(
-            [inverse_branch_values(spec, s, lefts, tol=tol) for s in range(d)]
-        )
+    for lefts in iter_levels(spec, n, tol=tol, cell_cap=cell_cap):
+        pass
     return lefts
 
 
@@ -518,7 +537,7 @@ def enumerate_level(
         CellCapExceeded: if d^n exceeds ``cell_cap``.
     """
     ends = level_endpoints(spec, n, tol=tol, cell_cap=cell_cap)
-    radius = n * _per_solve_error(spec, tol) * _error_expansion(spec)
+    radius = _endpoint_radius(spec, n, tol)
     d = spec.degree
     return [
         CylinderInterval(
@@ -553,16 +572,10 @@ def bounded_geometry_constant(
     This sampled maximum is a lower bound for the true bounded-geometry
     constant of the map.
     """
-    ensure_valid(spec)
-    _check_cell_cap(spec.degree, n_max, cell_cap)
     d = spec.degree
     worst = 1.0
     prev = np.asarray([1.0])
-    lefts = np.zeros(1)
-    for _ in range(n_max):
-        lefts = np.concatenate(
-            [inverse_branch_values(spec, s, lefts, tol=tol) for s in range(d)]
-        )
+    for lefts in iter_levels(spec, n_max, tol=tol, cell_cap=cell_cap):
         lengths = np.diff(np.append(lefts, 1.0))
         # the parent of word index j at this level is index j // d (drop last symbol)
         ratios = np.repeat(prev, d) / lengths

@@ -1,9 +1,10 @@
 """Independent oracle implementations used to freeze expected test values.
 
 Everything here is deliberately written from scratch against the defining
-formulas (plain bisection, direct branch formulas, brute-force enumeration)
-and never calls into the package, so package results can be checked against
-a second, structurally different computation path.
+formulas (plain bisection, direct branch formulas, brute-force enumeration,
+60-digit Newton solves in mpmath) and never calls into the package, so
+package results can be checked against a second, structurally different
+computation path.  The reference loops at the end are the one exception.
 """
 
 from __future__ import annotations
@@ -55,6 +56,72 @@ def conjugated_inverse_branch(c: float, branch: int, y: float) -> float:
     return sine_homeo_inverse(c, (sine_homeo_lift(c, y) + branch) / 2.0)
 
 
+# ---------------------------------------------------------------------------
+# 60-digit mpmath oracles
+# ---------------------------------------------------------------------------
+
+MP_DIGITS = 60
+_MP_NEWTON_STEPS = 40
+
+
+def _mp_newton(fn, dfn, target, x):
+    """Newton's method for an increasing fn; asserts a residual near MP_DIGITS."""
+    import mpmath
+
+    for _ in range(_MP_NEWTON_STEPS):
+        step = (fn(x) - target) / dfn(x)
+        x -= step
+        if abs(step) < mpmath.mpf(10) ** (-MP_DIGITS):
+            break
+    assert abs(fn(x) - target) < mpmath.mpf(10) ** (5 - MP_DIGITS)
+    return x
+
+
+def _mp_sine_homeo_inverse(c, y):
+    import mpmath
+
+    two_pi = 2 * mpmath.pi
+    return _mp_newton(
+        lambda u: u + c * mpmath.sin(two_pi * u) / two_pi,
+        lambda u: 1 + c * mpmath.cos(two_pi * u),
+        y,
+        y,
+    )
+
+
+def mp_level_left_endpoints(kind: str, degree: int, param: float, n: int) -> list:
+    """Level-n left endpoints in word order at MP_DIGITS digits.
+
+    ``kind`` is ``"smooth_sine"`` (lift ``d*x + param*sin(2 pi x)/(2 pi)``)
+    or ``"conjugated_linear"`` (``H^-1 o (d*x) o H`` with H the sine homeo of
+    amplitude ``param``).  Each level applies every inverse branch to every
+    endpoint of the level above.
+    """
+    import mpmath
+
+    with mpmath.workdps(MP_DIGITS):
+        two_pi = 2 * mpmath.pi
+        p = mpmath.mpf(param)
+        if kind == "smooth_sine":
+            def branch(s, y):
+                return _mp_newton(
+                    lambda x: degree * x + p * mpmath.sin(two_pi * x) / two_pi,
+                    lambda x: degree + p * mpmath.cos(two_pi * x),
+                    s + y,
+                    (s + y) / degree,
+                )
+        elif kind == "conjugated_linear":
+            def branch(s, y):
+                hy = y + p * mpmath.sin(two_pi * y) / two_pi
+                return _mp_sine_homeo_inverse(p, (hy + s) / degree)
+        else:
+            raise ValueError(kind)
+        lefts = [mpmath.mpf(0)]
+        for _ in range(n):
+            lefts = [branch(s, y) for s in range(degree) for y in lefts]
+    return lefts
+
+
 def pl_cylinder(cuts: list[float], word: tuple[int, ...]) -> tuple[float, float]:
     """Cylinder endpoints by composing exact branch formulas right-to-left."""
     ext = [0.0] + list(cuts) + [1.0]
@@ -91,13 +158,31 @@ def pl_tail_sum_bruteforce(cuts: list[float], word: tuple[int, ...], k: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# Reference refinement loops
+# Reference refinement and level loops
 # ---------------------------------------------------------------------------
 # The package's refinement used to rebuild the whole backward chain of
-# inverse branches at every depth, O(K^2) inverse solves per point.  These
-# loops are that computation, kept as the reference the O(K) kernel must
-# reproduce; unlike the rest of this file they call the package's inverse
-# branches, since bit-identical results are the point of the comparison.
+# inverse branches at every depth, O(K^2) inverse solves per point, and its
+# level enumeration applied every branch to every parent, solving each
+# endpoint again at every deeper level.  These loops are those computations,
+# kept as the references the package's kernels must reproduce; unlike the
+# rest of this file they call the package's inverse branches, since
+# bit-identical results are the point of the comparison.
+
+def reference_levels(spec, n: int, tol: float) -> list:
+    """Left endpoints of levels 1..n, each level the concatenation of the d
+    inverse branches applied to all of the level above."""
+    import numpy as np
+    from circledyn.circle_maps import inverse_branch_values
+
+    lefts = np.zeros(1)
+    levels = []
+    for _ in range(n):
+        lefts = np.concatenate(
+            [inverse_branch_values(spec, s, lefts, tol=tol) for s in range(spec.degree)]
+        )
+        levels.append(lefts)
+    return levels
+
 
 def reference_itinerary(spec, xs, n: int, tol: float):
     """Level-n symbol matrix by a full backward chain per depth and cut."""

@@ -1,6 +1,7 @@
 """Lift evaluation, branch inversion, validation, and spec ingestion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,31 @@ class TestValidate:
     def test_degree_below_two_rejected(self):
         report = validate(CircleMapSpec(kind="linear", degree=1))
         assert not report.ok
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            linear_map(defaults.DEGREE_CAP + 1),
+            linear_map(10**12),
+            smooth_sine_map(10**12, 0.5),
+            CircleMapSpec(kind="conjugated", degree=10**12, base=linear_map(10**12), homeo=sine_homeo(0.5)),
+        ],
+    )
+    def test_degree_above_cap_rejected_before_allocation(self, spec):
+        tracemalloc.start()
+        try:
+            report = validate(spec)
+            # checked before branch_points, which would build a degree-length tuple
+            assert [v.code for v in report.violations][:1] == ["bad_degree"]
+            with pytest.raises(InvalidMapError, match="degree"):
+                circle_maps.branch_points(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_degree_at_cap_passes(self):
+        assert validate(linear_map(defaults.DEGREE_CAP)).ok
 
     def test_tiny_branch_rejected(self):
         report = validate(piecewise_linear([0.5, 0.5 + 1e-12]))

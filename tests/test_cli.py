@@ -90,6 +90,13 @@ class TestValidateCommand:
         assert "nan" not in captured.out
         assert "$.cuts[0]: not a finite number" in captured.err
 
+    def test_degree_above_cap_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text('{"kind": "linear", "degree": 1000000000000}')
+        assert main(["validate", "--map", str(p)]) == 1
+        assert "bad_degree" in capsys.readouterr().out
+        assert main(["partition", "--map", str(p), "--level", "1"]) == 1
+
     def test_schema_error_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"kind": "nope"}')
