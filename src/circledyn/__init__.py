@@ -54,6 +54,7 @@ from .analysis import (
     TailSumRow,
     dilatation_report,
     dyadic_intervals,
+    iter_dilatation_reports,
     measure_deviation,
     measure_profile,
     qs_ratio,

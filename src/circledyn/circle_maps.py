@@ -19,11 +19,16 @@ Circle homeomorphisms (:class:`CircleHomeoSpec`) are lifts ``H`` with
 
 Closed forms are used for the linear and piecewise-linear kinds; every other
 inverse is a bracketed root solve to an absolute tolerance (default
-``SOLVER_TOL``).  The solver keeps a bracket ``fn(lo) < target <= fn(hi)``
-around each root and narrows it with a false-position step followed by a
-probe that straddles the root, falling back to bisection whenever a pass
-fails to halve the bracket, so it never needs more than about twice the
-evaluations of plain bisection and usually needs a quarter of them.  Each
+``SOLVER_TOL``).  The root-solved lifts ``smooth_sine`` and ``sine_homeo``
+are one family, ``x -> D*x + a*sin(2*pi*x)/(2*pi)``, and each target gets its
+own starting bracket: Newton steps give a guess, and the slope floor
+``D - |a|`` certifies a radius around it that holds the root whatever the
+guess (compute fast, then verify).  The bracket is usually already ``tol``
+wide, so most solves evaluate the lift only at its two ends.  The solver
+keeps a bracket ``fn(lo) < target <= fn(hi)`` around each root and narrows
+it with a false-position step followed by a probe that straddles the root,
+falling back to bisection whenever a pass fails to halve the bracket, so it
+never needs more than about twice the evaluations of plain bisection.  Each
 element stops as soon as its own bracket is ``tol`` wide and returns the
 midpoint, within ``tol/2`` of the root; large inputs are solved in
 fixed-size blocks.  Specs are immutable and every evaluation is a pure
@@ -47,6 +52,7 @@ _TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _MAX_SOLVER_STEPS = 200
 _SOLVER_BLOCK = 2**15
+_NEWTON_STEPS = 4
 
 MAP_KINDS = ("piecewise_linear_full_branch", "linear", "smooth_sine", "conjugated")
 HOMEO_KINDS = ("identity", "sine_homeo", "compose")
@@ -336,9 +342,7 @@ def _homeo_inverse_unit(spec: CircleHomeoSpec, y: np.ndarray, tol: float) -> np.
     if spec.kind == "identity":
         return np.asarray(y, dtype=float).copy()
     if spec.kind == "sine_homeo":
-        return _bisect_increasing(
-            lambda u: homeo_lift_values(spec, u), 0.0, 1.0, np.asarray(y, float), tol
-        )
+        return _solve_sine_family(lambda u: homeo_lift_values(spec, u), 1, spec.c, y, tol)
     if spec.kind == "compose":
         out = np.asarray(y, dtype=float)
         for part in spec.parts:
@@ -367,13 +371,16 @@ def homeo_eval(spec: CircleHomeoSpec, x: float) -> float:
 def _bisect_increasing(fn, lo, hi, target: np.ndarray, tol: float) -> np.ndarray:
     """Solve ``fn(x) = target`` for an increasing ``fn``, elementwise.
 
-    ``lo``/``hi`` may be scalars or arrays bracketing each target.  Targets
-    outside the bracket by more than ``tol`` (in x, via monotonicity this is
-    checked on the function values with a generous margin) signal a
-    non-monotone lift and raise :class:`SolverError`, as do non-finite
-    targets.  Each result is the midpoint of a bracket of width at most
-    ``tol``, so it lies within ``tol/2`` of the root.  Large inputs are solved
-    in blocks of ``_SOLVER_BLOCK`` elements, which bounds the working set.
+    ``lo``/``hi`` may be scalars or arrays bracketing each target; the map
+    kinds pass per-target brackets from :func:`_sine_family_bracket`, which
+    are often ``tol`` wide already, so an element may take no pass at all and
+    cost only the two end evaluations.  Targets outside the bracket by more
+    than ``tol`` (in x, via monotonicity this is checked on the function
+    values with a generous margin) signal a non-monotone lift and raise
+    :class:`SolverError`, as do non-finite targets.  Each result is the
+    midpoint of a bracket of width at most ``tol``, so it lies within
+    ``tol/2`` of the root.  Large inputs are solved in blocks of
+    ``_SOLVER_BLOCK`` elements, which bounds the working set.
     """
     target = np.asarray(target, dtype=float)
     if not np.all(np.isfinite(target)):
@@ -381,13 +388,13 @@ def _bisect_increasing(fn, lo, hi, target: np.ndarray, tol: float) -> np.ndarray
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
     # scalar ends are evaluated once, not once per target
-    flo = np.broadcast_to(fn(lo), target.shape)
-    fhi = np.broadcast_to(fn(hi), target.shape)
+    flo = _broadcast(fn(lo), target.shape)
+    fhi = _broadcast(fn(hi), target.shape)
     slack = 1e-9
     if np.any(target < flo - slack) or np.any(target > fhi + slack):
         raise SolverError("target outside monotone bracket (lift not monotone?)")
-    lo = np.broadcast_to(lo, target.shape)
-    hi = np.broadcast_to(hi, target.shape)
+    lo = _broadcast(lo, target.shape)
+    hi = _broadcast(hi, target.shape)
     # reshape, not ravel: a broadcast scalar stays a zero-stride view
     columns = [arr.reshape(-1) for arr in (lo, hi, flo, fhi, target)]
     out = np.empty(target.size)
@@ -398,6 +405,54 @@ def _bisect_increasing(fn, lo, hi, target: np.ndarray, tol: float) -> np.ndarray
     # inverse branches preserve shared endpoints bit for bit
     mid = out.reshape(target.shape)
     return np.where(flo == target, lo, np.where(fhi == target, hi, mid))
+
+
+def _broadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``arr`` broadcast to ``shape``; an array of that shape already is returned as it is."""
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
+
+
+def _sine_family_bracket(D: int, a: float, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified brackets in [0, 1] for ``D*x + a*sin(2*pi*x)/(2*pi) = target``.
+
+    ``_NEWTON_STEPS`` Newton steps from ``target/D``, each clipped to [0, 1],
+    give a guess x.  The slope is at least ``D - |a| > 0`` everywhere, so the
+    root lies within ``(|f(x) - target| + pad)/(D - |a|)`` of x, where ``pad``
+    covers the rounding of f at x, at the bracket ends and in the radius
+    itself (a few ulps of ``D + |a|`` each).  The guess affects speed only:
+    the bracket holds whatever x is.  With the same padding the computed f is
+    below the target at an unclipped left end and above it at an unclipped
+    right end.  Each bracket depends on its own target alone.
+    """
+    pad = 16.0 * _UNIT_ROUNDOFF * (D + abs(a))
+    with np.errstate(invalid="ignore"):  # non-finite targets are rejected by the solver
+        # minimum/maximum rather than clip: the arrays are often tiny
+        x = np.minimum(np.maximum(target / D, 0.0), 1.0)
+        for _ in range(_NEWTON_STEPS):
+            angle = _TWO_PI * x
+            step = (D * x + a * np.sin(angle) / _TWO_PI - target) / (D + a * np.cos(angle))
+            x = np.minimum(np.maximum(x - step, 0.0), 1.0)
+        residual = np.abs(D * x + a * np.sin(_TWO_PI * x) / _TWO_PI - target)
+        radius = (residual + pad) / (D - abs(a))
+    return np.maximum(x - radius, 0.0), np.minimum(x + radius, 1.0)
+
+
+def _solve_sine_family(fn, D: int, a: float, target, tol: float) -> np.ndarray:
+    """Roots of the increasing ``fn(x) = D*x + a*sin(2*pi*x)/(2*pi)`` on [0, 1].
+
+    ``smooth_sine`` (D = degree, a = epsilon) and ``sine_homeo`` (D = 1,
+    a = c) are this family.  Each block of ``_SOLVER_BLOCK`` targets gets its
+    brackets from :func:`_sine_family_bracket` and is solved by
+    :func:`_bisect_increasing`, so temporaries stay block-sized.
+    """
+    target = np.asarray(target, dtype=float)
+    out = np.empty(target.shape)
+    flat_target, flat_out = target.reshape(-1), out.reshape(-1)
+    for start in range(0, target.size, _SOLVER_BLOCK):
+        block = flat_target[start : start + _SOLVER_BLOCK]
+        lo, hi = _sine_family_bracket(D, a, block)
+        flat_out[start : start + _SOLVER_BLOCK] = _bisect_increasing(fn, lo, hi, block, tol)
+    return out
 
 
 def _narrow(x, fx, t, a, b, fa, fb):
@@ -429,6 +484,8 @@ def _solve_block(fn, lo, hi, flo, fhi, target, tol: float) -> np.ndarray:
     out = 0.5 * (lo + hi)
     # invariant fn(a) < t <= fn(b), with the same ``<`` as plain bisection
     idx = np.flatnonzero((hi - lo > tol) & (flo != target) & (fhi != target))
+    if idx.size == 0:  # seeded brackets are often tol-wide already
+        return out
     a, b, fa, fb, t = lo[idx], hi[idx], flo[idx], fhi[idx], target[idx]
     bisect = np.zeros(idx.size, dtype=bool)
     margin = 0.25 * tol
@@ -615,8 +672,8 @@ def inverse_branch_values(
         # lerp form is exact at y = 0 and y = 1
         return (1.0 - y) * ext[branch] + y * ext[branch + 1]
     if spec.kind == "smooth_sine":
-        return _bisect_increasing(
-            lambda u: _unit_lift(spec, u, tol), 0.0, 1.0, branch + y, tol
+        return _solve_sine_family(
+            lambda u: _unit_lift(spec, u, tol), spec.degree, spec.epsilon, branch + y, tol
         )
     if spec.kind == "conjugated":
         hv = homeo_lift_values(spec.homeo, y)

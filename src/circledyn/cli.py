@@ -36,6 +36,7 @@ from . import defaults
 from .analysis import (
     dilatation_report,
     dyadic_intervals,
+    iter_dilatation_reports,
     measure_profile,
     qs_ratio,
     symmetry_modulus,
@@ -259,7 +260,16 @@ def _cmd_analyze_uqs(args, caps) -> int:
 
 def _parse_intervals(text: str):
     if text.startswith("dyadic:"):
-        return dyadic_intervals(int(text.split(":", 1)[1]))
+        raw = text.split(":", 1)[1]
+        try:
+            count = int(raw)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(
+                f"--intervals: interval list is empty; dyadic:N needs an integer N >= 1, got {raw!r}"
+            )
+        return dyadic_intervals(count)
     with open(text) as fh:
         data = json.load(fh)
     return [(float(a), float(b)) for a, b in data]
@@ -291,12 +301,10 @@ def _cmd_analyze_phi(args, caps) -> int:
         rows = [(w.to_text(), r) for w, r in report.coarse_max]
         _write_report(args, ["cell_word", "max_ratio"], rows, config | {"level": args.level, "coarse": args.coarse})
         return EXIT_OK
-    rows = []
-    for n in range(1, args.level + 1):
-        report = dilatation_report(f, g, n, cell_cap=cell_cap)
-        rows.append(
-            (n, report.max_ratio, report.argmax_word.to_text(), report.min_ratio, report.argmin_word.to_text())
-        )
+    rows = [
+        (r.level, r.max_ratio, r.argmax_word.to_text(), r.min_ratio, r.argmin_word.to_text())
+        for r in iter_dilatation_reports(f, g, args.level, cell_cap=cell_cap)
+    ]
     _write_report(args, ["level", "max_ratio", "argmax_word", "min_ratio", "argmin_word"], rows, config)
     return EXIT_OK
 
@@ -353,9 +361,10 @@ def _cmd_repro_rigidity(args, caps) -> int:
     t = 0.4**3
     ratio = qs_ratio(distinct, 0.0, t)
     rows.append(("distinct_pair_qs_ratio_at_0", ratio, 0.25))
-    for n in (2, 4, 6, 8):
-        report = dilatation_report(f, g, n)
-        rows.append((f"max_cylinder_ratio_level_{n}", report.max_ratio, 1.25**n))
+    for report in iter_dilatation_reports(f, g, 8):
+        n = report.level
+        if n % 2 == 0:
+            rows.append((f"max_cylinder_ratio_level_{n}", report.max_ratio, 1.25**n))
     config = {"command": "repro-rigidity-demo", "tol": 1e-10, "depth_cap": depth_cap}
     _write_report(args, ["quantity", "value", "reference"], rows, config)
     return EXIT_OK

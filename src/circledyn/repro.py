@@ -16,8 +16,8 @@ import numpy as np
 
 from . import defaults
 from .analysis import (
-    dilatation_report,
     dyadic_intervals,
+    iter_dilatation_reports,
     measure_deviation,
     qs_ratio,
     symmetry_modulus,
@@ -220,9 +220,8 @@ def criterion_7(config: ReproConfig = ReproConfig()) -> CriterionResult:
     f = _f06()
     g = linear_map(2)
     worst_err = 0.0
-    for n in range(1, 11):
-        report = dilatation_report(f, g, n, cell_cap=config.cell_cap)
-        worst_err = max(worst_err, abs(report.max_ratio - 1.25**n))
+    for report in iter_dilatation_reports(f, g, 10, cell_cap=config.cell_cap):
+        worst_err = max(worst_err, abs(report.max_ratio - 1.25**report.level))
     h = ConjugacyMap(f, g, tol=1e-10, depth_cap=config.conjugacy_depth_cap)
     t = 0.4**3
     ratio = qs_ratio(h, 0.0, t)
@@ -287,8 +286,7 @@ def criterion_8(config: ReproConfig = ReproConfig()) -> CriterionResult:
     mediant_ok = True
     for f, g in pairs:
         prev_max, prev_min = 1.0, 1.0
-        for n in range(1, 7):
-            report = dilatation_report(f, g, n, cell_cap=config.cell_cap)
+        for report in iter_dilatation_reports(f, g, 6, cell_cap=config.cell_cap):
             if not (report.min_ratio <= 1.0 <= report.max_ratio):
                 mediant_ok = False
             if report.max_ratio < prev_max or report.min_ratio > prev_min:

@@ -89,6 +89,27 @@ def _mp_sine_homeo_inverse(c, y):
     )
 
 
+def mp_sine_family_root(D: int, a: float, target: float, iters: int = 210):
+    """Root of ``D*x + a*sin(2 pi x)/(2 pi) = target`` on [0, 1] by MP_DIGITS-digit bisection.
+
+    Bisection needs only monotonicity, so it also serves the near-degenerate
+    maps (``|a|`` close to ``D``) where Newton's method is slow to settle.
+    """
+    import mpmath
+
+    with mpmath.workdps(MP_DIGITS):
+        two_pi = 2 * mpmath.pi
+        p, t = mpmath.mpf(a), mpmath.mpf(target)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(iters):
+            mid = (lo + hi) / 2
+            if D * mid + p * mpmath.sin(two_pi * mid) / two_pi < t:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 def mp_level_left_endpoints(kind: str, degree: int, param: float, n: int) -> list:
     """Level-n left endpoints in word order at MP_DIGITS digits.
 

@@ -5,6 +5,7 @@ import pytest
 
 from circledyn import (
     ConjugacyMap,
+    DegreeMismatchError,
     ResolutionExhausted,
     WorkCapExceeded,
     CellCapExceeded,
@@ -12,9 +13,12 @@ from circledyn import (
     dilatation_report,
     dyadic_intervals,
     identity_homeo,
+    iter_dilatation_reports,
     linear_map,
+    make_conjugated,
     measure_deviation,
     measure_profile,
+    piecewise_linear,
     qs_ratio,
     sine_homeo,
     smooth_sine_map,
@@ -193,6 +197,37 @@ class TestDilatationReport:
     def test_coarse_level_bound(self, f06, lin2):
         with pytest.raises(ValueError):
             dilatation_report(f06, lin2, 3, coarse_level=3)
+
+
+class TestIterDilatationReports:
+    @pytest.mark.parametrize(
+        "f, g, n",
+        [
+            (piecewise_linear([0.6]), linear_map(2), 10),
+            (piecewise_linear([0.3, 0.55]), linear_map(3), 6),
+            (piecewise_linear([0.6]), smooth_sine_map(2, 0.5), 9),
+            (make_conjugated(linear_map(2), sine_homeo(0.5)), smooth_sine_map(2, -0.7), 8),
+        ],
+        ids=["pl-linear", "pl3-linear3", "pl-smooth", "conjugated-smooth"],
+    )
+    def test_matches_per_level_reports(self, f, g, n):
+        walked = list(iter_dilatation_reports(f, g, n))
+        assert [r.level for r in walked] == list(range(1, n + 1))
+        for report in walked:
+            alone = dilatation_report(f, g, report.level)
+            assert report == alone
+            # bit for bit, not just equal as floats
+            assert np.float64(report.max_ratio).tobytes() == np.float64(alone.max_ratio).tobytes()
+            assert np.float64(report.min_ratio).tobytes() == np.float64(alone.min_ratio).tobytes()
+
+    def test_errors_before_the_first_report(self, f06, lin2):
+        with pytest.raises(DegreeMismatchError):
+            next(iter_dilatation_reports(f06, linear_map(3), 2))
+        with pytest.raises(CellCapExceeded):
+            next(iter_dilatation_reports(f06, lin2, 5, cell_cap=16))
+
+    def test_level_zero_is_empty(self, f06, lin2):
+        assert list(iter_dilatation_reports(f06, lin2, 0)) == []
 
 
 class TestTailSum:

@@ -36,6 +36,7 @@ from circledyn import circle_maps, defaults
 from _oracles import (
     bisect_root,
     conjugated_inverse_branch,
+    mp_sine_family_root,
     pl_lift,
     sine_homeo_lift,
     smooth_lift,
@@ -196,6 +197,105 @@ class TestRootSolver:
     def test_non_finite_target_rejected(self, smooth05):
         with pytest.raises(SolverError, match="non-finite"):
             inverse_branch_values(smooth05, 0, [math.nan])
+
+
+# (D, a) of x -> D*x + a*sin(2*pi*x)/(2*pi): smooth_sine has D = degree and
+# a = epsilon, sine_homeo has D = 1 and a = c; the |a| = 0.999*D rows are
+# near-degenerate (slope floor 0.001*D)
+SINE_FAMILY = [(2, 0.5), (2, 1.998), (2, -1.998), (3, 1.2), (1, 0.5), (1, 0.999), (1, -0.999), (1, 0.0)]
+
+
+def _sine_family_targets(D):
+    rng = np.random.default_rng(17 + D)
+    return np.concatenate([rng.random(24) * D, np.arange(D + 1.0), [0.5 * D, 1e-300, D - 1e-15]])
+
+
+def _count_solver_evaluations(monkeypatch):
+    """Patch the solver so every point its ``fn`` is evaluated at is counted."""
+    counter = {"points": 0}
+    solve = circle_maps._bisect_increasing
+
+    def counted_solve(fn, lo, hi, target, tol):
+        def counted(u):
+            counter["points"] += np.size(u)
+            return fn(u)
+
+        return solve(counted, lo, hi, target, tol)
+
+    monkeypatch.setattr(circle_maps, "_bisect_increasing", counted_solve)
+    return counter
+
+
+class TestSeedBracket:
+    @pytest.mark.parametrize("D, a", SINE_FAMILY)
+    def test_bracket_contains_mp_root(self, D, a):
+        targets = _sine_family_targets(D)
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets)
+        assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
+        for t, left, right in zip(targets, lo, hi):
+            root = mp_sine_family_root(D, a, float(t))
+            assert left <= root <= right, (t, left, right)
+
+    @pytest.mark.parametrize("D, a", SINE_FAMILY)
+    def test_bracket_ends_straddle_target(self, D, a):
+        # computed f is below the target at an unclipped left end and above it
+        # at an unclipped right end, so the solver starts from a true bracket
+        targets = _sine_family_targets(D)
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets)
+        f_lo, f_hi = (D * x + a * np.sin(2 * np.pi * x) / (2 * np.pi) for x in (lo, hi))
+        assert np.all((f_lo < targets) | (lo == 0.0))
+        assert np.all((f_hi > targets) | (hi == 1.0))
+
+    @pytest.mark.parametrize("D, a", SINE_FAMILY)
+    def test_solved_roots_match_mp_root(self, D, a):
+        spec = smooth_sine_map(D, a) if D > 1 else sine_homeo(a)
+        targets = _sine_family_targets(D)
+        # branch 0 with y = t solves F(x) = t for any t in [0, D]
+        got = inverse_branch_values(spec, 0, targets) if D > 1 else homeo_inverse_values(spec, targets)
+        # the solver is within TOL/2 of a root of the computed f; rounding in
+        # f moves that root by up to a few ulps over the slope floor
+        rounding = 8 * np.finfo(float).eps * (D + abs(a)) / (D - abs(a))
+        for t, x in zip(targets, got):
+            assert abs(x - float(mp_sine_family_root(D, a, float(t)))) <= TOL / 2 + rounding
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            smooth_sine_map(2, 0.5),
+            smooth_sine_map(3, 2.997),
+            smooth_sine_map(3, -2.997),
+            make_conjugated(linear_map(2), sine_homeo(0.5)),
+            make_conjugated(linear_map(3), sine_homeo(-0.999)),
+            make_conjugated(
+                smooth_sine_map(2, 1.998), compose_homeos([sine_homeo(0.999), sine_homeo(-0.4)])
+            ),
+        ],
+        ids=lambda spec: spec.describe(),
+    )
+    def test_end_hits_and_shared_endpoints_exact(self, spec):
+        d = spec.degree
+        assert inverse_branch_values(spec, 0, 0.0) == 0.0
+        assert inverse_branch_values(spec, d - 1, 1.0) == 1.0
+        for s in range(d - 1):
+            assert inverse_branch_values(spec, s, 1.0) == inverse_branch_values(spec, s + 1, 0.0)
+
+    @pytest.mark.parametrize("c", [0.5, 0.999, -0.999])
+    def test_homeo_inverse_fixes_unit_ends(self, c):
+        assert homeo_inverse_values(sine_homeo(c), np.array([0.0, 1.0, 2.0])).tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [smooth_sine_map(2, 0.5), make_conjugated(linear_map(2), sine_homeo(0.5))],
+        ids=lambda spec: spec.describe(),
+    )
+    def test_evaluations_per_root(self, spec, monkeypatch):
+        # ends included; starting every solve from [0, 1] took 8.7
+        # (smooth_sine) and 9.5 (conjugated) evaluations per root
+        counter = _count_solver_evaluations(monkeypatch)
+        ys = np.linspace(0.0, 1.0, 1001)
+        for branch in (0, 1):
+            inverse_branch_values(spec, branch, ys)
+        assert counter["points"] <= 3 * 2 * ys.size
 
 
 class TestGlobalInverseLift:

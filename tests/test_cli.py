@@ -215,6 +215,22 @@ class TestAnalyzeCommands:
         assert code == 1
         assert "interval list is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["abc", "-3", "1.5", ""])
+    def test_measure_bad_dyadic_count_exits_1(self, specs, capsys, count):
+        code = main(["analyze", "measure", "--map", specs["f06"], "--intervals", f"dyadic:{count}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--intervals: interval list is empty; dyadic:N needs an integer N >= 1, got {count!r}" in captured.err
+        assert "invalid literal" not in captured.err
+
+    def test_phi_negative_level_exits_1(self, specs, capsys):
+        code = main(["analyze", "phi", "--from", specs["f06"], "--to", specs["lin2"], "--level", "-1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "level must be >= 0" in captured.err
+
     def test_phi_growth(self, specs, capsys):
         code = main(
             ["analyze", "phi", "--from", specs["f06"], "--to", specs["lin2"], "--level", "4"]
