@@ -9,6 +9,7 @@ sampled minima are upper bounds; every report says which grid produced it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -18,6 +19,7 @@ from . import defaults
 from .circle_maps import (
     CircleHomeoSpec,
     CircleMapSpec,
+    chain_error_bound,
     ensure_valid,
     global_inverse_lift,
     homeo_lift_values,
@@ -39,6 +41,8 @@ from .symbolic_partition import (
 )
 
 LiftLike = CircleHomeoSpec | ConjugacyMap | Callable[[np.ndarray], np.ndarray]
+# grid points per lift evaluation in symmetry_modulus (whole rows, at least one)
+_MODULUS_BATCH = 2**15
 
 
 def _lift_fn(h: LiftLike) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
@@ -133,11 +137,17 @@ def symmetry_modulus(
     if not ladder or ladder[0] > 0.5 or ladder[-1] <= 0.0:
         raise ValueError("scales must lie in (0, 0.5]")
     xs = np.arange(grid, dtype=float) / grid
-    mid = fn(xs)
+    # rows xs, xs + t1, xs - t1, xs + t2, ..., evaluated together in batches of
+    # whole rows: a conjugacy's working set grows with the points per call
+    shifts = np.array([0.0] + [s for t in ladder for s in (t, -t)])
+    points = xs + shifts[:, None]
+    step = max(1, _MODULUS_BATCH // grid)
+    values = np.concatenate(
+        [fn(points[i : i + step].reshape(-1)) for i in range(0, shifts.size, step)]
+    ).reshape(shifts.size, grid)
+    mid = values[0]
     rows = []
-    for t in ladder:
-        plus = fn(xs + t)
-        minus = fn(xs - t)
+    for t, plus, minus in zip(ladder, values[1::2], values[2::2]):
         num = plus - mid
         den = mid - minus
         if float(np.min(den)) < denom_floor or float(np.min(num)) < denom_floor:
@@ -228,7 +238,10 @@ class DilatationReport:
 
     ``max_ratio`` is nondecreasing and ``min_ratio`` nonincreasing in n (each
     parent ratio is a length-weighted mean of its child ratios); the argmax
-    word is one witness interval of the maximizing sequence.  ``coarse_max``
+    word is one witness interval of the maximizing sequence.  A witness is
+    the first word in lexicographic order whose ratio ties the extreme within
+    the error radius of the computed lengths, so its own ratio may differ
+    from ``max_ratio`` (``min_ratio``) by up to that radius.  ``coarse_max``
     holds, for each level-m cell, the maximum ratio over its level-n
     descendants: an empirical density probe for the maximizing set.
     """
@@ -250,12 +263,43 @@ def _check_pair(f: CircleMapSpec, g: CircleMapSpec) -> None:
 
 
 def _dilatation(
-    len_f: np.ndarray, len_g: np.ndarray, n: int, coarse_level: int, d: int
+    len_f: np.ndarray,
+    len_g: np.ndarray,
+    n: int,
+    coarse_level: int,
+    d: int,
+    err_f: float,
+    err_g: float,
 ) -> DilatationReport:
-    """The report of one level from the two maps' level-n cylinder lengths."""
+    """The report of one level from the two maps' level-n cylinder lengths.
+
+    ``err_f`` and ``err_g`` bound the error of every computed level-n
+    endpoint, so each length is off by at most twice that, and each ratio by
+    at most its radius ``2*(err_g + ratio*err_f)/(len_f - 2*err_f)``.  A
+    ratio ties the maximum when it is within its radius of the highest lower
+    end ``max(ratio - radius)``, so that it could be the largest true ratio
+    (the minimum likewise).  The witness is the lowest word index among the
+    tied ones (the lexicographic rule), so mirror cylinders of equal true
+    length do not swap with rounding noise.
+    """
     ratios = len_g / len_f
-    jmax = int(np.argmax(ratios))  # first occurrence = lexicographic tie-break
-    jmin = int(np.argmin(ratios))
+    top, bottom = float(np.max(ratios)), float(np.min(ratios))
+    floor = float(np.min(len_f)) - 2.0 * err_f
+    # every radius is at most ``bound``, so only ratios within 2*bound of an
+    # extreme can tie it; the exact radii are taken on those alone
+    bound = 2.0 * (err_g + top * err_f) / floor if floor > 0.0 else math.inf
+
+    def first_tied(near: np.ndarray, sign: float) -> int:
+        """The lowest index in ``near`` that may be the extreme (sign 1: max, -1: min)."""
+        q = ratios[near]
+        with np.errstate(divide="ignore"):  # a length under its own error ties everything
+            radius = 2.0 * (err_g + q * err_f) / np.maximum(len_f[near] - 2.0 * err_f, 0.0)
+        r = sign * q
+        # argmax of a mask is its first True: the lowest tied index
+        return int(near[np.argmax(r + radius >= np.max(r - radius))])
+
+    jmax = first_tied(np.flatnonzero(ratios >= top - 2.0 * bound), 1.0)
+    jmin = first_tied(np.flatnonzero(ratios <= bottom + 2.0 * bound), -1.0)
     cells = d**coarse_level
     per_cell = ratios.reshape(cells, -1).max(axis=1)
     coarse = tuple(
@@ -263,8 +307,8 @@ def _dilatation(
     )
     return DilatationReport(
         level=n,
-        max_ratio=float(ratios[jmax]),
-        min_ratio=float(ratios[jmin]),
+        max_ratio=top,
+        min_ratio=bottom,
         argmax_word=word_of_index(jmax, n, d),
         argmin_word=word_of_index(jmin, n, d),
         coarse_level=coarse_level,
@@ -293,7 +337,8 @@ def dilatation_report(
         raise ValueError("need 0 <= coarse_level < n")
     len_f = cylinder_lengths(f, n, tol=tol, cell_cap=cell_cap)
     len_g = cylinder_lengths(g, n, tol=tol, cell_cap=cell_cap)
-    return _dilatation(len_f, len_g, n, coarse_level, f.degree)
+    err_f, err_g = (chain_error_bound(spec, tol, n)[n] for spec in (f, g))
+    return _dilatation(len_f, len_g, n, coarse_level, f.degree, err_f, err_g)
 
 
 def iter_dilatation_reports(
@@ -315,10 +360,11 @@ def iter_dilatation_reports(
     """
     _check_pair(f, g)
     walks = (iter_levels(spec, n, tol=tol, cell_cap=cell_cap) for spec in (f, g))
+    err_f, err_g = (chain_error_bound(spec, tol, n) for spec in (f, g))
     for k, (lefts_f, lefts_g) in enumerate(zip(*walks), 1):
         len_f = np.diff(np.append(lefts_f, 1.0))
         len_g = np.diff(np.append(lefts_g, 1.0))
-        yield _dilatation(len_f, len_g, k, 0, f.degree)
+        yield _dilatation(len_f, len_g, k, 0, f.degree, err_f[k], err_g[k])
 
 
 # ---------------------------------------------------------------------------

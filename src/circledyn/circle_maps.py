@@ -21,10 +21,12 @@ Closed forms are used for the linear and piecewise-linear kinds; every other
 inverse is a bracketed root solve to an absolute tolerance (default
 ``SOLVER_TOL``).  The root-solved lifts ``smooth_sine`` and ``sine_homeo``
 are one family, ``x -> D*x + a*sin(2*pi*x)/(2*pi)``, and each target gets its
-own starting bracket: Newton steps give a guess, and the slope floor
-``D - |a|`` certifies a radius around it that holds the root whatever the
-guess (compute fast, then verify).  The bracket is usually already ``tol``
-wide, so most solves evaluate the lift only at its two ends.  The solver
+own starting bracket: a cached per-``(D, a)`` table of the inverse gives a
+guess, the slope floor ``D - |a|`` certifies a radius around it that holds
+the root whatever the guess (compute fast, then verify), and only elements
+whose radius is still above ``tol/2`` take Newton steps, usually one.  The
+bracket is then usually ``tol`` wide, so most solves evaluate the lift only
+at its two ends.  The solver
 keeps a bracket ``fn(lo) < target <= fn(hi)`` around each root and narrows
 it with a false-position step followed by a probe that straddles the root,
 falling back to bisection whenever a pass fails to halve the bracket, so it
@@ -53,6 +55,7 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _MAX_SOLVER_STEPS = 200
 _SOLVER_BLOCK = 2**15
 _NEWTON_STEPS = 4
+_SEED_NODES = 2**12
 
 MAP_KINDS = ("piecewise_linear_full_branch", "linear", "smooth_sine", "conjugated")
 HOMEO_KINDS = ("identity", "sine_homeo", "compose")
@@ -412,28 +415,65 @@ def _broadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return arr if arr.shape == shape else np.broadcast_to(arr, shape)
 
 
-def _sine_family_bracket(D: int, a: float, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=16)
+def _sine_family_inverse_table(D: int, a: float) -> np.ndarray:
+    """Approximate roots of ``D*x + a*sin(2*pi*x)/(2*pi) = t`` at the
+    ``_SEED_NODES + 1`` targets ``t = j*D/_SEED_NODES`` (read-only).
+
+    One ``np.interp`` of forward samples on a uniform x grid, no root solve.
+    """
+    xs = np.linspace(0.0, 1.0, _SEED_NODES + 1)
+    fs = D * xs + a * np.sin(_TWO_PI * xs) / _TWO_PI
+    table = np.interp(np.linspace(0.0, D, _SEED_NODES + 1), fs, xs)
+    table.setflags(write=False)
+    return table
+
+
+def _sine_family_bracket(
+    D: int, a: float, target: np.ndarray, tol: float = defaults.SOLVER_TOL
+) -> tuple[np.ndarray, np.ndarray]:
     """Certified brackets in [0, 1] for ``D*x + a*sin(2*pi*x)/(2*pi) = target``.
 
-    ``_NEWTON_STEPS`` Newton steps from ``target/D``, each clipped to [0, 1],
-    give a guess x.  The slope is at least ``D - |a| > 0`` everywhere, so the
-    root lies within ``(|f(x) - target| + pad)/(D - |a|)`` of x, where ``pad``
-    covers the rounding of f at x, at the bracket ends and in the radius
-    itself (a few ulps of ``D + |a|`` each).  The guess affects speed only:
-    the bracket holds whatever x is.  With the same padding the computed f is
-    below the target at an unclipped left end and above it at an unclipped
-    right end.  Each bracket depends on its own target alone.
+    A lookup in the cached inverse table of :func:`_sine_family_inverse_table`
+    (a linear interpolation between two nodes, no search) gives a guess x.
+    The slope is at least ``D - |a| > 0`` everywhere, so the root lies within
+    ``(|f(x) - target| + pad)/(D - |a|)`` of x, where ``pad`` covers the
+    rounding of f at x, at the bracket ends and in the radius itself (a few
+    ulps of ``D + |a|`` each).  Elements whose radius still exceeds ``tol/2``
+    take a Newton step, clipped to [0, 1], and are certified again, up to
+    ``_NEWTON_STEPS`` times: one step settles a typical map, and only the
+    roots near the flat spot of a near-degenerate map take more.  The guess
+    affects speed only: the bracket holds whatever x is.  With the same
+    padding the computed f is below the target at an unclipped left end and
+    above it at an unclipped right end.  Each bracket depends on its own
+    target alone.
     """
     pad = 16.0 * _UNIT_ROUNDOFF * (D + abs(a))
+    floor = D - abs(a)
+    table = _sine_family_inverse_table(D, a)
     with np.errstate(invalid="ignore"):  # non-finite targets are rejected by the solver
+        pos = target * (_SEED_NODES / D)
+        # fmin/fmax send a NaN position to node 0 instead of an invalid index
+        node = np.fmin(np.fmax(pos, 0.0), _SEED_NODES - 1).astype(np.intp)
+        left = table[node]
         # minimum/maximum rather than clip: the arrays are often tiny
-        x = np.minimum(np.maximum(target / D, 0.0), 1.0)
+        x = np.minimum(np.maximum(left + (pos - node) * (table[node + 1] - left), 0.0), 1.0)
+        residual = D * x + a * np.sin(_TWO_PI * x) / _TWO_PI - target
+        radius = (np.abs(residual) + pad) / floor
         for _ in range(_NEWTON_STEPS):
-            angle = _TWO_PI * x
-            step = (D * x + a * np.sin(angle) / _TWO_PI - target) / (D + a * np.cos(angle))
-            x = np.minimum(np.maximum(x - step, 0.0), 1.0)
-        residual = np.abs(D * x + a * np.sin(_TWO_PI * x) / _TWO_PI - target)
-        radius = (residual + pad) / (D - abs(a))
+            todo = np.flatnonzero(radius > 0.5 * tol)
+            if todo.size == 0:
+                break
+            # the common first step takes every element: no gather or scatter
+            part = todo.size < x.size
+            xs, ts, rs = (x[todo], target[todo], residual[todo]) if part else (x, target, residual)
+            xs = np.minimum(np.maximum(xs - rs / (D + a * np.cos(_TWO_PI * xs)), 0.0), 1.0)
+            rs = D * xs + a * np.sin(_TWO_PI * xs) / _TWO_PI - ts
+            rad = (np.abs(rs) + pad) / floor
+            if part:
+                x[todo], residual[todo], radius[todo] = xs, rs, rad
+            else:
+                x, residual, radius = xs, rs, rad
     return np.maximum(x - radius, 0.0), np.minimum(x + radius, 1.0)
 
 
@@ -450,7 +490,7 @@ def _solve_sine_family(fn, D: int, a: float, target, tol: float) -> np.ndarray:
     flat_target, flat_out = target.reshape(-1), out.reshape(-1)
     for start in range(0, target.size, _SOLVER_BLOCK):
         block = flat_target[start : start + _SOLVER_BLOCK]
-        lo, hi = _sine_family_bracket(D, a, block)
+        lo, hi = _sine_family_bracket(D, a, block, tol)
         flat_out[start : start + _SOLVER_BLOCK] = _bisect_increasing(fn, lo, hi, block, tol)
     return out
 

@@ -7,9 +7,11 @@ accepted as an explicit parameter by the functions that use it.
 name                 default       used by
 ===================  ============  ====================================================
 SOLVER_TOL           1e-13         bracket width at which every root solve stops
-                                   (certified Newton-seeded start bracket, then
-                                   false position, straddle probe, bisection
-                                   fallback); results are within SOLVER_TOL/2
+                                   (certified start bracket from a cached inverse
+                                   table, Newton steps only where its radius
+                                   exceeds SOLVER_TOL/2, then false position,
+                                   straddle probe, bisection fallback); results
+                                   are within SOLVER_TOL/2
 DEPTH_CAP            60            max word length / inverse-iteration depth
 CONJUGACY_DEPTH_CAP  48            max refinement depth for conjugacy enclosures
 CELL_CAP             2**20         max cylinder count for a fully enumerated level

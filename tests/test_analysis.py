@@ -26,6 +26,8 @@ from circledyn import (
     tail_sum,
     uqs_ratio_endo,
 )
+from circledyn import analysis, conjugacy
+from circledyn.symbolic_partition import index_of_word
 from _oracles import (
     conjugated_inverse_branch,
     pl_tail_sum_bruteforce,
@@ -105,6 +107,57 @@ class TestSymmetryModulus:
         assert [row.scale for row in report.rows] == [0.25, 0.125]
         with pytest.raises(ValueError):
             symmetry_modulus(identity_homeo(), scales=[0.7], grid=16)
+
+    def test_one_evaluation_matches_per_scale_rows(self, f06, lin2, monkeypatch):
+        # reference: the per-scale loop, one lift evaluation per shifted grid
+        h = ConjugacyMap(f06, lin2, tol=1e-10)
+        scales = [2.0**-j for j in range(1, 11)]
+        xs = np.arange(256, dtype=float) / 256
+        mid = h.lift_values(xs)
+        want = []
+        for t in scales:
+            ratio = (h.lift_values(xs + t) - mid) / (mid - h.lift_values(xs - t))
+            dev = np.maximum(ratio - 1.0, 1.0 / ratio - 1.0)
+            j = int(np.argmax(dev))
+            want.append((t, float(dev[j]), float(xs[j])))
+        calls = []
+        enclosures = conjugacy.conjugacy_enclosures
+        monkeypatch.setattr(
+            conjugacy, "conjugacy_enclosures", lambda *a, **k: calls.append(1) or enclosures(*a, **k)
+        )
+        report = symmetry_modulus(h, scales=scales, grid=256)
+        assert len(calls) == 1
+        got = [(row.scale, row.deviation, row.argmax_x) for row in report.rows]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_large_grids_are_evaluated_in_batches_of_whole_rows(self):
+        sizes = []
+
+        def lift(x):
+            sizes.append(x.size)
+            return x + 0.3 * np.sin(2 * np.pi * x) / (2 * np.pi)
+
+        grid, scales = 2**14, [0.25, 0.125, 0.0625]
+        report = symmetry_modulus(lift, scales=scales, grid=grid)
+        assert sum(sizes) == (2 * len(scales) + 1) * grid
+        assert all(size % grid == 0 and size <= analysis._MODULUS_BATCH for size in sizes)
+        xs = np.arange(grid, dtype=float) / grid
+        mid = lift(xs)
+        for row, t in zip(report.rows, scales):
+            ratio = (lift(xs + t) - mid) / (mid - lift(xs - t))
+            assert row.deviation == float(np.max(np.maximum(ratio - 1.0, 1.0 / ratio - 1.0)))
+
+    def test_exhausted_resolution_names_the_largest_failing_scale(self):
+        # increments vanish once t drops below the rounding step 5e-4
+        calls = []
+
+        def rounded(x):
+            calls.append(1)
+            return np.round(x, 3)
+
+        with pytest.raises(ResolutionExhausted, match=r"^increment below floor at scale t=0.00048828125$"):
+            symmetry_modulus(rounded, scales=[0.25, 2.0**-12, 0.125, 2.0**-11], grid=4)
+        assert len(calls) == 1
 
 
 class TestUqsRatioEndo:
@@ -197,6 +250,16 @@ class TestDilatationReport:
     def test_coarse_level_bound(self, f06, lin2):
         with pytest.raises(ValueError):
             dilatation_report(f06, lin2, 3, coarse_level=3)
+
+    def test_mirror_ties_pick_the_lexicographically_smaller_word(self, conj_smooth, smooth05):
+        # both maps commute with x -> 1 - x, so the cylinder of a word and of
+        # its mirror (s -> 1 - s, index j -> 2^n - 1 - j) have equal lengths
+        # and their ratios differ by rounding alone
+        for n in range(2, 9):
+            report = dilatation_report(conj_smooth, smooth05, n)
+            for word in (report.argmax_word, report.argmin_word):
+                j = index_of_word(word, 2)
+                assert j < 2**n - 1 - j, (n, word.to_text())
 
 
 class TestIterDilatationReports:

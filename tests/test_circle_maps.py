@@ -181,13 +181,21 @@ class TestRootSolver:
         assert abs(got[2] - 0.3 ** (1.0 / 3.0)) <= TOL
 
     def test_element_alone_matches_batch_bitwise(self, smooth05, conj_smooth):
+        # a batch over more than one solver block, against single targets;
+        # targets near the flat spots take more Newton steps than the rest
         block = circle_maps._SOLVER_BLOCK
         ys = np.random.default_rng(3).random(block + 100)
-        for spec in (smooth05, conj_smooth):
-            batch = inverse_branch_values(spec, 1, ys)
-            for i in (0, 7, block - 1, block, block + 99):
-                alone = inverse_branch_values(spec, 1, ys[i : i + 1])
-                assert alone[0] == batch[i]
+        ys[:50] = 0.5 + np.logspace(-14, -1, 50)  # flat spot of c > 0
+        ys[50:100] = np.logspace(-14, -1, 50)  # flat spot of c < 0, and of epsilon > 0 on branch 1
+        solves = [
+            lambda y, spec=spec: inverse_branch_values(spec, 1, y)
+            for spec in (smooth05, conj_smooth, smooth_sine_map(2, 1.998))
+        ] + [lambda y, c=c: homeo_inverse_values(sine_homeo(c), y) for c in (0.5, -0.999)]
+        for solve in solves:
+            batch = solve(ys)
+            for i in (*range(0, 100, 7), block - 1, block, block + 99):
+                alone = solve(ys[i : i + 1])
+                assert alone[0] == batch[i], i
 
     def test_evaluations_per_target(self, smooth05):
         targets = np.linspace(0.0, 2.0, 1001)
@@ -208,6 +216,13 @@ SINE_FAMILY = [(2, 0.5), (2, 1.998), (2, -1.998), (3, 1.2), (1, 0.5), (1, 0.999)
 def _sine_family_targets(D):
     rng = np.random.default_rng(17 + D)
     return np.concatenate([rng.random(24) * D, np.arange(D + 1.0), [0.5 * D, 1e-300, D - 1e-15]])
+
+
+def _flat_spot_targets(D, a):
+    """Targets clustered around the image of the flat spot (x = 1/2 for a > 0, x = 0 for a < 0)."""
+    flat = D / 2 if a > 0 else 0.0
+    offsets = np.logspace(-14, -1, 50)
+    return np.clip(flat + np.concatenate([-offsets, offsets]), 0.0, D)
 
 
 def _count_solver_evaluations(monkeypatch):
@@ -296,6 +311,57 @@ class TestSeedBracket:
         for branch in (0, 1):
             inverse_branch_values(spec, branch, ys)
         assert counter["points"] <= 3 * 2 * ys.size
+
+    @pytest.mark.parametrize("D, a", [(D, a) for D, a in SINE_FAMILY if abs(a) < 0.9 * D])
+    def test_seed_evaluates_the_family_at_most_twice_per_target(self, D, a, monkeypatch):
+        # the table guess is certified once and, after one Newton step, once more
+        counter = {"points": 0}
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sin(x):
+                counter["points"] += np.size(x)
+                return np.sin(x)
+
+        targets = _sine_family_targets(D)
+        circle_maps._sine_family_inverse_table(D, a)  # built once per (D, a), not per target
+        monkeypatch.setattr(circle_maps, "np", CountedNumpy())
+        circle_maps._sine_family_bracket(D, a, targets)
+        assert counter["points"] <= 2 * targets.size
+
+    def test_table_cache_stays_bounded(self):
+        bound = circle_maps._sine_family_inverse_table.cache_info().maxsize
+        assert bound <= 16
+        for k in range(100):
+            circle_maps._sine_family_bracket(2, 0.5 + k * 1e-3, np.array([1.0]))
+        assert circle_maps._sine_family_inverse_table.cache_info().currsize <= bound
+
+    @pytest.mark.parametrize(
+        "D, a, widest, evaluations",
+        [
+            (2, 1.998, 2.0e-4, 4.5),
+            (2, -1.998, 2.0e-4, 3.8),
+            (5, -4.9, 4e-13, 3.8),
+            (1, 0.999, 2.4e-4, 4.45),
+            (1, -0.999, 2.4e-4, 3.8),
+        ],
+    )
+    def test_near_degenerate_seed(self, D, a, widest, evaluations, monkeypatch):
+        # |a| close to D: the certified seed stays narrow even at the flat
+        # spot, and the solver needs few evaluations per root, ends included
+        rng = np.random.default_rng(5)
+        targets = np.concatenate([np.linspace(0.0, D, 201), rng.random(100) * D, _flat_spot_targets(D, a)])
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets)
+        assert np.max(hi - lo) <= widest
+        counter = _count_solver_evaluations(monkeypatch)
+        if D > 1:
+            inverse_branch_values(smooth_sine_map(D, a), 0, targets)
+        else:
+            homeo_inverse_values(sine_homeo(a), targets)
+        assert counter["points"] <= evaluations * targets.size
 
 
 class TestGlobalInverseLift:
