@@ -24,6 +24,7 @@ from .circle_maps import (
     global_inverse_lift,
     homeo_lift_values,
     inverse_branch_values,
+    is_closed_form,
 )
 from .conjugacy import ConjugacyMap
 from .errors import (
@@ -70,12 +71,11 @@ def qs_ratio(
     h: LiftLike,
     x: float,
     t: float,
-    denom_floor: float = defaults.QS_DENOM_FLOOR,
 ) -> float:
     """Distortion ratio ``(H(x+t) - H(x)) / (H(x) - H(x-t))`` of the lift.
 
     Raises:
-        ResolutionExhausted: the denominator fell below ``denom_floor``
+        ResolutionExhausted: the denominator fell below ``QS_DENOM_FLOOR``
             (the measurement resolution is used up at this scale).
         ValueError: t is not positive.
     """
@@ -85,7 +85,7 @@ def qs_ratio(
     vals = fn(np.asarray([x + t, x, x - t], dtype=float))
     num = float(vals[0] - vals[1])
     den = float(vals[1] - vals[2])
-    if den < denom_floor:
+    if den < defaults.QS_DENOM_FLOOR:
         raise ResolutionExhausted(f"denominator {den:.3e} below floor at x={x}, t={t}")
     return num / den
 
@@ -122,7 +122,6 @@ def symmetry_modulus(
     h: LiftLike,
     scales: Sequence[float] = defaults.SCALE_LADDER,
     grid: int = defaults.MODULUS_GRID,
-    denom_floor: float = defaults.QS_DENOM_FLOOR,
 ) -> ModulusReport:
     """Sampled symmetry modulus of an evaluable circle homeomorphism.
 
@@ -150,7 +149,7 @@ def symmetry_modulus(
     for t, plus, minus in zip(ladder, values[1::2], values[2::2]):
         num = plus - mid
         den = mid - minus
-        if float(np.min(den)) < denom_floor or float(np.min(num)) < denom_floor:
+        if float(np.min(den)) < defaults.QS_DENOM_FLOOR or float(np.min(num)) < defaults.QS_DENOM_FLOOR:
             raise ResolutionExhausted(f"increment below floor at scale t={t}")
         ratio = num / den
         dev = np.maximum(ratio - 1.0, 1.0 / ratio - 1.0)
@@ -170,7 +169,6 @@ def uqs_ratio_endo(
     n: int,
     tol: float = defaults.SOLVER_TOL,
     depth_cap: int = defaults.DEPTH_CAP,
-    denom_floor: float = defaults.QS_DENOM_FLOOR,
 ) -> float:
     """Distortion ratio of the n-fold inverse lift,
     ``(F^{-n}(x+t) - F^{-n}(x)) / (F^{-n}(x) - F^{-n}(x-t))``."""
@@ -181,7 +179,7 @@ def uqs_ratio_endo(
     mid = global_inverse_lift(spec, x, n, tol=tol, depth_cap=depth_cap)
     minus = global_inverse_lift(spec, x - t, n, tol=tol, depth_cap=depth_cap)
     den = mid - minus
-    if den < denom_floor:
+    if den < defaults.QS_DENOM_FLOOR:
         raise ResolutionExhausted(f"denominator {den:.3e} below floor at x={x}, t={t}, n={n}")
     return (plus - mid) / den
 
@@ -431,7 +429,7 @@ def tail_sum(
             f"({d}^{n} - 1)^{k_max} = {tuples_capped} excluded tuples exceed work cap {work_cap}"
         )
 
-    if spec.kind in ("linear", "piecewise_linear_full_branch"):
+    if is_closed_form(spec):
         lengths1 = cylinder_lengths(spec, 1, tol=tol, cell_cap=cell_cap)
         base_len = float(np.prod([lengths1[s] for s in word.symbols]))
         ratio_floor = float(np.min(lengths1)) ** n

@@ -17,6 +17,15 @@ Circle homeomorphisms (:class:`CircleHomeoSpec`) are lifts ``H`` with
 ``H(0) = 0`` and ``H(x+1) = H(x) + 1``: the identity, the sine family
 ``H(x) = x + c*sin(2*pi*x)/(2*pi)`` with ``|c| < 1``, and compositions.
 
+A spec with an unknown kind is rejected when it is built
+(:class:`InvalidMapError`), so each per-kind ladder ends in its last kind and
+no other module reads ``kind``.  Adding a kind touches: the spec's fields,
+its constructor and its entry in ``_MAP_SCHEMA`` / ``_HOMEO_SCHEMA`` (the
+JSON schema, whose keys are ``MAP_KINDS`` / ``HOMEO_KINDS``); one arm in each
+formula ladder (``describe``, lift, slope and slope bounds, inverse branch,
+inverse step, step error, validation); and :func:`is_closed_form` when its
+inverse branches are affine.
+
 Closed forms are used for the linear and piecewise-linear kinds; every other
 inverse is a bracketed root solve to an absolute tolerance (default
 ``SOLVER_TOL``).  The root-solved lifts ``smooth_sine`` and ``sine_homeo``
@@ -26,15 +35,15 @@ guess, the slope floor ``D - |a|`` certifies a radius around it that holds
 the root whatever the guess (compute fast, then verify), and only elements
 whose radius is still above ``tol/2`` take Newton steps, usually one.  The
 bracket is then usually ``tol`` wide, so most solves evaluate the lift only
-at its two ends.  The solver
-keeps a bracket ``fn(lo) < target <= fn(hi)`` around each root and narrows
-it with a false-position step followed by a probe that straddles the root,
-falling back to bisection whenever a pass fails to halve the bracket, so it
-never needs more than about twice the evaluations of plain bisection.  Each
-element stops as soon as its own bracket is ``tol`` wide and returns the
-midpoint, within ``tol/2`` of the root; large inputs are solved in
-fixed-size blocks.  Specs are immutable and every evaluation is a pure
-function of (spec, inputs), so all operations are safe to call concurrently.
+at its two ends.  The solver keeps a bracket ``fn(lo) < target <= fn(hi)``
+around each root and narrows it with a false-position step followed by a
+probe that straddles the root, falling back to bisection whenever a pass
+fails to halve the bracket, so it never needs more than about twice the
+evaluations of plain bisection.  Each element stops as soon as its own
+bracket is ``tol`` wide and returns the midpoint, within ``tol/2`` of the
+root; large inputs are solved in fixed-size blocks.  Specs are immutable and
+every evaluation is a pure function of (spec, inputs), so all operations are
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -57,9 +66,6 @@ _SOLVER_BLOCK = 2**15
 _NEWTON_STEPS = 4
 _SEED_NODES = 2**12
 
-MAP_KINDS = ("piecewise_linear_full_branch", "linear", "smooth_sine", "conjugated")
-HOMEO_KINDS = ("identity", "sine_homeo", "compose")
-
 
 # ---------------------------------------------------------------------------
 # Spec types
@@ -72,6 +78,10 @@ class CircleHomeoSpec:
     kind: str = "identity"
     c: float = 0.0
     parts: tuple["CircleHomeoSpec", ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in HOMEO_KINDS:
+            raise InvalidMapError(f"unknown homeomorphism kind {self.kind!r}")
 
     def describe(self) -> str:
         if self.kind == "identity":
@@ -92,6 +102,10 @@ class CircleMapSpec:
     base: "CircleMapSpec | None" = None
     homeo: CircleHomeoSpec | None = None
 
+    def __post_init__(self):
+        if self.kind not in MAP_KINDS:
+            raise InvalidMapError(f"unknown map kind {self.kind!r}")
+
     def describe(self) -> str:
         if self.kind == "linear":
             return f"linear(d={self.degree})"
@@ -99,11 +113,9 @@ class CircleMapSpec:
             return "piecewise_linear(cuts=[" + ", ".join(f"{c:g}" for c in self.cuts) + "])"
         if self.kind == "smooth_sine":
             return f"smooth_sine(d={self.degree}, epsilon={self.epsilon:g})"
-        if self.kind == "conjugated":
-            base = self.base.describe() if self.base is not None else "?"
-            homeo = self.homeo.describe() if self.homeo is not None else "?"
-            return f"conjugated(base={base}, homeo={homeo})"
-        return f"unknown({self.kind})"
+        base = self.base.describe() if self.base is not None else "?"
+        homeo = self.homeo.describe() if self.homeo is not None else "?"
+        return f"conjugated(base={base}, homeo={homeo})"
 
 
 @dataclass(frozen=True)
@@ -152,11 +164,7 @@ def piecewise_linear(cuts: Iterable[float]) -> CircleMapSpec:
     ``[i, i+1]`` linearly.
     """
     cut_tuple = tuple(float(c) for c in cuts)
-    return CircleMapSpec(
-        kind="piecewise_linear_full_branch",
-        degree=len(cut_tuple) + 1,
-        cuts=cut_tuple,
-    )
+    return CircleMapSpec(kind="piecewise_linear_full_branch", degree=len(cut_tuple) + 1, cuts=cut_tuple)
 
 
 def smooth_sine_map(degree: int, epsilon: float) -> CircleMapSpec:
@@ -186,7 +194,17 @@ def make_conjugated(base: CircleMapSpec, homeo: CircleHomeoSpec) -> CircleMapSpe
     """
     ensure_valid(base)
     ensure_valid_homeo(homeo)
+    return _conjugated(base, homeo)
+
+
+def _conjugated(base: CircleMapSpec, homeo: CircleHomeoSpec) -> CircleMapSpec:
+    """The conjugated spec, unchecked: :func:`validate` reports a bad base or homeo."""
     return CircleMapSpec(kind="conjugated", degree=base.degree, base=base, homeo=homeo)
+
+
+def is_closed_form(spec: CircleMapSpec) -> bool:
+    """Whether the inverse branches are closed forms (affine per branch), not root solves."""
+    return spec.kind in ("linear", "piecewise_linear_full_branch")
 
 
 # ---------------------------------------------------------------------------
@@ -211,114 +229,84 @@ def _want_int(obj, path: str) -> int:
     return obj
 
 
-def homeo_spec_from_dict(data: object, path: str = "homeo") -> CircleHomeoSpec:
+def _want_list(parse):
+    """Parser of a nonempty JSON list whose entries ``parse`` reads."""
+    def parse_list(obj, path: str) -> list:
+        if not isinstance(obj, list) or not obj:
+            raise SpecFormatError(f"{path}: expected a nonempty list")
+        return [parse(item, f"{path}[{i}]") for i, item in enumerate(obj)]
+    return parse_list
+
+
+def _read_spec(schema: dict, noun: str, data: object, path: str):
+    """Build a spec from parsed JSON through its schema table (see ``_MAP_SCHEMA``)."""
     if not isinstance(data, dict):
         raise SpecFormatError(f"{path}: expected an object")
     kind = data.get("kind")
-    if kind == "identity":
-        _reject_unknown(data, {"kind"}, path)
-        return identity_homeo()
-    if kind == "sine_homeo":
-        _reject_unknown(data, {"kind", "c"}, path)
-        if "c" not in data:
-            raise SpecFormatError(f"{path}.c: missing amplitude")
-        return sine_homeo(_want_number(data["c"], f"{path}.c"))
-    if kind == "compose":
-        _reject_unknown(data, {"kind", "parts"}, path)
-        parts = data.get("parts")
-        if not isinstance(parts, list) or not parts:
-            raise SpecFormatError(f"{path}.parts: expected a nonempty list")
-        return compose_homeos(
-            homeo_spec_from_dict(p, f"{path}.parts[{i}]") for i, p in enumerate(parts)
-        )
-    raise SpecFormatError(f"{path}.kind: unknown homeomorphism kind {kind!r}")
+    if not isinstance(kind, str) or kind not in schema:
+        raise SpecFormatError(f"{path}.kind: unknown {noun} kind {kind!r}")
+    build, fields = schema[kind]
+    extra = sorted(set(data) - {"kind", *fields})
+    if extra:
+        raise SpecFormatError(f"{path}: unknown field(s) {', '.join(extra)}")
+    for name in fields:
+        if name not in data:
+            raise SpecFormatError(f"{path}.{name}: missing")
+    return build(**{name: parse(data[name], f"{path}.{name}") for name, parse in fields.items()})
 
 
 def map_spec_from_dict(data: object, path: str = "$") -> CircleMapSpec:
     """Build a :class:`CircleMapSpec` from parsed JSON, with field diagnostics."""
-    if not isinstance(data, dict):
-        raise SpecFormatError(f"{path}: expected an object")
-    kind = data.get("kind")
-    if kind == "linear":
-        _reject_unknown(data, {"kind", "degree"}, path)
-        if "degree" not in data:
-            raise SpecFormatError(f"{path}.degree: missing")
-        return linear_map(_want_int(data["degree"], f"{path}.degree"))
-    if kind == "piecewise_linear_full_branch":
-        _reject_unknown(data, {"kind", "cuts"}, path)
-        if "degree" in data:
-            raise SpecFormatError(f"{path}.degree: must not be given (it is len(cuts)+1)")
-        cuts = data.get("cuts")
-        if not isinstance(cuts, list) or not cuts:
-            raise SpecFormatError(f"{path}.cuts: expected a nonempty list")
-        return piecewise_linear(
-            _want_number(c, f"{path}.cuts[{i}]") for i, c in enumerate(cuts)
-        )
-    if kind == "smooth_sine":
-        _reject_unknown(data, {"kind", "degree", "epsilon"}, path)
-        for key in ("degree", "epsilon"):
-            if key not in data:
-                raise SpecFormatError(f"{path}.{key}: missing")
-        return smooth_sine_map(
-            _want_int(data["degree"], f"{path}.degree"),
-            _want_number(data["epsilon"], f"{path}.epsilon"),
-        )
-    if kind == "conjugated":
-        _reject_unknown(data, {"kind", "base", "homeo"}, path)
-        if "base" not in data or "homeo" not in data:
-            raise SpecFormatError(f"{path}: conjugated needs 'base' and 'homeo'")
-        base = map_spec_from_dict(data["base"], f"{path}.base")
-        homeo = homeo_spec_from_dict(data["homeo"], f"{path}.homeo")
-        return CircleMapSpec(kind="conjugated", degree=base.degree, base=base, homeo=homeo)
-    raise SpecFormatError(f"{path}.kind: unknown map kind {kind!r}")
+    return _read_spec(_MAP_SCHEMA, "map", data, path)
 
 
-def _reject_unknown(data: dict, allowed: set[str], path: str) -> None:
-    extra = sorted(set(data) - allowed)
-    if extra:
-        raise SpecFormatError(f"{path}: unknown field(s) {', '.join(extra)}")
+def homeo_spec_from_dict(data: object, path: str = "homeo") -> CircleHomeoSpec:
+    return _read_spec(_HOMEO_SCHEMA, "homeomorphism", data, path)
+
+
+# kind -> (constructor, {JSON field: parser}): the one schema behind the JSON
+# reader and writer; a piecewise-linear degree is implied by its cuts
+_MAP_SCHEMA = {
+    "piecewise_linear_full_branch": (piecewise_linear, {"cuts": _want_list(_want_number)}),
+    "linear": (linear_map, {"degree": _want_int}),
+    "smooth_sine": (smooth_sine_map, {"degree": _want_int, "epsilon": _want_number}),
+    "conjugated": (_conjugated, {"base": map_spec_from_dict, "homeo": homeo_spec_from_dict}),
+}
+_HOMEO_SCHEMA = {
+    "identity": (identity_homeo, {}),
+    "sine_homeo": (sine_homeo, {"c": _want_number}),
+    "compose": (compose_homeos, {"parts": _want_list(homeo_spec_from_dict)}),
+}
+MAP_KINDS = tuple(_MAP_SCHEMA)
+HOMEO_KINDS = tuple(_HOMEO_SCHEMA)
+
+
+def _load_json(text: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
 
 def map_spec_from_json(text: str) -> CircleMapSpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return map_spec_from_dict(data)
+    return map_spec_from_dict(_load_json(text))
 
 
 def homeo_spec_from_json(text: str) -> CircleHomeoSpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return homeo_spec_from_dict(data, path="$")
+    return homeo_spec_from_dict(_load_json(text), path="$")
 
 
-def map_spec_to_dict(spec: CircleMapSpec) -> dict:
-    if spec.kind == "linear":
-        return {"kind": "linear", "degree": spec.degree}
-    if spec.kind == "piecewise_linear_full_branch":
-        return {"kind": "piecewise_linear_full_branch", "cuts": list(spec.cuts)}
-    if spec.kind == "smooth_sine":
-        return {"kind": "smooth_sine", "degree": spec.degree, "epsilon": spec.epsilon}
-    if spec.kind == "conjugated":
-        return {
-            "kind": "conjugated",
-            "base": map_spec_to_dict(spec.base),
-            "homeo": homeo_spec_to_dict(spec.homeo),
-        }
-    raise SpecFormatError(f"unknown map kind {spec.kind!r}")
+def spec_to_dict(value):
+    """JSON form of a map or homeomorphism spec, written through its schema entry."""
+    if isinstance(value, tuple):
+        return [spec_to_dict(item) for item in value]
+    if not isinstance(value, (CircleMapSpec, CircleHomeoSpec)):
+        return value
+    schema = _MAP_SCHEMA if isinstance(value, CircleMapSpec) else _HOMEO_SCHEMA
+    return {"kind": value.kind, **{name: spec_to_dict(getattr(value, name)) for name in schema[value.kind][1]}}
 
 
-def homeo_spec_to_dict(spec: CircleHomeoSpec) -> dict:
-    if spec.kind == "identity":
-        return {"kind": "identity"}
-    if spec.kind == "sine_homeo":
-        return {"kind": "sine_homeo", "c": spec.c}
-    if spec.kind == "compose":
-        return {"kind": "compose", "parts": [homeo_spec_to_dict(p) for p in spec.parts]}
-    raise SpecFormatError(f"unknown homeomorphism kind {spec.kind!r}")
+map_spec_to_dict = homeo_spec_to_dict = spec_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +320,10 @@ def homeo_lift_values(spec: CircleHomeoSpec, x) -> np.ndarray:
         return x.copy()
     if spec.kind == "sine_homeo":
         return x + spec.c * np.sin(_TWO_PI * x) / _TWO_PI
-    if spec.kind == "compose":
-        out = x
-        for part in reversed(spec.parts):
-            out = homeo_lift_values(part, out)
-        return out
-    raise InvalidMapError(f"unknown homeomorphism kind {spec.kind!r}")
+    out = x
+    for part in reversed(spec.parts):
+        out = homeo_lift_values(part, out)
+    return out
 
 
 def _homeo_inverse_unit(spec: CircleHomeoSpec, y: np.ndarray, tol: float) -> np.ndarray:
@@ -346,12 +332,10 @@ def _homeo_inverse_unit(spec: CircleHomeoSpec, y: np.ndarray, tol: float) -> np.
         return np.asarray(y, dtype=float).copy()
     if spec.kind == "sine_homeo":
         return _solve_sine_family(lambda u: homeo_lift_values(spec, u), 1, spec.c, y, tol)
-    if spec.kind == "compose":
-        out = np.asarray(y, dtype=float)
-        for part in spec.parts:
-            out = _homeo_inverse_unit(part, out, tol)
-        return out
-    raise InvalidMapError(f"unknown homeomorphism kind {spec.kind!r}")
+    out = np.asarray(y, dtype=float)
+    for part in spec.parts:
+        out = _homeo_inverse_unit(part, out, tol)
+    return out
 
 
 def homeo_inverse_values(
@@ -578,11 +562,9 @@ def _unit_lift(spec: CircleMapSpec, u: np.ndarray, tol: float) -> np.ndarray:
         return idx + (u - left) / (right - left)
     if spec.kind == "smooth_sine":
         return spec.degree * u + spec.epsilon * np.sin(_TWO_PI * u) / _TWO_PI
-    if spec.kind == "conjugated":
-        hv = homeo_lift_values(spec.homeo, u)
-        gv = lift_values(spec.base, hv, tol=tol)
-        return homeo_inverse_values(spec.homeo, gv, tol=tol)
-    raise InvalidMapError(f"unknown map kind {spec.kind!r}")
+    hv = homeo_lift_values(spec.homeo, u)
+    gv = lift_values(spec.base, hv, tol=tol)
+    return homeo_inverse_values(spec.homeo, gv, tol=tol)
 
 
 def lift_values(spec: CircleMapSpec, x, tol: float = defaults.SOLVER_TOL) -> np.ndarray:
@@ -595,8 +577,6 @@ def lift_values(spec: CircleMapSpec, x, tol: float = defaults.SOLVER_TOL) -> np.
 
 def _homeo_slope_values(spec: CircleHomeoSpec, x: np.ndarray) -> np.ndarray:
     """Derivative ``H'(x)`` of a homeomorphism lift."""
-    if spec.kind == "identity":
-        return np.ones_like(x)
     if spec.kind == "sine_homeo":
         return 1.0 + spec.c * np.cos(_TWO_PI * x)
     out = np.ones_like(x)
@@ -656,16 +636,23 @@ def _chain_lipschitz(spec: CircleMapSpec) -> tuple[float, float]:
     return rho * h_hi / h_lo, lam
 
 
+def _homeo_solves(spec: CircleHomeoSpec) -> int:
+    """Root solves in one ``H^{-1}``: one per ``sine_homeo`` at any depth."""
+    if spec.kind == "sine_homeo":
+        return 1
+    return sum(_homeo_solves(part) for part in spec.parts)
+
+
 def _step_error(spec: CircleMapSpec, tol: float) -> float:
     """Error of one computed inverse branch: 4 ulps of 1 for a lerp, ``tol/2``
     per root solve, carried through the inverse homeomorphism of a
     conjugated map."""
-    if spec.kind in ("linear", "piecewise_linear_full_branch"):
+    if is_closed_form(spec):
         return 4.0 * _UNIT_ROUNDOFF
     if spec.kind == "smooth_sine":
         return 0.5 * tol + 4.0 * _UNIT_ROUNDOFF
     h_lo = _homeo_slope_bounds(spec.homeo)[0]
-    solves = max(1, len(spec.homeo.parts))
+    solves = max(1, _homeo_solves(spec.homeo))
     return (0.5 * tol * solves + _step_error(spec.base, tol)) / h_lo + 4.0 * _UNIT_ROUNDOFF
 
 
@@ -715,11 +702,9 @@ def inverse_branch_values(
         return _solve_sine_family(
             lambda u: _unit_lift(spec, u, tol), spec.degree, spec.epsilon, branch + y, tol
         )
-    if spec.kind == "conjugated":
-        hv = homeo_lift_values(spec.homeo, y)
-        xb = inverse_branch_values(spec.base, branch, np.clip(hv, 0.0, 1.0), tol=tol)
-        return _homeo_inverse_unit(spec.homeo, xb, tol)
-    raise InvalidMapError(f"unknown map kind {spec.kind!r}")
+    hv = homeo_lift_values(spec.homeo, y)
+    xb = inverse_branch_values(spec.base, branch, np.clip(hv, 0.0, 1.0), tol=tol)
+    return _homeo_inverse_unit(spec.homeo, xb, tol)
 
 
 def inverse_branch(
@@ -831,13 +816,10 @@ def _collect_homeo_violations(spec: CircleHomeoSpec, out: list[Violation], path:
                 )
             )
         return
-    if spec.kind == "compose":
-        if not spec.parts:
-            out.append(Violation("empty_composition", f"{path}: empty composition"))
-        for i, part in enumerate(spec.parts):
-            _collect_homeo_violations(part, out, f"{path}.parts[{i}]")
-        return
-    out.append(Violation("unknown_kind", f"{path}: unknown kind {spec.kind!r}"))
+    if not spec.parts:
+        out.append(Violation("empty_composition", f"{path}: empty composition"))
+    for i, part in enumerate(spec.parts):
+        _collect_homeo_violations(part, out, f"{path}.parts[{i}]")
 
 
 @lru_cache(maxsize=512)
@@ -847,9 +829,6 @@ def _cached_validation(spec: CircleMapSpec, grid: int) -> ValidationReport:
     def structural(s: CircleMapSpec, path: str) -> bool:
         """Collect structural violations; returns False when numeric checks are unsafe."""
         ok = True
-        if s.kind not in MAP_KINDS:
-            violations.append(Violation("unknown_kind", f"{path}: unknown kind {s.kind!r}"))
-            return False
         if not isinstance(s.degree, int) or not 2 <= s.degree <= defaults.DEGREE_CAP:
             violations.append(
                 Violation("bad_degree", f"{path}: degree must be an integer in [2, {defaults.DEGREE_CAP}], got {s.degree!r}")
@@ -982,17 +961,16 @@ def validate(spec: CircleMapSpec, grid: int = defaults.MONOTONE_GRID) -> Validat
 
 def ensure_valid(spec: CircleMapSpec) -> None:
     """Raise :class:`InvalidMapError` unless the spec validates cleanly."""
-    report = validate(spec)
-    if not report.ok:
-        details = "; ".join(v.message for v in report.violations)
-        raise InvalidMapError(f"{report.subject}: {details}")
+    _raise_unless_ok(validate(spec))
 
 
 def ensure_valid_homeo(spec: CircleHomeoSpec) -> None:
-    report = validate_homeo(spec)
+    _raise_unless_ok(validate_homeo(spec))
+
+
+def _raise_unless_ok(report: ValidationReport) -> None:
     if not report.ok:
-        details = "; ".join(v.message for v in report.violations)
-        raise InvalidMapError(f"{report.subject}: {details}")
+        raise InvalidMapError(f"{report.subject}: " + "; ".join(v.message for v in report.violations))
 
 
 @lru_cache(maxsize=512)

@@ -4,7 +4,7 @@ For full-branch maps ``f`` and ``g`` of degree d, the conjugacy ``h`` with
 ``h o f = g o h`` and ``h(0) = 0`` maps every f-cylinder onto the g-cylinder
 of the same word.  Point values are therefore computed by word matching: refine
 the word of x under f until the g-cylinder of that word is at most the
-requested tolerance wide, and return that g-cylinder as a certified enclosure.
+requested tolerance wide, and return that computed g-cylinder as the enclosure.
 Convergence relies on g's mesh decay; neither map needs to be uniformly
 quasisymmetric.
 
@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from . import defaults
-from .circle_maps import CircleMapSpec, branch_points, ensure_valid, lift_values, slope_bounds
+from .circle_maps import CircleMapSpec, branch_points, ensure_valid, is_closed_form, lift_values, slope_bounds
 from .errors import DegreeMismatchError, InvalidMapError
 from .symbolic_partition import (
     Word,
@@ -48,13 +48,17 @@ from .symbolic_partition import (
     word_of_index,
 )
 
+_ENCLOSURE_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class ConjugacyEnclosure:
-    """A certified interval containing h(x), with the word depth that produced it.
+    """The computed g-cylinder of x's f-word (h maps the f-cylinder onto it), with its depth.
 
-    ``tol_met`` is False when the depth cap stopped refinement before the
-    requested width was reached; the enclosure is still sound.
+    ``lo`` and ``hi`` are the backward-chain values, not yet widened by
+    :func:`chain_error_bound`, so each may miss the exact end by that bound
+    (ROADMAP item 1).  ``tol_met`` is False when the depth cap stopped
+    refinement before the requested width was reached.
     """
 
     x: float
@@ -107,9 +111,9 @@ class ConjugacyResidual:
 
 
 @lru_cache(maxsize=256)
-def _mesh_decay_probe(spec: CircleMapSpec, probe_level: int = defaults.PROBE_LEVEL) -> None:
+def _mesh_decay_probe(spec: CircleMapSpec) -> None:
     """Cheap bounded-geometry sanity check: the mesh must decay level by level."""
-    meshes = [float(np.max(np.diff(np.append(lefts, 1.0)))) for lefts in iter_levels(spec, probe_level)]
+    meshes = [float(np.max(np.diff(np.append(lefts, 1.0)))) for lefts in iter_levels(spec, defaults.PROBE_LEVEL)]
     for a, b in zip(meshes, meshes[1:]):
         if not b < a:
             raise InvalidMapError(
@@ -151,7 +155,7 @@ class _WidthStop:
         self.solver_tol = solver_tol
         self.cuts = np.asarray(branch_points(g), dtype=float)
         self.err = 2.0 * chain_error_bound(g, solver_tol, depth_cap)
-        if g.kind in ("linear", "piecewise_linear_full_branch"):
+        if is_closed_form(g):
             self.factors = np.diff(self.cuts)
             self.slack = (np.finfo(float).eps, np.finfo(float).eps)
         else:
@@ -183,7 +187,6 @@ def conjugacy_enclosures(
     tol: float = 1e-8,
     depth_cap: int = defaults.CONJUGACY_DEPTH_CAP,
     solver_tol: float = defaults.SOLVER_TOL,
-    snap: float = defaults.ENDPOINT_SNAP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conjugacy enclosures for points of [0,1].
 
@@ -192,7 +195,8 @@ def conjugacy_enclosures(
     is at most ``tol`` wide or x snaps onto the left end of its f-cylinder
     (zero width).  The enclosure is then one backward g-chain at the stop
     depth: ``hi - lo`` is the width the stop rule measured, and the values
-    are those the per-depth chains gave before, bit for bit.
+    are those the per-depth chains gave before, bit for bit.  Points are
+    refined in blocks of ``_ENCLOSURE_BLOCK``, which caps the working set.
 
     Raises:
         ValueError: a point is not a finite number in [0,1], tol is negative
@@ -214,18 +218,22 @@ def conjugacy_enclosures(
     lo[at_one] = 1.0
     at_zero = xs == 0.0
     hi[at_zero] = 0.0
-    rows = np.flatnonzero(~(at_one | at_zero)) if tol < 1.0 else np.arange(0)
-    stop = _WidthStop(g, rows.size, tol, solver_tol, depth_cap)
-    words, k, snapped = refine_words(f, xs[rows], depth_cap, solver_tol, snap=snap, stop=stop)
-    deep = k > 0
-    rows, words, k, snapped = rows[deep], words[deep], k[deep], snapped[deep]
-    last = words[np.arange(rows.size), k - 1]
-    # the g-cylinder of the word: the chain of all but the last symbol,
-    # applied to the last symbol's branch ends
-    ends = ragged_chain_values(g, words, k - 1, stop.cuts[[last, last + 1]], solver_tol)
-    lo[rows] = ends[0]
-    hi[rows] = np.where(snapped, ends[0], ends[1])
-    depth[rows] = k
+    live = np.flatnonzero(~(at_one | at_zero)) if tol < 1.0 else np.arange(0)
+    # points are refined independently, so blocks change no bit; they bound the
+    # working set (a depth_cap-wide word row per point)
+    for start in range(0, live.size, _ENCLOSURE_BLOCK):
+        rows = live[start : start + _ENCLOSURE_BLOCK]
+        stop = _WidthStop(g, rows.size, tol, solver_tol, depth_cap)
+        words, k, snapped = refine_words(f, xs[rows], depth_cap, solver_tol, defaults.ENDPOINT_SNAP, stop)
+        deep = k > 0
+        rows, words, k, snapped = rows[deep], words[deep], k[deep], snapped[deep]
+        last = words[np.arange(rows.size), k - 1]
+        # the g-cylinder of the word: the chain of all but the last symbol,
+        # applied to the last symbol's branch ends
+        ends = ragged_chain_values(g, words, k - 1, stop.cuts[[last, last + 1]], solver_tol)
+        lo[rows] = ends[0]
+        hi[rows] = np.where(snapped, ends[0], ends[1])
+        depth[rows] = k
     tol_met = (hi - lo) <= tol
     return lo, hi, depth, tol_met
 
@@ -237,9 +245,8 @@ def conjugacy_eval(
     tol: float = 1e-8,
     depth_cap: int = defaults.CONJUGACY_DEPTH_CAP,
     solver_tol: float = defaults.SOLVER_TOL,
-    snap: float = defaults.ENDPOINT_SNAP,
 ) -> ConjugacyEnclosure:
-    """Certified enclosure of h(x) for the conjugacy h with ``h o f = g o h``.
+    """Enclosure of h(x) for the conjugacy h with ``h o f = g o h`` (see :class:`ConjugacyEnclosure`).
 
     The word of x under f is refined until the matching g-cylinder is narrower
     than ``tol``.  If the depth cap is reached first, the best enclosure is
@@ -251,8 +258,7 @@ def conjugacy_eval(
         InvalidMapError: validation or mesh-decay probe failure.
     """
     lo, hi, depth, tol_met = conjugacy_enclosures(
-        f, g, np.asarray([x], dtype=float), tol=tol, depth_cap=depth_cap,
-        solver_tol=solver_tol, snap=snap,
+        f, g, np.asarray([x], dtype=float), tol=tol, depth_cap=depth_cap, solver_tol=solver_tol
     )
     return ConjugacyEnclosure(
         x=float(x), lo=float(lo[0]), hi=float(hi[0]),

@@ -1,7 +1,10 @@
 """Central table of numeric defaults.
 
-Every tolerance, cap, and grid size used by the workbench is defined here and
-accepted as an explicit parameter by the functions that use it.
+Every tolerance, cap, and grid size used by the workbench is defined here.
+The solver tolerance, the depth, cell and work caps and the grids and ladder
+(MONOTONE_GRID, MODULUS_GRID, SCALE_LADDER) are defaults of explicit
+parameters; DEGREE_CAP, MIN_CUT_GAP, ENDPOINT_SNAP, QS_DENOM_FLOOR and
+PROBE_LEVEL are read where they are used and take no parameter.
 
 ===================  ============  ====================================================
 name                 default       used by

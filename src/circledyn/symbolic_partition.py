@@ -30,6 +30,7 @@ from .circle_maps import (
     ensure_valid,
     inverse_branch_values,
     chain_error_bound,
+    is_closed_form,
     lift_slope_values,
     lift_values,
 )
@@ -155,7 +156,7 @@ def _endpoint_radius(spec: CircleMapSpec, level: int, tol: float) -> float:
     solves) x (per-solve error) x (max per-step error expansion, estimated as
     max(1, 1/min F') from a sampled slope bound; for expanding maps it is 1)."""
     # closed forms are accurate to a few ulps; root solves to their tolerance
-    per_solve = 1e-15 if spec.kind in ("linear", "piecewise_linear_full_branch") else tol
+    per_solve = 1e-15 if is_closed_form(spec) else tol
     min_slope = float(np.min(np.diff(lift_values(spec, np.linspace(0.0, 1.0, 257))))) * 256
     expansion = max(1.0, 1.0 / min_slope) if min_slope > 0 else float("inf")
     return level * per_solve * expansion
@@ -347,8 +348,7 @@ def refine_words(
     words = np.zeros((m, depth_cap), dtype=np.int64)
     depth = np.full(m, depth_cap, dtype=np.int64)
     snapped = np.zeros(m, dtype=bool)
-    affine = spec.kind in ("linear", "piecewise_linear_full_branch")
-    model = (_AffineWords if affine else _OrbitWords)(spec, xs, depth_cap, tol)
+    model = (_AffineWords if is_closed_form(spec) else _OrbitWords)(spec, xs, depth_cap, tol)
     cuts = model.cuts
     rows = np.arange(m)
     x = xs
@@ -472,7 +472,7 @@ def iter_levels(
         raise ValueError("level must be >= 0")
     if d**n > cell_cap:
         raise CellCapExceeded(f"{d}^{n} cylinders exceed cell cap {cell_cap}")
-    solve_once = spec.kind not in ("linear", "piecewise_linear_full_branch")
+    solve_once = not is_closed_form(spec)
     branches = np.arange(d).reshape(d, 1, 1)
     lefts = np.zeros(1)
     for _ in range(n):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from circledyn import (
+    CircleHomeoSpec,
     CircleMapSpec,
     DepthCapExceeded,
     InvalidMapError,
@@ -536,6 +537,11 @@ class TestJsonIngestion:
             '{"kind":"smooth_sine","degree":2,"epsilon":0.5}',
             '{"kind":"conjugated","base":{"kind":"linear","degree":2},'
             '"homeo":{"kind":"sine_homeo","c":0.5}}',
+            '{"kind":"conjugated","base":{"kind":"smooth_sine","degree":3,"epsilon":-0.25},'
+            '"homeo":{"kind":"identity"}}',
+            '{"kind":"conjugated","base":{"kind":"piecewise_linear_full_branch","cuts":[0.3,0.7]},'
+            '"homeo":{"kind":"compose","parts":[{"kind":"compose","parts":'
+            '[{"kind":"sine_homeo","c":0.3},{"kind":"identity"}]},{"kind":"sine_homeo","c":-0.2}]}}',
         ],
     )
     def test_roundtrip(self, text):
@@ -553,6 +559,18 @@ class TestJsonIngestion:
     def test_unknown_kind(self):
         with pytest.raises(SpecFormatError, match="kind"):
             map_spec_from_json('{"kind":"cubic"}')
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CircleMapSpec(kind="cubic"), "unknown map kind 'cubic'"),
+            (lambda: CircleHomeoSpec(kind="bogus"), "unknown homeomorphism kind 'bogus'"),
+        ],
+        ids=["map", "homeo"],
+    )
+    def test_unknown_kind_rejected_when_built(self, build, message):
+        with pytest.raises(InvalidMapError, match=message):
+            build()
 
     def test_bad_cut_entry_has_field_path(self):
         with pytest.raises(SpecFormatError, match=r"cuts\[1\]"):
@@ -583,3 +601,14 @@ class TestJsonIngestion:
     def test_unknown_field_rejected(self):
         with pytest.raises(SpecFormatError, match="slope"):
             map_spec_from_json('{"kind":"linear","degree":2,"slope":3}')
+
+
+class TestChainErrorBound:
+    def test_nested_composition_counts_every_solve(self):
+        # H^{-1} solves once per sine_homeo, however the composition is nested
+        a, b, c = sine_homeo(0.3), sine_homeo(-0.4), sine_homeo(0.5)
+        flat = make_conjugated(linear_map(2), compose_homeos([a, b, c]))
+        nested = make_conjugated(linear_map(2), compose_homeos([compose_homeos([a, b]), c]))
+        assert np.array_equal(
+            circle_maps.chain_error_bound(nested, TOL, 8), circle_maps.chain_error_bound(flat, TOL, 8)
+        )

@@ -21,6 +21,7 @@ from circledyn import (
     word_of_point,
     interval_of_word,
 )
+from circledyn import conjugacy
 
 
 class TestConjugacyEval:
@@ -52,6 +53,16 @@ class TestConjugacyEval:
         for x in (0.1, 0.37, 0.62, 0.9):
             enc = conjugacy_eval(f06, lin2, x, tol=1e-6)
             assert enc.width <= mesh(lin2, enc.depth) + 1e-15
+
+    @pytest.mark.parametrize("pair, tol", [(("f06", "f09"), 1e-10), (("smooth05", "f06"), 1e-6)])
+    def test_blocks_change_no_bit(self, request, pair, tol):
+        f, g = (request.getfixturevalue(name) for name in pair)
+        block = conjugacy._ENCLOSURE_BLOCK
+        xs = np.linspace(0.0, 1.0, block + 501)
+        whole = conjugacy_enclosures(f, g, xs, tol=tol)
+        parts = [conjugacy_enclosures(f, g, xs[:block], tol=tol), conjugacy_enclosures(f, g, xs[block:], tol=tol)]
+        for got, *pieces in zip(whole, *parts):
+            assert np.array_equal(got, np.concatenate(pieces))
 
     def test_flagged_when_tolerance_unreachable(self, f06, lin2):
         enc = conjugacy_eval(f06, lin2, 0.37, tol=1e-10, depth_cap=4)
