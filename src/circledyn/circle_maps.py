@@ -22,9 +22,10 @@ A spec with an unknown kind is rejected when it is built
 no other module reads ``kind``.  Adding a kind touches: the spec's fields,
 its constructor and its entry in ``_MAP_SCHEMA`` / ``_HOMEO_SCHEMA`` (the
 JSON schema, whose keys are ``MAP_KINDS`` / ``HOMEO_KINDS``); one arm in each
-formula ladder (``describe``, lift, slope and slope bounds, inverse branch,
-inverse step, step error, validation); and :func:`is_closed_form` when its
-inverse branches are affine.
+formula ladder (``describe``, lift, slope bounds, inverse branch, inverse
+step, step error, validation); :func:`is_closed_form` when its inverse
+branches are affine; and :func:`lift_slope_values` when it is root-solved
+and not conjugated (its word model is then the forward orbit).
 
 Closed forms are used for the linear and piecewise-linear kinds; every other
 inverse is a bracketed root solve to an absolute tolerance (default
@@ -205,6 +206,13 @@ def _conjugated(base: CircleMapSpec, homeo: CircleHomeoSpec) -> CircleMapSpec:
 def is_closed_form(spec: CircleMapSpec) -> bool:
     """Whether the inverse branches are closed forms (affine per branch), not root solves."""
     return spec.kind in ("linear", "piecewise_linear_full_branch")
+
+
+def conjugation(spec: CircleMapSpec) -> tuple[CircleMapSpec, CircleHomeoSpec] | None:
+    """``(G, H)`` of a conjugated map ``F = H^{-1} o G o H``; None for any other kind."""
+    if spec.kind != "conjugated":
+        return None
+    return spec.base, spec.homeo
 
 
 # ---------------------------------------------------------------------------
@@ -575,42 +583,35 @@ def lift_values(spec: CircleMapSpec, x, tol: float = defaults.SOLVER_TOL) -> np.
     return _unit_lift(spec, u, tol) + k * spec.degree
 
 
-def _homeo_slope_values(spec: CircleHomeoSpec, x: np.ndarray) -> np.ndarray:
-    """Derivative ``H'(x)`` of a homeomorphism lift."""
-    if spec.kind == "sine_homeo":
-        return 1.0 + spec.c * np.cos(_TWO_PI * x)
-    out = np.ones_like(x)
-    for part in reversed(spec.parts):
-        out = out * _homeo_slope_values(part, x)
-        x = homeo_lift_values(part, x)
-    return out
-
-
-def _homeo_slope_bounds(spec: CircleHomeoSpec) -> tuple[float, float]:
+def homeo_slope_bounds(spec: CircleHomeoSpec) -> tuple[float, float]:
     """Bounds ``(min H', max H')`` of a homeomorphism lift."""
     if spec.kind == "sine_homeo":
         return 1.0 - abs(spec.c), 1.0 + abs(spec.c)
     lo = hi = 1.0
     for part in spec.parts:
-        a, b = _homeo_slope_bounds(part)
+        a, b = homeo_slope_bounds(part)
         lo, hi = lo * a, hi * b
     return lo, hi
 
 
-def lift_slope_values(spec: CircleMapSpec, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    """Derivative ``F'(x)``, given ``fx = F(x)`` (the conjugated kind needs both)."""
-    if spec.kind == "linear":
-        return np.full_like(x, float(spec.degree))
-    if spec.kind == "piecewise_linear_full_branch":
-        ext = _pl_ext(spec.cuts)
-        idx = np.searchsorted(ext[1:-1], x - np.floor(x), side="right")
-        return 1.0 / (ext[idx + 1] - ext[idx])
-    if spec.kind == "smooth_sine":
-        return spec.degree + spec.epsilon * np.cos(_TWO_PI * x)
-    # F = H^{-1} o G o H, so F'(x) = G'(H(x)) H'(x) / H'(F(x)) and G(H(x)) = H(F(x))
-    hx = homeo_lift_values(spec.homeo, x)
-    base = lift_slope_values(spec.base, hx, homeo_lift_values(spec.homeo, fx))
-    return base * _homeo_slope_values(spec.homeo, x) / _homeo_slope_values(spec.homeo, fx)
+def homeo_rounding(spec: CircleHomeoSpec) -> float:
+    """Bound on the rounding error of a computed ``H(x)``, ``x`` in [0, 1].
+
+    One ``sine_homeo`` evaluation is off by less than 4 ulps of 1; this
+    allows 8 per ``sine_homeo`` part, each carried to the result by at most
+    ``max H'`` (every part's slope bound is at least 1).
+    """
+    return 8.0 * _UNIT_ROUNDOFF * _homeo_solves(spec) * homeo_slope_bounds(spec)[1]
+
+
+def lift_slope_values(spec: CircleMapSpec, x: np.ndarray) -> np.ndarray:
+    """Derivative ``F'(x)`` of a ``smooth_sine`` map.
+
+    Only the forward-orbit word model needs slopes, and it runs for the one
+    root-solved kind that is not conjugated: a conjugated map's word model
+    runs its base map's model instead.
+    """
+    return spec.degree + spec.epsilon * np.cos(_TWO_PI * x)
 
 
 def slope_bounds(spec: CircleMapSpec) -> tuple[float, float]:
@@ -623,7 +624,7 @@ def slope_bounds(spec: CircleMapSpec) -> tuple[float, float]:
     if spec.kind == "smooth_sine":
         return spec.degree - abs(spec.epsilon), spec.degree + abs(spec.epsilon)
     g_lo, g_hi = slope_bounds(spec.base)
-    h_lo, h_hi = _homeo_slope_bounds(spec.homeo)
+    h_lo, h_hi = homeo_slope_bounds(spec.homeo)
     return g_lo * h_lo / h_hi, g_hi * h_hi / h_lo
 
 
@@ -632,7 +633,7 @@ def _chain_lipschitz(spec: CircleMapSpec) -> tuple[float, float]:
     if spec.kind != "conjugated":
         return 1.0, 1.0 / slope_bounds(spec)[0]
     rho, lam = _chain_lipschitz(spec.base)
-    h_lo, h_hi = _homeo_slope_bounds(spec.homeo)
+    h_lo, h_hi = homeo_slope_bounds(spec.homeo)
     return rho * h_hi / h_lo, lam
 
 
@@ -651,7 +652,7 @@ def _step_error(spec: CircleMapSpec, tol: float) -> float:
         return 4.0 * _UNIT_ROUNDOFF
     if spec.kind == "smooth_sine":
         return 0.5 * tol + 4.0 * _UNIT_ROUNDOFF
-    h_lo = _homeo_slope_bounds(spec.homeo)[0]
+    h_lo = homeo_slope_bounds(spec.homeo)[0]
     solves = max(1, _homeo_solves(spec.homeo))
     return (0.5 * tol * solves + _step_error(spec.base, tol)) / h_lo + 4.0 * _UNIT_ROUNDOFF
 

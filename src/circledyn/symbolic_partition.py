@@ -30,6 +30,10 @@ from .circle_maps import (
     ensure_valid,
     inverse_branch_values,
     chain_error_bound,
+    conjugation,
+    homeo_lift_values,
+    homeo_rounding,
+    homeo_slope_bounds,
     is_closed_form,
     lift_slope_values,
     lift_values,
@@ -132,9 +136,10 @@ def index_of_word(word: Word, degree: int) -> int:
 class CylinderInterval:
     """One partition interval ``[left, right]`` with its word and level.
 
-    ``endpoint_radius`` is a conservative enclosure radius for the computed
-    endpoints: (number of solves) x (per-solve error) x (max per-step error
-    expansion, estimated from sampled slope bounds).
+    ``endpoint_radius`` estimates the error of the computed endpoints:
+    (number of solves) x (per-solve error) x (max per-step error expansion,
+    from the slopes sampled at 257 points).  It is an estimate, not a bound;
+    ROADMAP item 1 replaces it with ``chain_error_bound``.
     """
 
     word: Word
@@ -152,9 +157,11 @@ class CylinderInterval:
 
 
 def _endpoint_radius(spec: CircleMapSpec, level: int, tol: float) -> float:
-    """Conservative radius of computed level-``level`` endpoints: (number of
-    solves) x (per-solve error) x (max per-step error expansion, estimated as
-    max(1, 1/min F') from a sampled slope bound; for expanding maps it is 1)."""
+    """Estimated error of computed level-``level`` endpoints: (number of
+    solves) x (per-solve error) x (max per-step error expansion, max(1,
+    1/min F') over the slopes sampled at 257 points; for expanding maps it
+    is 1).  Sampling and the per-lerp guess make it an estimate, not a bound
+    (ROADMAP item 1)."""
     # closed forms are accurate to a few ulps; root solves to their tolerance
     per_solve = 1e-15 if is_closed_form(spec) else tol
     min_slope = float(np.min(np.diff(lift_values(spec, np.linspace(0.0, 1.0, 257))))) * 256
@@ -257,26 +264,26 @@ class _AffineWords:
         drift = 2.0 * _UNIT_ROUNDOFF * np.cumsum((1 + j) * float(np.max(self.widths)) ** j)
         self.bound = chain_error_bound(spec, tol, depth_cap) + 2.0 * _UNIT_ROUNDOFF * (j + 1) + drift
 
-    def propose(self, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         divisions = self.off + self.scale * self.cuts[1:-1, None]
         sel = np.sum(divisions <= x, axis=0)
-        unsure = np.any(np.abs(divisions - x) <= self.bound[k], axis=0)
+        unsure = np.any(np.abs(divisions - x) <= self.bound[k] + pad, axis=0)
         return sel, unsure
 
     def advance(self, sel: np.ndarray) -> None:
         self.off = self.off + self.scale * self.cuts[sel]
         self.scale = self.scale * self.widths[sel]
 
-    def may_snap(self, k: int, x: np.ndarray, snap: float) -> np.ndarray:
+    def may_snap(self, k: int, x: np.ndarray, near: float, wide: float) -> np.ndarray:
         err = 2.0 * self.bound[k]
-        return (np.abs(x - self.off) <= snap + err) & (self.scale > 1e3 * snap - 2.0 * err)
+        return (np.abs(x - self.off) <= near + err) & (self.scale > wide - 2.0 * err)
 
     def keep(self, mask: np.ndarray) -> None:
         self.off, self.scale = self.off[mask], self.scale[mask]
 
 
 class _OrbitWords:
-    """Word model of a root-solved map: the forward orbit ``u <- F(u) - symbol``.
+    """Word model of ``smooth_sine``: the forward orbit ``u <- F(u) - symbol``.
 
     ``slope`` is the derivative of F^k at x, so ``|u - c| / slope`` is, to
     first order, the distance in x from x to the division point that the cut
@@ -294,24 +301,80 @@ class _OrbitWords:
         self.slope = np.ones(x.size)
         self.bound = 2.0 * chain_error_bound(spec, tol, depth_cap + 1)[1:]
 
-    def propose(self, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         gaps = self.u - self.cuts[1:-1, None]
         sel = np.sum(gaps >= 0.0, axis=0)
-        unsure = np.any(np.abs(gaps) <= 2.0 * self.bound[k] * self.slope, axis=0)
+        unsure = np.any(np.abs(gaps) <= (2.0 * self.bound[k] + pad) * self.slope, axis=0)
         return sel, unsure
 
     def advance(self, sel: np.ndarray) -> None:
         fu = lift_values(self.spec, self.u, tol=self.tol)
-        self.slope = self.slope * lift_slope_values(self.spec, self.u, fu)
+        self.slope = self.slope * lift_slope_values(self.spec, self.u)
         self.u = np.clip(fu - sel, 0.0, 1.0)
 
-    def may_snap(self, k: int, x: np.ndarray, snap: float) -> np.ndarray:
+    def may_snap(self, k: int, x: np.ndarray, near: float, wide: float) -> np.ndarray:
         # 1/slope estimates the cylinder's width only up to its distortion,
         # so the width test keeps a factor 1e3 of slack
-        return (self.u <= 2.0 * (snap + 2.0 * self.bound[k]) * self.slope) & (self.slope < 1.0 / snap)
+        return (self.u <= 2.0 * (near + 2.0 * self.bound[k]) * self.slope) & (self.slope * wide < 1e3)
 
     def keep(self, mask: np.ndarray) -> None:
         self.u, self.slope = self.u[mask], self.slope[mask]
+
+
+class _ConjugatedWords:
+    """Word model of ``F = H^-1 o G o H``: G's word model run at ``v = H(x)``.
+
+    H is increasing and carries F's depth-k division points onto G's, so G's
+    count of divisions at or left of v is F's symbol, and no root solve is
+    needed (a conjugated G recurses).  The backward F-chain that decides the
+    unsure cases errs by at most ``err[k]`` (a depth-k division is a
+    depth-(k+1) chain), which H stretches by at most ``h_hi``, and the
+    computed v is off by at most ``delta``.  So G's model is asked for
+    decisions that stay sure with v moved by ``h_hi*(pad + err[k]) + delta``:
+    each one equals the F-chain's.  Snap candidates widen the same way: an
+    F-cylinder end within ``near`` of x lies within ``h_hi*(near + err[k]) +
+    delta`` of v, and an F-cylinder wider than ``wide`` has a G-image wider
+    than ``h_lo*(wide - 2*err[k])``.
+    """
+
+    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int, tol: float):
+        base, homeo = conjugation(spec)
+        self.cuts = np.asarray(branch_points(spec), dtype=float)
+        self.h_lo, self.h_hi = homeo_slope_bounds(homeo)
+        self.delta = homeo_rounding(homeo)
+        self.err = chain_error_bound(spec, tol, depth_cap + 1)[1:]
+        # the exact H(x) lies in [0, 1], so clipping only moves v toward it
+        self.v = np.clip(homeo_lift_values(homeo, x), 0.0, 1.0)
+        self.base = _word_model(base, self.v, depth_cap, tol)
+
+    def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        return self.base.propose(k, self.v, self.h_hi * (pad + self.err[k]) + self.delta)
+
+    def advance(self, sel: np.ndarray) -> None:
+        self.base.advance(sel)
+
+    def may_snap(self, k: int, x: np.ndarray, near: float, wide: float) -> np.ndarray:
+        near = self.h_hi * (near + self.err[k]) + self.delta
+        return self.base.may_snap(k, self.v, near, self.h_lo * (wide - 2.0 * self.err[k]))
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.v = self.v[mask]
+        self.base.keep(mask)
+
+
+def _word_model(spec: CircleMapSpec, x: np.ndarray, depth_cap: int, tol: float):
+    """The word model of ``spec`` for the points ``x`` (see :func:`refine_words`).
+
+    Every model has ``cuts``, the map's branch points, and four methods:
+    ``propose(k, x, pad)`` gives the depth-k symbols and which of them are
+    unsure, with ``pad`` more room around each division; ``advance(sel)``
+    takes the chosen symbols; ``may_snap(k, x, near, wide)`` names the points
+    that may lie within ``near`` of the left end of a cylinder wider than
+    ``wide``; ``keep(mask)`` drops the stopped points.
+    """
+    if conjugation(spec) is not None:
+        return _ConjugatedWords(spec, x, depth_cap, tol)
+    return (_AffineWords if is_closed_form(spec) else _OrbitWords)(spec, x, depth_cap, tol)
 
 
 def refine_words(
@@ -329,9 +392,10 @@ def refine_words(
     ``chain_k(c_s)`` (s = 1..d-1) at or left of x, so ties go right.  A word
     model proposes each symbol in O(1) per point: the composed affine map of
     the word for linear and piecewise-linear maps, the forward orbit of x for
-    root-solved maps.  Where a division point lies within the model's error
-    bound of x, the symbol is decided by the backward chain itself, for those
-    points only, at that depth (k calls).
+    ``smooth_sine``, and for a conjugated map ``H^-1 o G o H`` the model of G
+    at ``H(x)``, so no model makes a root solve.  Where a division point lies
+    within the model's error bound of x, the symbol is decided by the
+    backward chain itself, for those points only, at that depth (k calls).
 
     With ``snap``, a point stops once x lies within ``snap`` of the left end
     of its cylinder and the cylinder is wider than ``1e3*snap``; the model
@@ -348,7 +412,7 @@ def refine_words(
     words = np.zeros((m, depth_cap), dtype=np.int64)
     depth = np.full(m, depth_cap, dtype=np.int64)
     snapped = np.zeros(m, dtype=bool)
-    model = (_AffineWords if is_closed_form(spec) else _OrbitWords)(spec, xs, depth_cap, tol)
+    model = _word_model(spec, xs, depth_cap, tol)
     cuts = model.cuts
     rows = np.arange(m)
     x = xs
@@ -369,7 +433,7 @@ def refine_words(
         done = np.zeros(rows.size, dtype=bool)
         if snap is not None:
             measured &= sel == 0
-            near = np.flatnonzero(model.may_snap(k, x, snap) & ~measured)
+            near = np.flatnonzero(model.may_snap(k, x, snap, 1e3 * snap) & ~measured)
             if near.size:
                 ends = chain_values(spec, words[rows[near], :k], cuts[[sel[near], sel[near] + 1]], tol)
                 hit = near[(np.abs(x[near] - ends[0]) <= snap) & (ends[1] - ends[0] > 1e3 * snap)]
@@ -405,6 +469,14 @@ def itinerary_batch(
     model and runs the backward chain only where the model cannot settle the
     comparison, so a batch costs O(n) inverse-branch calls rather than the
     O(n^2) of a chain per depth.
+
+    Below the rounding floor a symbol says nothing about x.  Past the depth
+    k where the cylinder of x is narrower than ``chain_error_bound(spec,
+    tol, k)[k]`` (at the default tol, depth 26 for ``linear(4)`` and 32 for
+    ``linear(3)``), the computed division points may sit on either side of
+    the exact ones, so the symbols there are settled by the chain's
+    rounding: reproducible for the same inputs, but not the exact word
+    (ROADMAP item 1).
 
     Raises:
         ValueError: a point is not a finite number in [0,1], or n < 0.

@@ -527,6 +527,31 @@ class TestHomeos:
         y = homeo_eval(h, x)
         assert float(homeo_inverse_values(h, y)) == pytest.approx(x, abs=1e-11)
 
+    @pytest.mark.parametrize("h", [
+        identity_homeo(),
+        sine_homeo(0.9),
+        sine_homeo(-0.55),
+        compose_homeos([sine_homeo(0.6), compose_homeos([sine_homeo(-0.8), sine_homeo(0.3)])]),
+    ], ids=lambda h: h.describe())
+    def test_rounding_bound_holds_against_40_digits(self, h):
+        # the conjugated word model moves H(x) by homeo_rounding(h) at most
+        import mpmath
+
+        def exact(spec, x):
+            # a composition has parts; the identity is the sine lift with c = 0
+            for part in reversed(spec.parts):
+                x = exact(part, x)
+            return x + mpmath.mpf(spec.c) * mpmath.sin(2 * mpmath.pi * x) / (2 * mpmath.pi)
+
+        xs = np.concatenate([np.random.default_rng(11).uniform(0.0, 1.0, 400), np.linspace(0.0, 1.0, 65)])
+        got = homeo_lift_values(h, xs)
+        with mpmath.workdps(40):
+            worst = max(abs(mpmath.mpf(float(y)) - exact(h, mpmath.mpf(float(x)))) for x, y in zip(xs, got))
+        bound = circle_maps.homeo_rounding(h)
+        assert worst <= bound
+        if bound:
+            assert worst > bound / 256  # and not loose by orders of magnitude
+
 
 class TestJsonIngestion:
     @pytest.mark.parametrize(

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 import circledyn
 from circledyn import (
     Word,
+    compose_homeos,
     conjugacy_enclosures,
+    homeo_lift_values,
     interval_of_word,
     level_endpoints,
     linear_map,
@@ -27,7 +29,7 @@ from circledyn import (
 )
 from circledyn import circle_maps, defaults
 from circledyn.circle_maps import branch_points, inverse_branch_values
-from circledyn.symbolic_partition import chain_values, itinerary_batch
+from circledyn.symbolic_partition import _word_model, chain_values, itinerary_batch, refine_words
 from _oracles import reference_enclosures, reference_itinerary
 
 TIE = 1e-12
@@ -178,6 +180,105 @@ class TestSolvedKinds:
         _assert_same(got, reference_enclosures(f06, smooth05, xs, 1e-8, 48, defaults.SOLVER_TOL, SNAP))
 
 
+@st.composite
+def conjugated_maps(draw):
+    """``(F, G, H)`` with ``F = H^-1 o G o H``: a linear, piecewise-linear or
+    smooth base and a sine or composed homeomorphism."""
+    d = draw(st.integers(2, 3))
+    base = draw(st.sampled_from([
+        linear_map(d),
+        piecewise_linear([0.6] if d == 2 else [0.3, 0.55]),
+        smooth_sine_map(d, 0.5 * (d - 1)),
+    ]))
+    c = draw(st.floats(-0.7, 0.7))
+    homeo = draw(st.sampled_from([
+        sine_homeo(c),
+        compose_homeos([sine_homeo(c), sine_homeo(-0.4)]),
+    ]))
+    return make_conjugated(base, homeo), base, homeo
+
+
+# specs whose base has an affine word model: their sure decisions are exact
+AFFINE_CONJUGATES = [
+    make_conjugated(linear_map(2), sine_homeo(0.6)),
+    make_conjugated(piecewise_linear([0.3, 0.55]), compose_homeos([sine_homeo(0.5), sine_homeo(-0.3)])),
+    make_conjugated(make_conjugated(piecewise_linear([0.7]), sine_homeo(-0.5)), sine_homeo(0.4)),
+]
+CONJUGATES = AFFINE_CONJUGATES + [
+    make_conjugated(smooth_sine_map(2, 0.8), sine_homeo(-0.5)),
+    make_conjugated(make_conjugated(smooth_sine_map(3, 1.1), sine_homeo(0.3)), sine_homeo(0.5)),
+]
+
+
+class TestConjugatedModel:
+    """A conjugated map ``F = H^-1 o G o H`` is refined with G's word model
+    at ``H(x)``; the F-chain decides what that model leaves open."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(conjugated_maps(), st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=10),
+           st.integers(0, 26), st.integers(8, 16))
+    def test_itineraries_are_conjugacy_invariant(self, fgh, points, index, n):
+        f, g, h = fgh
+        # cylinder endpoints a little off, far beyond TIE, besides free points
+        ends = level_endpoints(f, 3)[index % (f.degree**3)]
+        xs = np.clip(np.asarray(points + [ends + 1e-9, ends - 1e-10]), 0.0, 1.0)
+        got = itinerary_batch(f, xs, n)
+        want = itinerary_batch(g, np.clip(homeo_lift_values(h, xs), 0.0, 1.0), n)
+        for i, x in enumerate(xs):
+            assert _words_agree(f, x, got[i], want[i]), (x, got[i], want[i])
+
+    @pytest.mark.parametrize("tol", [defaults.SOLVER_TOL, 1e-6])
+    @pytest.mark.parametrize("spec", CONJUGATES, ids=lambda s: s.describe())
+    def test_every_chain_snap_is_a_candidate(self, spec, tol):
+        # points within ENDPOINT_SNAP of the level-3 or -4 endpoints and of
+        # the left ends of ten level-30 cylinders (about 1e-9 wide for degree
+        # 2, the snap rule's width threshold): wherever the F-chain's snap
+        # rule holds, the model must name the point
+        depth = 30
+        deep = itinerary_batch(spec, np.linspace(0.05, 0.95, 10), depth, tol)
+        level = 4 if spec.degree == 2 else 3
+        starts = np.append(level_endpoints(spec, level, tol=tol), chain_values(spec, deep, np.zeros(10), tol))
+        offsets = (0.0, SNAP, -SNAP, 0.5 * SNAP, -0.5 * SNAP, 1e-15, -1e-15)
+        xs = np.clip(np.concatenate([starts + t for t in offsets]), 0.0, 1.0)
+        words = reference_itinerary(spec, xs, depth, tol)
+        model = _word_model(spec, xs, depth, tol)
+        cuts = np.asarray(branch_points(spec))
+        hits = 0
+        for k in range(depth):
+            sel = words[:, k]
+            model.propose(k, xs)
+            model.advance(sel)
+            lo, hi = chain_values(spec, words[:, :k], cuts[[sel, sel + 1]], tol)
+            snaps = (np.abs(xs - lo) <= SNAP) & (hi - lo > 1e3 * SNAP)
+            assert np.all(model.may_snap(k, xs, SNAP, 1e3 * SNAP)[snaps]), k
+            hits += int(snaps.sum())
+        assert hits > xs.size
+
+    @pytest.mark.parametrize("spec", CONJUGATES, ids=lambda s: s.describe())
+    def test_refinement_solves_no_homeomorphism_inverse(self, spec, monkeypatch):
+        xs = np.random.default_rng(3).uniform(0.0, 1.0, 64)
+        refine_words(spec, xs[:2], 2)  # fill the caches first
+        calls = _count_calls(monkeypatch, "homeo_inverse_values")
+        refine_words(spec, xs, 30)
+        refine_words(spec, xs, 40, snap=SNAP)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("spec", AFFINE_CONJUGATES, ids=lambda s: s.describe())
+    def test_sure_decisions_equal_the_chain_at_a_coarse_solver_tol(self, spec):
+        # a solver tol of 1e-6 leaves the F-chain's divisions off by far more
+        # than the rounding of H(x), so only a model whose certainty radius
+        # carries the chain error (h_hi * err_F) agrees with the chain at its
+        # own endpoints
+        tol = 1e-6
+        ends = level_endpoints(spec, 5 if spec.degree == 2 else 3)
+        xs = np.clip(np.concatenate([ends + t for t in (0.0, 2e-9, -2e-9, 2e-8, -2e-8)]), 0.0, 1.0)
+        got = itinerary_batch(spec, xs, 12, tol=tol)
+        assert np.array_equal(got, reference_itinerary(spec, xs, 12, tol))
+        g = linear_map(spec.degree)
+        got = conjugacy_enclosures(spec, g, xs, tol=1e-5, solver_tol=tol)
+        _assert_same(got, reference_enclosures(spec, g, xs, 1e-5, 48, tol, SNAP))
+
+
 class TestBranchEnds:
     """The kernel's single final chain relies on inverse branches hitting the
     branch ends bit for bit: ``phi_s(0) == c_s`` and ``phi_s(1) == c_{s+1}``."""
@@ -198,19 +299,19 @@ class TestBranchEnds:
             assert np.all(lo == cuts[s]) and np.all(hi == cuts[s + 1])
 
 
-def _count_inverse_calls(monkeypatch):
-    """Count inverse_branch_values calls through every module that binds it."""
+def _count_calls(monkeypatch, name="inverse_branch_values"):
+    """Count calls of a ``circle_maps`` function through every module that binds it."""
     calls = [0]
-    original = circle_maps.inverse_branch_values
+    original = getattr(circle_maps, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
 
-    for name in ("circle_maps", "symbolic_partition", "conjugacy", "analysis"):
-        module = getattr(circledyn, name)
-        if getattr(module, "inverse_branch_values", None) is original:
-            monkeypatch.setattr(module, "inverse_branch_values", counted)
+    for module_name in ("circle_maps", "symbolic_partition", "conjugacy", "analysis"):
+        module = getattr(circledyn, module_name)
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -218,14 +319,14 @@ class TestCost:
     def test_criterion_6_call_bound(self, f06, monkeypatch):
         xs = np.arange(1024, dtype=float) / 1024
         conjugacy_enclosures(f06, f06, xs[:2], tol=1e-2)  # fill the caches first
-        calls = _count_inverse_calls(monkeypatch)
+        calls = _count_calls(monkeypatch)
         conjugacy_enclosures(f06, f06, xs, tol=1e-10)
         assert calls[0] <= 400
 
     def test_itinerary_call_bound(self, f06, monkeypatch):
         xs = np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 1024))
         itinerary_batch(f06, xs[:2], 2)
-        calls = _count_inverse_calls(monkeypatch)
+        calls = _count_calls(monkeypatch)
         itinerary_batch(f06, xs, 32)
         assert calls[0] <= 128
 
