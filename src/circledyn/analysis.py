@@ -38,6 +38,7 @@ from .symbolic_partition import (
     cylinder_lengths,
     index_of_word,
     iter_levels,
+    level_words,
     word_of_index,
 )
 
@@ -171,7 +172,14 @@ def uqs_ratio_endo(
     depth_cap: int = defaults.DEPTH_CAP,
 ) -> float:
     """Distortion ratio of the n-fold inverse lift,
-    ``(F^{-n}(x+t) - F^{-n}(x)) / (F^{-n}(x) - F^{-n}(x-t))``."""
+    ``(F^{-n}(x+t) - F^{-n}(x)) / (F^{-n}(x) - F^{-n}(x-t))``.
+
+    Raises:
+        ValueError: ``x`` or ``t`` is not finite, or ``t <= 0``.
+    """
+    for name, value in (("x", x), ("t", t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if t <= 0:
         raise ValueError("t must be positive")
     ensure_valid(spec)
@@ -300,9 +308,7 @@ def _dilatation(
     jmin = first_tied(np.flatnonzero(ratios <= bottom + 2.0 * bound), -1.0)
     cells = d**coarse_level
     per_cell = ratios.reshape(cells, -1).max(axis=1)
-    coarse = tuple(
-        (word_of_index(j, coarse_level, d), float(per_cell[j])) for j in range(cells)
-    )
+    coarse = tuple(zip(level_words(coarse_level, d), per_cell.tolist()))
     return DilatationReport(
         level=n,
         max_ratio=top,

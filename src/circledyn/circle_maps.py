@@ -777,14 +777,17 @@ def global_inverse_lift(
     so the periodic extension is handled exactly by integer bookkeeping.
 
     Raises:
+        ValueError: ``y`` is not finite, or ``n < 1``.
         DepthCapExceeded: if ``n`` exceeds ``depth_cap``.
     """
     ensure_valid(spec)
+    value = float(y)
+    if not math.isfinite(value):
+        raise ValueError(f"y must be finite, got {value!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > depth_cap:
         raise DepthCapExceeded(f"inverse depth {n} exceeds cap {depth_cap}")
-    value = float(y)
     for _ in range(n):
         value = _inverse_step(spec, value, tol)
     return value

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -340,6 +341,8 @@ def _cmd_analyze_tailsum(args, caps) -> int:
 
 
 def _cmd_repro_falpha(args, caps) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     rows = falpha_uqs_rows(args.alpha, args.t, args.n)
     config = {"command": "repro-falpha-uqs", "alpha": args.alpha, "t": args.t}
     _write_report(args, ["n", "ratio", "expected", "rel_error"], rows, config)
@@ -398,7 +401,13 @@ def _cmd_repro_all(args, caps) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and then reused.
+
+    ``parse_args`` keeps no state in the parser: each call makes a fresh
+    namespace, so one parser serves any number of :func:`main` calls.
+    """
     parser = argparse.ArgumentParser(
         prog="circledyn",
         description="numerical workbench for degree-d circle endomorphisms",
@@ -504,8 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    ``main`` may be called repeatedly in one process.  The parser is built on
+    the first call and reused; the cap environment variables are read on every
+    call.
+    """
+    args = build_parser().parse_args(argv)
     try:
         caps = _caps_from_env()
         return args.handler(args, caps)

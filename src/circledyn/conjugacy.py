@@ -43,9 +43,9 @@ from .symbolic_partition import (
     check_points,
     iter_levels,
     level_endpoints,
+    level_words,
     ragged_chain_values,
     refine_words,
-    word_of_index,
 )
 
 _ENCLOSURE_BLOCK = 2**15
@@ -333,7 +333,7 @@ def endpoint_table(
 
 def table_words(table: EndpointTable, degree: int) -> list[Word]:
     """Words labeling the cylinders between consecutive table entries."""
-    return [word_of_index(j, table.level, degree) for j in range(len(table) - 1)]
+    return level_words(table.level, degree)
 
 
 def conjugacy_residual(
@@ -355,24 +355,23 @@ def conjugacy_residual(
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     _check_pair(f, g)
     xs = np.arange(grid_size, dtype=float) / grid_size
-    lo1, hi1, _, met1 = conjugacy_enclosures(f, g, xs, tol=tol, depth_cap=depth_cap)
-    h_x = 0.5 * (lo1 + hi1)
-
     fx = lift_values(f, xs)
     fx_frac = np.clip(fx - np.floor(fx), 0.0, 1.0)
-    lo2, hi2, _, met2 = conjugacy_enclosures(f, g, fx_frac, tol=tol, depth_cap=depth_cap)
-    h_fx = 0.5 * (lo2 + hi2)
+    # points are refined independently, so one call on the grid and its images
+    # gives the bits of two calls
+    lo, hi, _, met = conjugacy_enclosures(f, g, np.concatenate((xs, fx_frac)), tol=tol, depth_cap=depth_cap)
+    mid = 0.5 * (lo + hi)
+    h_x, h_fx = mid[:grid_size], mid[grid_size:]
 
     g_hx = lift_values(g, h_x)
     delta = (h_fx - g_hx + 0.5) % 1.0 - 0.5
     residuals = np.abs(delta)
     worst = int(np.argmax(residuals))
-    width = max(float(np.max(hi1 - lo1)), float(np.max(hi2 - lo2)))
     return ConjugacyResidual(
         max_residual=float(residuals[worst]),
-        max_enclosure_width=width,
+        max_enclosure_width=float(np.max(hi - lo)),
         argmax_x=float(xs[worst]),
         grid_size=grid_size,
         tol=tol,
-        tol_met_all=bool(np.all(met1) and np.all(met2)),
+        tol_met_all=bool(np.all(met)),
     )

@@ -18,6 +18,7 @@ bound leaves open, so refining to depth K costs O(K) inverse-branch calls.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -119,6 +120,11 @@ def word_of_index(index: int, level: int, degree: int) -> Word:
     for k in range(level - 1, -1, -1):
         symbols.append((index // degree**k) % degree)
     return Word(tuple(symbols))
+
+
+def level_words(level: int, degree: int) -> list[Word]:
+    """Every level-``level`` word in lexicographic order, the order of :func:`word_of_index`."""
+    return [Word(symbols) for symbols in itertools.product(range(degree), repeat=level)]
 
 
 def index_of_word(word: Word, degree: int) -> int:
@@ -608,18 +614,11 @@ def enumerate_level(
     Raises:
         CellCapExceeded: if d^n exceeds ``cell_cap``.
     """
-    ends = level_endpoints(spec, n, tol=tol, cell_cap=cell_cap)
+    ends = level_endpoints(spec, n, tol=tol, cell_cap=cell_cap).tolist()
     radius = _endpoint_radius(spec, n, tol)
-    d = spec.degree
     return [
-        CylinderInterval(
-            word=word_of_index(j, n, d),
-            left=float(ends[j]),
-            right=float(ends[j + 1]),
-            level=n,
-            endpoint_radius=radius,
-        )
-        for j in range(d**n)
+        CylinderInterval(word=word, left=left, right=right, level=n, endpoint_radius=radius)
+        for word, left, right in zip(level_words(n, spec.degree), ends, ends[1:])
     ]
 
 

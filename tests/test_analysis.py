@@ -1,5 +1,7 @@
 """Distortion ratios, moduli, measure preservation, dilatation, tail sums."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,19 @@ class TestUqsRatioEndo:
         ratios = [uqs_ratio_endo(smooth05, 0.3, 0.05, n) for n in range(1, 15)]
         assert max(ratios) < 3.0
         assert min(ratios) > 1.0 / 3.0
+
+    @pytest.mark.parametrize(
+        "x, t, name",
+        [(math.inf, 0.2, "x"), (math.nan, 0.2, "x"), (-math.inf, 0.2, "x"),
+         (0.0, math.inf, "t"), (0.0, math.nan, "t"), (0.0, -math.inf, "t")],
+    )
+    def test_non_finite_arguments_rejected_before_any_work(self, f06, monkeypatch, x, t, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("inverse orbit computed for a non-finite argument")
+
+        monkeypatch.setattr(analysis, "global_inverse_lift", no_work)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+            uqs_ratio_endo(f06, x, t, 3)
 
 
 class TestMeasureDeviation:

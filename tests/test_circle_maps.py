@@ -401,6 +401,13 @@ class TestGlobalInverseLift:
         with pytest.raises(DepthCapExceeded):
             global_inverse_lift(f06, 0.5, 61)
 
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("spec_name", ["lin2", "f06", "smooth05"])
+    def test_non_finite_target_rejected(self, request, spec_name, y):
+        spec = request.getfixturevalue(spec_name)
+        with pytest.raises(ValueError, match=r"^y must be finite, got (inf|-inf|nan)$"):
+            global_inverse_lift(spec, y, 3)
+
 
 class TestValidate:
     def test_f06_passes(self, f06):

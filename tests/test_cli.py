@@ -1,11 +1,16 @@
 """Command-line behavior: report formats, determinism, and exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from circledyn.cli import main
+from circledyn.cli import build_parser, main
 
 F06_JSON = '{"kind": "piecewise_linear_full_branch", "cuts": [0.6]}'
 LIN2_JSON = '{"kind": "linear", "degree": 2}'
@@ -246,6 +251,19 @@ class TestAnalyzeCommands:
         _, rows = _data_rows(capsys.readouterr().out)
         assert [float(r[1]) for r in rows] == pytest.approx([0.4**k for k in range(1, 6)], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--x", "inf", "x"), ("--x", "nan", "x"), ("--x", "-inf", "x"),
+         ("--t", "inf", "t"), ("--t", "nan", "t")],
+    )
+    def test_uqs_non_finite_input_exits_1(self, specs, capsys, flag, value, name):
+        values = {"--x": "0", "--t": "0.2"} | {flag: value}
+        code = main(["analyze", "uqs", "--map", specs["f06"], "--n", "3", *(f"{k}={v}" for k, v in values.items())])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {name} must be finite, got {float(value)!r}"]
+
     def test_work_cap_exit2(self, specs):
         assert main(["analyze", "tailsum", "--map", specs["f06"], "--word", "01010", "--kmax", "10"]) == 2
 
@@ -257,6 +275,22 @@ class TestReproCommands:
         _, rows = _data_rows(capsys.readouterr().out)
         assert len(rows) == 20
         assert all(float(r[3]) <= 1e-10 for r in rows)
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_falpha_uqs_nonpositive_n_exits_1(self, capsys, n):
+        code = main(["repro", "falpha-uqs", "--n", n])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --n must be >= 1, got {n}"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_falpha_uqs_non_finite_t_exits_1(self, capsys, value):
+        code = main(["repro", "falpha-uqs", "--t", value, "--n", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: t must be finite, got {float(value)!r}"]
 
     def test_rigidity_demo(self, specs, capsys):
         code = main(["repro", "rigidity-demo"])
@@ -272,3 +306,86 @@ class TestReproCommands:
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["config", "columns", "rows"]
         assert doc["columns"] == ["n", "ratio", "expected", "rel_error"]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_one_parser_tree_for_many_calls(self, specs, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        build_parser()
+        tree_size = len(built)
+        assert tree_size > 1  # the top parser and its subcommand parsers
+        build_parser.cache_clear()
+        built.clear()
+        for level in ("1", "2", "3", "2", "1"):
+            assert main(["partition", "--map", specs["f06"], "--level", level]) == 0
+        assert main(["validate", "--map", specs["f06"]]) == 0
+        assert len(built) == tree_size
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+
+    def test_json_then_csv_bytes_equal_each_alone(self, specs):
+        out = specs["dir"]
+        conj = ["conjugacy", "--from", specs["f06"], "--to", specs["lin2"], "--grid", "16"]
+
+        def run(argv, name):
+            assert main(argv + ["--out", str(out / name)]) == 0
+            return (out / name).read_bytes()
+
+        build_parser.cache_clear()
+        json_alone = run(conj + ["--json"], "a.json")
+        build_parser.cache_clear()
+        csv_alone = run(conj, "a.csv")
+        build_parser.cache_clear()
+        assert run(conj + ["--json"], "b.json") == json_alone
+        assert run(conj, "b.csv") == csv_alone
+        assert run(conj + ["--json"], "c.json") == json_alone
+        assert json.loads(json_alone)["config"]["command"] == "conjugacy"
+        assert csv_alone.startswith(b"# command=conjugacy\n")
+
+    def test_usage_error_leaves_parser_usable(self, specs, capsys):
+        main(["partition", "--map", specs["f06"], "--level", "2"])
+        alone = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--map", specs["f06"]])  # --level missing
+        assert exc.value.code == 2
+        assert "--level" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--map", specs["f06"], "--level", "two"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["partition", "--map", specs["f06"], "--level", "2"]) == 0
+        assert capsys.readouterr().out == alone
+
+    def test_cell_cap_env_read_on_every_call(self, specs, capsys, monkeypatch):
+        argv = ["partition", "--map", specs["f06"], "--level", "3"]
+        monkeypatch.setenv("CIRCLEDYN_CELL_CAP", "4")
+        assert main(argv) == 2
+        monkeypatch.setenv("CIRCLEDYN_CELL_CAP", "8")
+        assert main(argv) == 0
+        monkeypatch.setenv("CIRCLEDYN_CELL_CAP", "4")
+        assert main(argv) == 2
+        monkeypatch.delenv("CIRCLEDYN_CELL_CAP")
+        assert main(argv) == 0
+
+    def test_fresh_interpreter_matches_golden(self, tmp_path):
+        # the path real CLI users take: a new process per command
+        (tmp_path / "f06.json").write_text(F06_JSON)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "circledyn.cli", "partition", "--map", "f06.json", "--level", "4"],
+            cwd=tmp_path, env=env, capture_output=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        golden = Path(__file__).with_name("golden") / "partition_f06_level4.csv"
+        assert proc.stdout == golden.read_bytes()

@@ -20,8 +20,10 @@ from circledyn import (
     sine_homeo,
     word_of_point,
     interval_of_word,
+    lift_values,
 )
 from circledyn import conjugacy
+from circledyn.conjugacy import ConjugacyResidual
 
 
 class TestConjugacyEval:
@@ -132,6 +134,34 @@ class TestFunctionalEquation:
         report = conjugacy_residual(f06, lin2, 1024, tol=1e-8)
         assert report.max_residual <= 1e-6
         assert report.tol_met_all
+
+    @pytest.mark.parametrize(
+        "f_name, g_name, grid",
+        [("f06", "lin2", 64), ("smooth05", "lin2", 32), ("conj_smooth", "lin2", 32), ("conj_smooth", "smooth05", 16),
+         ("f06", "lin2", conjugacy._ENCLOSURE_BLOCK // 2 + 512)],
+    )
+    def test_one_enclosure_call_equals_two(self, request, f_name, g_name, grid):
+        # the residual refines the grid and its images in one call; the report
+        # must equal that of one call on each, field by field
+        f, g = request.getfixturevalue(f_name), request.getfixturevalue(g_name)
+        tol = 1e-8
+        xs = np.arange(grid, dtype=float) / grid
+        lo1, hi1, _, met1 = conjugacy_enclosures(f, g, xs, tol=tol)
+        fx = lift_values(f, xs)
+        fx_frac = np.clip(fx - np.floor(fx), 0.0, 1.0)
+        lo2, hi2, _, met2 = conjugacy_enclosures(f, g, fx_frac, tol=tol)
+        g_hx = lift_values(g, 0.5 * (lo1 + hi1))
+        residuals = np.abs((0.5 * (lo2 + hi2) - g_hx + 0.5) % 1.0 - 0.5)
+        worst = int(np.argmax(residuals))
+        expected = ConjugacyResidual(
+            max_residual=float(residuals[worst]),
+            max_enclosure_width=max(float(np.max(hi1 - lo1)), float(np.max(hi2 - lo2))),
+            argmax_x=float(xs[worst]),
+            grid_size=grid,
+            tol=tol,
+            tol_met_all=bool(np.all(met1) and np.all(met2)),
+        )
+        assert conjugacy_residual(f, g, grid, tol=tol) == expected
 
     def test_equation_at_endpoints(self, f06, lin2):
         # transported dynamics: g(h(e)) equals h(f(e)) at level-n f-endpoints

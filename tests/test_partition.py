@@ -20,6 +20,7 @@ from circledyn import (
     verify_markov,
     word_of_point,
 )
+from circledyn.symbolic_partition import index_of_word, level_words, word_of_index
 from _oracles import pl_cylinder, pl_word_by_scan
 
 
@@ -45,6 +46,12 @@ class TestWord:
     def test_level(self):
         assert Word(()).level == 0
         assert Word((0, 1, 1)).level == 3
+
+    @pytest.mark.parametrize("level, degree", [(0, 2), (1, 3), (4, 2), (3, 4), (2, 12)])
+    def test_level_words_in_index_order(self, level, degree):
+        words = level_words(level, degree)
+        assert words == [word_of_index(j, level, degree) for j in range(degree**level)]
+        assert [index_of_word(w, degree) for w in words] == list(range(degree**level))
 
 
 class TestIntervalOfWord:
