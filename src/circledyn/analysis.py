@@ -68,6 +68,13 @@ def _lift_fn(h: LiftLike) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
 # Quasisymmetry / symmetry of homeomorphisms
 # ---------------------------------------------------------------------------
 
+def _check_finite(**values: float) -> None:
+    """Reject a non-finite argument with a ValueError that names it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def qs_ratio(
     h: LiftLike,
     x: float,
@@ -78,8 +85,9 @@ def qs_ratio(
     Raises:
         ResolutionExhausted: the denominator fell below ``QS_DENOM_FLOOR``
             (the measurement resolution is used up at this scale).
-        ValueError: t is not positive.
+        ValueError: ``x`` or ``t`` is not finite, or ``t <= 0``.
     """
+    _check_finite(x=x, t=t)
     if t <= 0:
         raise ValueError("t must be positive")
     fn, _ = _lift_fn(h)
@@ -128,14 +136,16 @@ def symmetry_modulus(
 
     Raises:
         ResolutionExhausted: some increment at some grid point vanished.
-        ValueError: a scale outside (0, 0.5], or grid < 1.
+        ValueError: a scale that is NaN or outside (0, 0.5], or grid < 1.
     """
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     fn, subject = _lift_fn(h)
-    ladder = sorted({float(t) for t in scales}, reverse=True)
-    if not ladder or ladder[0] > 0.5 or ladder[-1] <= 0.0:
+    scales = [float(t) for t in scales]
+    # written so that NaN fails it
+    if not scales or not all(0.0 < t <= 0.5 for t in scales):
         raise ValueError("scales must lie in (0, 0.5]")
+    ladder = sorted(set(scales), reverse=True)
     xs = np.arange(grid, dtype=float) / grid
     # rows xs, xs + t1, xs - t1, xs + t2, ..., evaluated together in batches of
     # whole rows: a conjugacy's working set grows with the points per call
@@ -177,9 +187,7 @@ def uqs_ratio_endo(
     Raises:
         ValueError: ``x`` or ``t`` is not finite, or ``t <= 0``.
     """
-    for name, value in (("x", x), ("t", t)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_finite(x=x, t=t)
     if t <= 0:
         raise ValueError("t must be positive")
     ensure_valid(spec)

@@ -23,9 +23,10 @@ no other module reads ``kind``.  Adding a kind touches: the spec's fields,
 its constructor and its entry in ``_MAP_SCHEMA`` / ``_HOMEO_SCHEMA`` (the
 JSON schema, whose keys are ``MAP_KINDS`` / ``HOMEO_KINDS``); one arm in each
 formula ladder (``describe``, lift, slope bounds, inverse branch, inverse
-step, step error, validation); :func:`is_closed_form` when its inverse
-branches are affine; and :func:`lift_slope_values` when it is root-solved
-and not conjugated (its word model is then the forward orbit).
+step, step error, validation); :func:`is_closed_form` and
+:func:`closed_form_inverse` when its inverse branches are affine; and
+:func:`lift_slope_values` when it is root-solved and not conjugated (its
+word model is then the forward orbit).
 
 Closed forms are used for the linear and piecewise-linear kinds; every other
 inverse is a bracketed root solve to an absolute tolerance (default
@@ -693,12 +694,8 @@ def inverse_branch_values(
     """
     y = np.asarray(y, dtype=float)
     branch = np.asarray(branch, dtype=np.int64)
-    if spec.kind == "linear":
-        return (branch + y) / spec.degree
-    if spec.kind == "piecewise_linear_full_branch":
-        ext = _pl_ext(spec.cuts)
-        # lerp form is exact at y = 0 and y = 1
-        return (1.0 - y) * ext[branch] + y * ext[branch + 1]
+    if is_closed_form(spec):
+        return closed_form_inverse(spec, _pl_ext(spec.cuts), branch, y)
     if spec.kind == "smooth_sine":
         return _solve_sine_family(
             lambda u: _unit_lift(spec, u, tol), spec.degree, spec.epsilon, branch + y, tol
@@ -706,6 +703,36 @@ def inverse_branch_values(
     hv = homeo_lift_values(spec.homeo, y)
     xb = inverse_branch_values(spec.base, branch, np.clip(hv, 0.0, 1.0), tol=tol)
     return _homeo_inverse_unit(spec.homeo, xb, tol)
+
+
+def closed_form_inverse(spec: CircleMapSpec, ends, branch, y):
+    """Inverse branch ``branch`` of a linear or piecewise-linear map at ``y``.
+
+    Takes ndarrays or Python floats alike: ``ends`` is the branch endpoint
+    table ``[0, c_1, ..., c_{d-1}, 1]`` indexed by ``branch`` (the linear map
+    ignores it).  Either way the same IEEE operations run in the same order,
+    so a chain on floats equals the same chain on arrays bit for bit.
+    """
+    if spec.kind == "linear":
+        return (branch + y) / spec.degree
+    # lerp form is exact at y = 0 and y = 1
+    return (1.0 - y) * ends[branch] + y * ends[branch + 1]
+
+
+def closed_form_cylinder(spec: CircleMapSpec, symbols: tuple[int, ...]) -> tuple[float, float]:
+    """Ends of the cylinder of ``symbols`` for a linear or piecewise-linear map.
+
+    The backward chain (last symbol first) runs on two Python floats, one
+    :func:`closed_form_inverse` step per symbol and end, so it equals the
+    :func:`inverse_branch_values` chain on ``[0, 1]`` bit for bit.
+    """
+    # a PL map's branch_points tuple, built directly: cheaper than its cache lookup
+    ends = (0.0, *spec.cuts, 1.0)
+    left, right = 0.0, 1.0
+    for s in reversed(symbols):
+        left = closed_form_inverse(spec, ends, s, left)
+        right = closed_form_inverse(spec, ends, s, right)
+    return left, right
 
 
 def inverse_branch(

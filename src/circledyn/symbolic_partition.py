@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -31,6 +32,7 @@ from .circle_maps import (
     ensure_valid,
     inverse_branch_values,
     chain_error_bound,
+    closed_form_cylinder,
     conjugation,
     homeo_lift_values,
     homeo_rounding,
@@ -162,17 +164,21 @@ class CylinderInterval:
         return self.left <= x <= self.right
 
 
+@lru_cache(maxsize=512)
+def _error_expansion(spec: CircleMapSpec) -> float:
+    """Max per-step error expansion of a spec, ``max(1, 1/min F')`` over the
+    slopes sampled at 257 points (1 for expanding maps); computed once per spec."""
+    min_slope = float(np.min(np.diff(lift_values(spec, np.linspace(0.0, 1.0, 257))))) * 256
+    return max(1.0, 1.0 / min_slope) if min_slope > 0 else float("inf")
+
+
 def _endpoint_radius(spec: CircleMapSpec, level: int, tol: float) -> float:
     """Estimated error of computed level-``level`` endpoints: (number of
-    solves) x (per-solve error) x (max per-step error expansion, max(1,
-    1/min F') over the slopes sampled at 257 points; for expanding maps it
-    is 1).  Sampling and the per-lerp guess make it an estimate, not a bound
-    (ROADMAP item 1)."""
+    solves) x (per-solve error) x :func:`_error_expansion`.  Sampling and
+    the per-lerp guess make it an estimate, not a bound (ROADMAP item 1)."""
     # closed forms are accurate to a few ulps; root solves to their tolerance
     per_solve = 1e-15 if is_closed_form(spec) else tol
-    min_slope = float(np.min(np.diff(lift_values(spec, np.linspace(0.0, 1.0, 257))))) * 256
-    expansion = max(1.0, 1.0 / min_slope) if min_slope > 0 else float("inf")
-    return level * per_solve * expansion
+    return level * per_solve * _error_expansion(spec)
 
 
 def interval_of_word(
@@ -183,6 +189,12 @@ def interval_of_word(
 ) -> CylinderInterval:
     """The cylinder ``I_w``, by iterated inverse branches (last symbol first).
 
+    A linear or piecewise-linear cylinder comes from a chain on two Python
+    floats (:func:`circle_maps.closed_form_cylinder`) that runs the vector
+    path's exact operations, so its ends equal the per-symbol
+    :func:`inverse_branch_values` chain bit for bit without its numpy call
+    per symbol.  Root-solved kinds solve both ends in one call per symbol.
+
     Raises:
         DepthCapExceeded: word longer than ``depth_cap``.
         ValueError: word symbol out of range.
@@ -191,13 +203,17 @@ def interval_of_word(
     check_word(spec, word)
     if word.level > depth_cap:
         raise DepthCapExceeded(f"word level {word.level} exceeds cap {depth_cap}")
-    ab = np.array([0.0, 1.0])
-    for s in reversed(word.symbols):
-        ab = inverse_branch_values(spec, s, ab, tol=tol)
+    if is_closed_form(spec):
+        left, right = closed_form_cylinder(spec, word.symbols)
+    else:
+        ab = np.array([0.0, 1.0])
+        for s in reversed(word.symbols):
+            ab = inverse_branch_values(spec, s, ab, tol=tol)
+        left, right = ab.tolist()
     return CylinderInterval(
         word=word,
-        left=float(ab[0]),
-        right=float(ab[1]),
+        left=left,
+        right=right,
         level=word.level,
         endpoint_radius=_endpoint_radius(spec, word.level, tol),
     )

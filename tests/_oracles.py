@@ -278,3 +278,31 @@ def reference_enclosures(f, g, xs, tol: float, depth_cap: int, solver_tol: float
         lo_g[hit] = hi_g[hit] = new_lo_g[exact]
         done[act[exact | ((new_hi_g - new_lo_g) <= tol)]] = True
     return lo_g, hi_g, depth, (hi_g - lo_g) <= tol
+
+
+# Before the scalar chain, a cylinder was one vector call per symbol on both
+# ends, and its endpoint radius sampled the lift's slopes at 257 points on
+# every call.  These are those computations, as references for the scalar
+# closed-form chain and the per-spec cached radius factor.
+
+def reference_cylinder(spec, symbols, tol: float) -> tuple[float, float]:
+    """Ends of the cylinder of ``symbols``: one inverse-branch call per symbol
+    on the array ``[0, 1]``, last symbol first."""
+    import numpy as np
+    from circledyn.circle_maps import inverse_branch_values
+
+    ab = np.array([0.0, 1.0])
+    for s in reversed(symbols):
+        ab = inverse_branch_values(spec, s, ab, tol=tol)
+    return float(ab[0]), float(ab[1])
+
+
+def reference_endpoint_radius(spec, level: int, tol: float) -> float:
+    """Endpoint radius estimate, with the slope samples taken afresh."""
+    import numpy as np
+    from circledyn.circle_maps import is_closed_form, lift_values
+
+    per_solve = 1e-15 if is_closed_form(spec) else tol
+    min_slope = float(np.min(np.diff(lift_values(spec, np.linspace(0.0, 1.0, 257))))) * 256
+    expansion = max(1.0, 1.0 / min_slope) if min_slope > 0 else float("inf")
+    return level * per_solve * expansion

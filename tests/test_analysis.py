@@ -83,6 +83,20 @@ class TestQsRatio:
         with pytest.raises(ValueError):
             qs_ratio(identity_homeo(), 0.3, 0.0)
 
+    @pytest.mark.parametrize(
+        "x, t, name",
+        [(math.nan, 0.1, "x"), (math.inf, 0.1, "x"), (-math.inf, 0.1, "x"),
+         (0.3, math.nan, "t"), (0.3, math.inf, "t"), (0.3, -math.inf, "t")],
+    )
+    def test_non_finite_arguments_rejected_before_any_work(self, x, t, name):
+        def no_work(xs):
+            raise AssertionError("lift evaluated for a non-finite argument")
+
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+            qs_ratio(no_work, x, t)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+            qs_ratio(sine_homeo(0.3), x, t)
+
 
 class TestSymmetryModulus:
     def test_identity_is_zero(self):
@@ -109,6 +123,18 @@ class TestSymmetryModulus:
         assert [row.scale for row in report.rows] == [0.25, 0.125]
         with pytest.raises(ValueError):
             symmetry_modulus(identity_homeo(), scales=[0.7], grid=16)
+
+    @pytest.mark.parametrize(
+        "scales",
+        [[math.nan, 0.1], [0.1, math.nan], [math.nan], [0.25, math.inf], [-math.inf, 0.1]],
+    )
+    def test_non_finite_scale_rejected_before_any_work(self, scales):
+        def no_work(xs):
+            raise AssertionError("lift evaluated for a non-finite scale")
+
+        for h in (no_work, sine_homeo(0.3)):
+            with pytest.raises(ValueError, match=r"^scales must lie in \(0, 0\.5\]$"):
+                symmetry_modulus(h, scales=scales, grid=16)
 
     def test_one_evaluation_matches_per_scale_rows(self, f06, lin2, monkeypatch):
         # reference: the per-scale loop, one lift evaluation per shifted grid

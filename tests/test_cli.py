@@ -264,6 +264,31 @@ class TestAnalyzeCommands:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {name} must be finite, got {float(value)!r}"]
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--x", "nan", "x"), ("--x", "inf", "x"), ("--x", "-inf", "x"),
+         ("--t", "nan", "t"), ("--t", "inf", "t"), ("--t", "-inf", "t")],
+    )
+    def test_qs_non_finite_input_exits_1(self, tmp_path, capsys, flag, value, name):
+        p = tmp_path / "h.json"
+        p.write_text('{"kind": "sine_homeo", "c": 0.3}')
+        values = {"--x": "0.3", "--t": "0.1"} | {flag: value}
+        code = main(["analyze", "qs", "--homeo", str(p), *(f"{k}={v}" for k, v in values.items())])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {name} must be finite, got {float(value)!r}"]
+
+    @pytest.mark.parametrize("scales", ["nan,0.1", "0.1,nan", "nan", "inf", "0.25,-inf"])
+    def test_symmetry_non_finite_scale_exits_1(self, tmp_path, capsys, scales):
+        p = tmp_path / "h.json"
+        p.write_text('{"kind": "sine_homeo", "c": 0.3}')
+        code = main(["analyze", "symmetry", "--homeo", str(p), "--grid", "16", f"--scales={scales}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: scales must lie in (0, 0.5]"]
+
     def test_work_cap_exit2(self, specs):
         assert main(["analyze", "tailsum", "--map", specs["f06"], "--word", "01010", "--kmax", "10"]) == 2
 

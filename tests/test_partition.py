@@ -15,13 +15,18 @@ from circledyn import (
     interval_of_word,
     left_shift,
     level_endpoints,
+    linear_map,
+    make_conjugated,
     mesh,
+    piecewise_linear,
+    sine_homeo,
     smooth_sine_map,
     verify_markov,
     word_of_point,
 )
+from circledyn import circle_maps, defaults, symbolic_partition
 from circledyn.symbolic_partition import index_of_word, level_words, word_of_index
-from _oracles import pl_cylinder, pl_word_by_scan
+from _oracles import pl_cylinder, pl_word_by_scan, reference_cylinder, reference_endpoint_radius
 
 
 class TestWord:
@@ -90,6 +95,105 @@ class TestIntervalOfWord:
         assert cyl.left == 0.0
         assert cyl.right == pytest.approx(0.6**40, rel=1e-12)
         assert cyl.endpoint_radius < 1e-12
+
+
+def _near_gap_pl(rng, degree: int):
+    """A PL map whose narrowest branches are within a factor 2 of MIN_CUT_GAP."""
+    widths = rng.uniform(0.1, 1.0, degree)
+    tiny = rng.choice(degree, size=max(1, degree // 2), replace=False)
+    widths[tiny] = defaults.MIN_CUT_GAP * rng.uniform(1.5, 2.0, tiny.size)
+    rest = np.setdiff1d(np.arange(degree), tiny)
+    widths[rest] *= (1.0 - widths[tiny].sum()) / widths[rest].sum()
+    return piecewise_linear(np.cumsum(widths)[:-1])
+
+
+def _closed_form_specs():
+    rng = np.random.default_rng(20)
+    specs = [linear_map(d) for d in range(2, 6)]
+    specs += [_near_gap_pl(rng, d) for d in range(2, 6)]
+    specs += [piecewise_linear(np.sort(rng.uniform(0.05, 0.95, d - 1))) for d in range(2, 6)]
+    return specs
+
+
+def _describe(spec) -> str:
+    return spec.describe()
+
+
+def _bits(a: float, b: float) -> tuple[str, str]:
+    return float.hex(float(a)), float.hex(float(b))
+
+
+class TestClosedFormCylinder:
+    """Linear and PL cylinders come from a chain on two Python floats; it must
+    equal the per-symbol vector chain bit for bit."""
+
+    @pytest.mark.parametrize("spec", _closed_form_specs(), ids=_describe)
+    def test_equals_per_symbol_chain_bit_for_bit(self, spec):
+        d, cap = spec.degree, defaults.DEPTH_CAP
+        rng = np.random.default_rng(spec.degree)
+        words = [(), (0,) * cap, (d - 1,) * cap, (0,) * 7, (d - 1,) * 7]
+        words += [tuple(int(s) for s in rng.integers(d, size=cap)) for _ in range(5)]
+        words += [
+            tuple(int(s) for s in rng.integers(d, size=rng.integers(0, cap + 1))) for _ in range(60)
+        ]
+        for symbols in words:
+            cyl = interval_of_word(spec, Word(symbols))
+            ref = reference_cylinder(spec, symbols, defaults.SOLVER_TOL)
+            assert _bits(cyl.left, cyl.right) == _bits(*ref), symbols
+            assert type(cyl.left) is float and type(cyl.right) is float
+
+    @pytest.fixture
+    def branch_calls(self, monkeypatch):
+        """Counts inverse_branch_values calls: from interval_of_word, and from
+        anywhere in circle_maps."""
+        counts = {"partition": 0, "circle_maps": 0}
+
+        def counted(module, key):
+            fn = module.inverse_branch_values
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, "inverse_branch_values", wrapper)
+
+        counted(symbolic_partition, "partition")
+        counted(circle_maps, "circle_maps")
+        return counts
+
+    @pytest.mark.parametrize("spec", [linear_map(3), piecewise_linear([0.3, 0.55])], ids=_describe)
+    def test_closed_forms_make_no_vector_call(self, spec, branch_calls):
+        interval_of_word(spec, Word((0, 1, 2) * 13))
+        assert branch_calls == {"partition": 0, "circle_maps": 0}
+
+    @pytest.mark.parametrize(
+        "spec", [smooth_sine_map(2, 0.5), make_conjugated(linear_map(2), sine_homeo(0.5))], ids=_describe
+    )
+    def test_root_solved_kinds_make_one_call_per_symbol(self, spec, branch_calls):
+        word = Word((1, 0) * 8 + (1,))
+        cyl = interval_of_word(spec, word)
+        assert branch_calls["partition"] == word.level
+        assert 0.0 < cyl.left < cyl.right < 1.0
+
+
+class TestEndpointRadius:
+    @pytest.mark.parametrize(
+        "spec",
+        [linear_map(2), piecewise_linear([0.6]), smooth_sine_map(3, -1.2),
+         make_conjugated(piecewise_linear([0.3, 0.55]), sine_homeo(-0.7))],
+        ids=_describe,
+    )
+    def test_cached_factor_equals_uncached_formula(self, spec):
+        symbolic_partition._error_expansion.cache_clear()
+        tol = defaults.SOLVER_TOL
+        for n in (0, 1, 5, 12):
+            cyl = interval_of_word(spec, Word((0,) * n))
+            assert cyl.endpoint_radius == reference_endpoint_radius(spec, n, tol)
+        for n in (0, 1, 3):
+            radii = {c.endpoint_radius for c in enumerate_level(spec, n)}
+            assert radii == {reference_endpoint_radius(spec, n, tol)}
+        info = symbolic_partition._error_expansion.cache_info()
+        assert (info.misses, info.hits) == (1, 6)
 
 
 class TestWordOfPoint:
