@@ -24,6 +24,7 @@ from .circle_maps import (
     identity_homeo,
     inverse_branch,
     inverse_branch_values,
+    inverse_orbit,
     lift_values,
     linear_map,
     make_conjugated,
@@ -55,6 +56,7 @@ from .analysis import (
     dilatation_report,
     dyadic_intervals,
     iter_dilatation_reports,
+    iter_uqs_ratios,
     measure_deviation,
     measure_profile,
     qs_ratio,

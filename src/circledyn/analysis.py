@@ -21,14 +21,15 @@ from .circle_maps import (
     CircleMapSpec,
     chain_error_bound,
     ensure_valid,
-    global_inverse_lift,
     homeo_lift_values,
     inverse_branch_values,
+    inverse_orbit,
     is_closed_form,
 )
 from .conjugacy import ConjugacyMap
 from .errors import (
     DegreeMismatchError,
+    DepthCapExceeded,
     ResolutionExhausted,
     WorkCapExceeded,
 )
@@ -173,6 +174,22 @@ def symmetry_modulus(
 # Uniform quasisymmetry of endomorphisms
 # ---------------------------------------------------------------------------
 
+def _check_uqs_request(spec: CircleMapSpec, x: float, t: float) -> None:
+    _check_finite(x=x, t=t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    ensure_valid(spec)
+
+
+def _uqs_ratio(values: list[float], x: float, t: float, n: int) -> float:
+    """The ratio from ``[F^{-n}(x+t), F^{-n}(x), F^{-n}(x-t)]``."""
+    plus, mid, minus = values
+    den = mid - minus
+    if den < defaults.QS_DENOM_FLOOR:
+        raise ResolutionExhausted(f"denominator {den:.3e} below floor at x={x}, t={t}, n={n}")
+    return (plus - mid) / den
+
+
 def uqs_ratio_endo(
     spec: CircleMapSpec,
     x: float,
@@ -184,20 +201,46 @@ def uqs_ratio_endo(
     """Distortion ratio of the n-fold inverse lift,
     ``(F^{-n}(x+t) - F^{-n}(x)) / (F^{-n}(x) - F^{-n}(x-t))``.
 
+    The three points share one inverse orbit (:func:`inverse_orbit`), which
+    solves once per step for all three.
+
     Raises:
         ValueError: ``x`` or ``t`` is not finite, or ``t <= 0``.
+        ResolutionExhausted: the denominator fell below ``QS_DENOM_FLOOR``.
     """
-    _check_finite(x=x, t=t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    ensure_valid(spec)
-    plus = global_inverse_lift(spec, x + t, n, tol=tol, depth_cap=depth_cap)
-    mid = global_inverse_lift(spec, x, n, tol=tol, depth_cap=depth_cap)
-    minus = global_inverse_lift(spec, x - t, n, tol=tol, depth_cap=depth_cap)
-    den = mid - minus
-    if den < defaults.QS_DENOM_FLOOR:
-        raise ResolutionExhausted(f"denominator {den:.3e} below floor at x={x}, t={t}, n={n}")
-    return (plus - mid) / den
+    _check_uqs_request(spec, x, t)
+    *_, last = inverse_orbit(spec, (x + t, x, x - t), n, tol=tol, depth_cap=depth_cap)
+    return _uqs_ratio(last, x, t, n)
+
+
+def iter_uqs_ratios(
+    spec: CircleMapSpec,
+    x: float,
+    t: float,
+    n_max: int,
+    tol: float = defaults.SOLVER_TOL,
+    depth_cap: int = defaults.DEPTH_CAP,
+) -> Iterator[float]:
+    """``uqs_ratio_endo(spec, x, t, n)`` for n = 1..n_max, from one inverse orbit.
+
+    The ratios equal the per-n calls bit for bit, and the whole walk costs
+    n_max steps of one 3-wide orbit, as much as the deepest call alone.  As
+    the per-n loop would, it raises :class:`ResolutionExhausted` at the first
+    n whose denominator is below the floor, and :class:`DepthCapExceeded` at
+    n = depth_cap + 1.
+
+    Raises:
+        ValueError: ``x`` or ``t`` is not finite, or ``t <= 0``, before the
+            first ratio.
+    """
+    _check_uqs_request(spec, x, t)
+    reach = min(n_max, depth_cap)
+    if reach >= 1:
+        orbit = inverse_orbit(spec, (x + t, x, x - t), reach, tol=tol, depth_cap=depth_cap)
+        for n, values in enumerate(orbit, 1):
+            yield _uqs_ratio(values, x, t, n)
+    if n_max > depth_cap:
+        raise DepthCapExceeded(f"inverse depth {depth_cap + 1} exceeds cap {depth_cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +260,27 @@ def measure_profile(
     """Per-interval deviation ``| |f^{-1}([a,b])| - (b-a) |``.
 
     The preimage length is the sum of the d branch-inverse lengths; checking
-    intervals probes measure preservation on a generating family.
+    intervals probes measure preservation on a generating family.  One
+    inverse-branch call covers every branch and both ends.
+
+    Raises:
+        ValueError: an empty list, or an interval end that is not finite or
+            an interval that is not a nondegenerate subinterval of [0, 1].
     """
     ensure_valid(spec)
     if len(intervals) == 0:
         raise ValueError("interval list is empty")
     a = np.asarray([iv[0] for iv in intervals], dtype=float)
     b = np.asarray([iv[1] for iv in intervals], dtype=float)
-    if np.any(a < 0) or np.any(b > 1) or np.any(a >= b):
+    # written so that NaN fails it
+    if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):
         raise ValueError("intervals must be nondegenerate subintervals of [0,1]")
+    branches = np.arange(spec.degree)[:, None, None]
+    ends = inverse_branch_values(spec, branches, np.stack([b, a]), tol=tol)
     total = np.zeros_like(a)
     for s in range(spec.degree):
-        total += inverse_branch_values(spec, s, b, tol=tol)
-        total -= inverse_branch_values(spec, s, a, tol=tol)
+        total += ends[s, 0]
+        total -= ends[s, 1]
     return np.abs(total - (b - a))
 
 
@@ -305,6 +356,8 @@ def _dilatation(
 
     def first_tied(near: np.ndarray, sign: float) -> int:
         """The lowest index in ``near`` that may be the extreme (sign 1: max, -1: min)."""
+        if near.size == 1:  # the extreme itself, alone: no radius can change that
+            return int(near[0])
         q = ratios[near]
         with np.errstate(divide="ignore"):  # a length under its own error ties everything
             radius = 2.0 * (err_g + q * err_f) / np.maximum(len_f[near] - 2.0 * err_f, 0.0)

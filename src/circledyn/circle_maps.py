@@ -36,8 +36,11 @@ own starting bracket: a cached per-``(D, a)`` table of the inverse gives a
 guess, the slope floor ``D - |a|`` certifies a radius around it that holds
 the root whatever the guess (compute fast, then verify), and only elements
 whose radius is still above ``tol/2`` take Newton steps, usually one.  The
-bracket is then usually ``tol`` wide, so most solves evaluate the lift only
-at its two ends.  The solver keeps a bracket ``fn(lo) < target <= fn(hi)``
+bracket is then usually ``tol`` wide and its midpoint is the result, with no
+further evaluation of the lift: the family has ``f(0) = 0`` and ``f(1) = D``
+exactly, so the targets alone decide the range check and the exact end hits.
+Only the few brackets still wider than ``tol`` (near a flat spot) go to the
+general solver, which keeps a bracket ``fn(lo) < target <= fn(hi)``
 around each root and narrows it with a false-position step followed by a
 probe that straddles the root, falling back to bisection whenever a pass
 fails to halve the bracket, so it never needs more than about twice the
@@ -54,7 +57,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -368,27 +371,23 @@ def _bisect_increasing(fn, lo, hi, target: np.ndarray, tol: float) -> np.ndarray
     """Solve ``fn(x) = target`` for an increasing ``fn``, elementwise.
 
     ``lo``/``hi`` may be scalars or arrays bracketing each target; the map
-    kinds pass per-target brackets from :func:`_sine_family_bracket`, which
-    are often ``tol`` wide already, so an element may take no pass at all and
-    cost only the two end evaluations.  Targets outside the bracket by more
-    than ``tol`` (in x, via monotonicity this is checked on the function
-    values with a generous margin) signal a non-monotone lift and raise
-    :class:`SolverError`, as do non-finite targets.  Each result is the
-    midpoint of a bracket of width at most ``tol``, so it lies within
+    kinds send only the per-target brackets of :func:`_sine_family_bracket`
+    that are still wider than ``tol``, and finish the rest without ``fn``.
+    ``fn`` is evaluated at both ends of every bracket.  Targets outside the
+    bracket by more than ``tol`` (in x, via monotonicity this is checked on
+    the function values with a generous margin) signal a non-monotone lift
+    and raise :class:`SolverError`, as do non-finite targets.  Each result
+    is the midpoint of a bracket of width at most ``tol``, so it lies within
     ``tol/2`` of the root.  Large inputs are solved in blocks of
     ``_SOLVER_BLOCK`` elements, which bounds the working set.
     """
     target = np.asarray(target, dtype=float)
-    if not np.all(np.isfinite(target)):
-        raise SolverError("non-finite solver target")
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
     # scalar ends are evaluated once, not once per target
     flo = _broadcast(fn(lo), target.shape)
     fhi = _broadcast(fn(hi), target.shape)
-    slack = 1e-9
-    if np.any(target < flo - slack) or np.any(target > fhi + slack):
-        raise SolverError("target outside monotone bracket (lift not monotone?)")
+    _check_targets(target, flo, fhi)
     lo = _broadcast(lo, target.shape)
     hi = _broadcast(hi, target.shape)
     # reshape, not ravel: a broadcast scalar stays a zero-stride view
@@ -406,6 +405,16 @@ def _bisect_increasing(fn, lo, hi, target: np.ndarray, tol: float) -> np.ndarray
 def _broadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """``arr`` broadcast to ``shape``; an array of that shape already is returned as it is."""
     return arr if arr.shape == shape else np.broadcast_to(arr, shape)
+
+
+def _check_targets(target: np.ndarray, f_lo, f_hi) -> None:
+    """Reject non-finite targets, then targets below ``f_lo`` or above ``f_hi``
+    by more than a generous slack."""
+    if not np.all(np.isfinite(target)):
+        raise SolverError("non-finite solver target")
+    slack = 1e-9
+    if np.any(target < f_lo - slack) or np.any(target > f_hi + slack):
+        raise SolverError("target outside monotone bracket (lift not monotone?)")
 
 
 @lru_cache(maxsize=16)
@@ -438,35 +447,36 @@ def _sine_family_bracket(
     roots near the flat spot of a near-degenerate map take more.  The guess
     affects speed only: the bracket holds whatever x is.  With the same
     padding the computed f is below the target at an unclipped left end and
-    above it at an unclipped right end.  Each bracket depends on its own
-    target alone.
+    above it at an unclipped right end, so the ends need no evaluation.  A
+    typical root costs one sine to certify the guess and one cosine and one
+    sine for its Newton step.  Each bracket depends on its own target alone.
+    The targets must be finite and within the range slack of [0, D]
+    (:func:`_solve_sine_family` checks them).
     """
     pad = 16.0 * _UNIT_ROUNDOFF * (D + abs(a))
     floor = D - abs(a)
     table = _sine_family_inverse_table(D, a)
-    with np.errstate(invalid="ignore"):  # non-finite targets are rejected by the solver
-        pos = target * (_SEED_NODES / D)
-        # fmin/fmax send a NaN position to node 0 instead of an invalid index
-        node = np.fmin(np.fmax(pos, 0.0), _SEED_NODES - 1).astype(np.intp)
-        left = table[node]
-        # minimum/maximum rather than clip: the arrays are often tiny
-        x = np.minimum(np.maximum(left + (pos - node) * (table[node + 1] - left), 0.0), 1.0)
-        residual = D * x + a * np.sin(_TWO_PI * x) / _TWO_PI - target
-        radius = (np.abs(residual) + pad) / floor
-        for _ in range(_NEWTON_STEPS):
-            todo = np.flatnonzero(radius > 0.5 * tol)
-            if todo.size == 0:
-                break
-            # the common first step takes every element: no gather or scatter
-            part = todo.size < x.size
-            xs, ts, rs = (x[todo], target[todo], residual[todo]) if part else (x, target, residual)
-            xs = np.minimum(np.maximum(xs - rs / (D + a * np.cos(_TWO_PI * xs)), 0.0), 1.0)
-            rs = D * xs + a * np.sin(_TWO_PI * xs) / _TWO_PI - ts
-            rad = (np.abs(rs) + pad) / floor
-            if part:
-                x[todo], residual[todo], radius[todo] = xs, rs, rad
-            else:
-                x, residual, radius = xs, rs, rad
+    pos = target * (_SEED_NODES / D)
+    # minimum/maximum rather than clip: the arrays are often tiny
+    node = np.minimum(np.maximum(pos, 0.0), _SEED_NODES - 1).astype(np.intp)
+    left = table[node]
+    x = np.minimum(np.maximum(left + (pos - node) * (table[node + 1] - left), 0.0), 1.0)
+    residual = D * x + a * np.sin(_TWO_PI * x) / _TWO_PI - target
+    radius = (np.abs(residual) + pad) / floor
+    for _ in range(_NEWTON_STEPS):
+        todo = np.flatnonzero(radius > 0.5 * tol)
+        if todo.size == 0:
+            break
+        # the common first step takes every element: no gather or scatter
+        part = todo.size < x.size
+        xs, ts, rs = (x[todo], target[todo], residual[todo]) if part else (x, target, residual)
+        xs = np.minimum(np.maximum(xs - rs / (D + a * np.cos(_TWO_PI * xs)), 0.0), 1.0)
+        rs = D * xs + a * np.sin(_TWO_PI * xs) / _TWO_PI - ts
+        rad = (np.abs(rs) + pad) / floor
+        if part:
+            x[todo], residual[todo], radius[todo] = xs, rs, rad
+        else:
+            x, residual, radius = xs, rs, rad
     return np.maximum(x - radius, 0.0), np.minimum(x + radius, 1.0)
 
 
@@ -475,16 +485,29 @@ def _solve_sine_family(fn, D: int, a: float, target, tol: float) -> np.ndarray:
 
     ``smooth_sine`` (D = degree, a = epsilon) and ``sine_homeo`` (D = 1,
     a = c) are this family.  Each block of ``_SOLVER_BLOCK`` targets gets its
-    brackets from :func:`_sine_family_bracket` and is solved by
-    :func:`_bisect_increasing`, so temporaries stay block-sized.
+    brackets from :func:`_sine_family_bracket`, so temporaries stay
+    block-sized.  A bracket at most ``tol`` wide gives its midpoint with no
+    evaluation of ``fn``: the family has ``f(0) = 0`` and ``f(1) = D``
+    exactly (``|a*sin(2*pi)/(2*pi)|`` is below half an ulp of D), and the
+    computed f straddles the target at unclipped ends, so the range check
+    reads the targets alone and the only exact end hits are ``t == 0`` (the
+    left end) and ``t == D`` (the right end).  The brackets still wider than
+    ``tol``, near the flat spot of a near-degenerate map, are finished by
+    :func:`_bisect_increasing`.  Results equal bracket-then-bisect on every
+    target bit for bit.
     """
     target = np.asarray(target, dtype=float)
     out = np.empty(target.shape)
     flat_target, flat_out = target.reshape(-1), out.reshape(-1)
     for start in range(0, target.size, _SOLVER_BLOCK):
-        block = flat_target[start : start + _SOLVER_BLOCK]
-        lo, hi = _sine_family_bracket(D, a, block, tol)
-        flat_out[start : start + _SOLVER_BLOCK] = _bisect_increasing(fn, lo, hi, block, tol)
+        t = flat_target[start : start + _SOLVER_BLOCK]
+        _check_targets(t, 0.0, float(D))
+        lo, hi = _sine_family_bracket(D, a, t, tol)
+        root = np.where(t == 0.0, lo, np.where(t == D, hi, 0.5 * (lo + hi)))
+        wide = np.flatnonzero(hi - lo > tol)
+        if wide.size:
+            root[wide] = _bisect_increasing(fn, lo[wide], hi[wide], t[wide], tol)
+        flat_out[start : start + _SOLVER_BLOCK] = root
     return out
 
 
@@ -756,17 +779,38 @@ def inverse_branch(
     return float(inverse_branch_values(spec, branch, np.float64(y), tol=tol))
 
 
-def _inverse_step(spec: CircleMapSpec, v: float, tol: float) -> float:
-    """One inverse step of the lift, ``F^{-1}(v)``, for any real ``v``.
+def _inverse_steps(spec: CircleMapSpec, values: list[float], tol: float) -> list[float]:
+    """One inverse step of the lift, ``F^{-1}(v)``, for each real ``v`` in ``values``.
 
     The branch offset is taken from whichever integer endpoint ``v`` is nearer
     to (fraction from the left, co-fraction from the right), which keeps full
     relative precision when the inverse orbit approaches an integer fixed
     point; a naive ``v - floor(v/d)*d`` would cancel catastrophically there.
+    This bookkeeping runs on Python scalars, value by value; a root-solved
+    kind then makes one solver call for all the values.
     """
     d = spec.degree
     if spec.kind == "linear":
-        return v / d
+        return [v / d for v in values]
+    splits = [_branch_split(v, d) for v in values]
+    if spec.kind == "piecewise_linear_full_branch":
+        cuts = branch_points(spec)
+        out = []
+        for m, branch, frac, cofrac in splits:
+            left, right = cuts[branch], cuts[branch + 1]
+            gap = right - left
+            out.append((m + right) - cofrac * gap if cofrac <= frac else (m + left) + frac * gap)
+        return out
+    # solved kinds: accuracy is bounded by the solver tolerance anyway
+    branches = np.array([branch for _, branch, _, _ in splits], dtype=np.int64)
+    ys = np.array([min(frac, 1.0) for _, _, frac, _ in splits])
+    xs = inverse_branch_values(spec, branches, ys, tol=tol)
+    return [m + x for (m, _, _, _), x in zip(splits, xs.tolist())]
+
+
+def _branch_split(v: float, d: int) -> tuple[int, int, float, float]:
+    """``(m, branch, frac, cofrac)`` of ``v = m*d + branch + frac``, with
+    ``cofrac = 1 - frac`` computed from the right integer endpoint."""
     m = math.floor(v / d)
     t = v - m * d
     if t < 0.0:
@@ -777,18 +821,41 @@ def _inverse_step(spec: CircleMapSpec, v: float, tol: float) -> float:
         t = v - m * d
     branch = min(int(t), d - 1)
     anchor = m * d + branch
-    frac = max(v - anchor, 0.0)
-    cofrac = max((anchor + 1) - v, 0.0)
-    cuts = branch_points(spec)
-    left, right = cuts[branch], cuts[branch + 1]
-    if spec.kind == "piecewise_linear_full_branch":
-        gap = right - left
-        if cofrac <= frac:
-            return (m + right) - cofrac * gap
-        return (m + left) + frac * gap
-    # solved kinds: accuracy is bounded by the solver tolerance anyway
-    x = float(inverse_branch_values(spec, branch, np.float64(min(frac, 1.0)), tol=tol))
-    return m + x
+    return m, branch, max(v - anchor, 0.0), max((anchor + 1) - v, 0.0)
+
+
+def inverse_orbit(
+    spec: CircleMapSpec,
+    ys: Iterable[float],
+    n: int,
+    tol: float = defaults.SOLVER_TOL,
+    depth_cap: int = defaults.DEPTH_CAP,
+) -> Iterator[list[float]]:
+    """``[F^{-k}(y) for y in ys]`` for k = 1..n: the orbits of several points, stepped together.
+
+    Every step solves once for all the points (see :func:`_inverse_steps`),
+    and each orbit equals :func:`global_inverse_lift` of its point bit for
+    bit.  The arguments are checked as :func:`global_inverse_lift` checks
+    them, point by point in order, before the first step.
+
+    Raises:
+        ValueError: a ``y`` is not finite, or ``n < 1``.
+        DepthCapExceeded: if ``n`` exceeds ``depth_cap``.
+    """
+    ensure_valid(spec)
+    values = []
+    for y in ys:
+        value = float(y)
+        if not math.isfinite(value):
+            raise ValueError(f"y must be finite, got {value!r}")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if n > depth_cap:
+            raise DepthCapExceeded(f"inverse depth {n} exceeds cap {depth_cap}")
+        values.append(value)
+    for _ in range(n):
+        values = _inverse_steps(spec, values, tol)
+        yield values
 
 
 def global_inverse_lift(
@@ -807,17 +874,8 @@ def global_inverse_lift(
         ValueError: ``y`` is not finite, or ``n < 1``.
         DepthCapExceeded: if ``n`` exceeds ``depth_cap``.
     """
-    ensure_valid(spec)
-    value = float(y)
-    if not math.isfinite(value):
-        raise ValueError(f"y must be finite, got {value!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > depth_cap:
-        raise DepthCapExceeded(f"inverse depth {n} exceeds cap {depth_cap}")
-    for _ in range(n):
-        value = _inverse_step(spec, value, tol)
-    return value
+    *_, last = inverse_orbit(spec, (y,), n, tol=tol, depth_cap=depth_cap)
+    return last[0]
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,11 @@ from .analysis import (
     dilatation_report,
     dyadic_intervals,
     iter_dilatation_reports,
+    iter_uqs_ratios,
     measure_profile,
     qs_ratio,
     symmetry_modulus,
     tail_sum,
-    uqs_ratio_endo,
 )
 from .circle_maps import (
     homeo_spec_from_json,
@@ -251,9 +251,8 @@ def _cmd_analyze_uqs(args, caps) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     depth_cap = caps.get("depth_cap", defaults.DEPTH_CAP)
-    rows = []
-    for n in range(1, args.n + 1):
-        rows.append((n, args.x, args.t, uqs_ratio_endo(spec, args.x, args.t, n, depth_cap=depth_cap)))
+    ratios = iter_uqs_ratios(spec, args.x, args.t, args.n, depth_cap=depth_cap)
+    rows = [(n, args.x, args.t, ratio) for n, ratio in enumerate(ratios, 1)]
     config = {"command": "analyze-uqs", "map": args.map, "x": args.x, "t": args.t, "solver_tol": defaults.SOLVER_TOL}
     _write_report(args, ["n", "x", "t", "ratio"], rows, config)
     return EXIT_OK

@@ -12,7 +12,9 @@ name                 default       used by
 SOLVER_TOL           1e-13         bracket width at which every root solve stops
                                    (certified start bracket from a cached inverse
                                    table, Newton steps only where its radius
-                                   exceeds SOLVER_TOL/2, then false position,
+                                   exceeds SOLVER_TOL/2; a bracket this narrow
+                                   gives its midpoint with no further lift
+                                   evaluation, a wider one takes false position,
                                    straddle probe, bisection fallback); results
                                    are within SOLVER_TOL/2
 DEPTH_CAP            60            max word length / inverse-iteration depth

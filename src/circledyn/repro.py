@@ -18,11 +18,11 @@ from . import defaults
 from .analysis import (
     dyadic_intervals,
     iter_dilatation_reports,
+    iter_uqs_ratios,
     measure_deviation,
     qs_ratio,
     symmetry_modulus,
     tail_sum,
-    uqs_ratio_endo,
 )
 from .circle_maps import (
     CircleMapSpec,
@@ -75,8 +75,7 @@ def criterion_1(config: ReproConfig = ReproConfig()) -> CriterionResult:
     start = time.perf_counter()
     f = _f06()
     worst = 0.0
-    for n in range(1, 21):
-        ratio = uqs_ratio_endo(f, 0.0, 0.2, n, depth_cap=config.depth_cap)
+    for n, ratio in enumerate(iter_uqs_ratios(f, 0.0, 0.2, 20, depth_cap=config.depth_cap), 1):
         expected = 1.5**n
         worst = max(worst, abs(ratio - expected) / expected)
     elapsed = time.perf_counter() - start
@@ -365,8 +364,7 @@ def falpha_uqs_rows(alpha: float, t: float, n_max: int) -> list[tuple[int, float
     spec = piecewise_linear([alpha])
     expected_base = alpha / (1.0 - alpha)
     rows = []
-    for n in range(1, n_max + 1):
-        ratio = uqs_ratio_endo(spec, 0.0, t, n)
+    for n, ratio in enumerate(iter_uqs_ratios(spec, 0.0, t, n_max), 1):
         expected = expected_base**n
         rows.append((n, ratio, expected, abs(ratio - expected) / expected))
     return rows

@@ -306,3 +306,89 @@ def reference_endpoint_radius(spec, level: int, tol: float) -> float:
     min_slope = float(np.min(np.diff(lift_values(spec, np.linspace(0.0, 1.0, 257))))) * 256
     expansion = max(1.0, 1.0 / min_slope) if min_slope > 0 else float("inf")
     return level * per_solve * expansion
+
+
+# Before certified brackets were finished from the targets alone, every
+# sine-family solve evaluated f at both ends of every bracket, checked the
+# range and the exact end hits on those values, and ran the solver passes;
+# uniform-quasisymmetry ratios ran three separate scalar inverse chains, one
+# solve per value and step; the measure profile made one inverse-branch call
+# per branch and interval end.  These are those computations, as references
+# the batched paths must reproduce bit for bit.
+
+def reference_sine_family_solve(D: int, a: float, target, tol: float):
+    """Roots of ``D*x + a*sin(2*pi*x)/(2*pi) = target`` on [0, 1]: the
+    certified bracket, then f at both of its ends and the solver passes."""
+    import numpy as np
+    from circledyn import circle_maps
+    from circledyn.errors import SolverError
+
+    def f(u):
+        return D * u + a * np.sin(TWO_PI * u) / TWO_PI
+
+    target = np.asarray(target, dtype=float).reshape(-1)
+    out = np.empty(target.size)
+    block_size = circle_maps._SOLVER_BLOCK
+    for start in range(0, target.size, block_size):
+        t = target[start : start + block_size]
+        if not np.all(np.isfinite(t)):
+            raise SolverError("non-finite solver target")
+        lo, hi = circle_maps._sine_family_bracket(D, a, t, tol)
+        f_lo, f_hi = f(lo), f(hi)
+        if np.any(t < f_lo - 1e-9) or np.any(t > f_hi + 1e-9):
+            raise SolverError("target outside monotone bracket (lift not monotone?)")
+        mid = circle_maps._solve_block(f, lo, hi, f_lo, f_hi, t, tol)
+        out[start : start + block_size] = np.where(f_lo == t, lo, np.where(f_hi == t, hi, mid))
+    return out
+
+
+def reference_inverse_lift(spec, y: float, n: int, tol: float) -> float:
+    """``F^{-n}(y)`` by n scalar steps, each solving for its one value."""
+    import numpy as np
+    from circledyn.circle_maps import branch_points, inverse_branch_values
+
+    d = spec.degree
+    v = float(y)
+    for _ in range(n):
+        if spec.kind == "linear":
+            v = v / d
+            continue
+        m = math.floor(v / d)
+        t = v - m * d
+        if t < 0.0:
+            m -= 1
+            t = v - m * d
+        elif t >= d:
+            m += 1
+            t = v - m * d
+        branch = min(int(t), d - 1)
+        anchor = m * d + branch
+        frac = max(v - anchor, 0.0)
+        cofrac = max((anchor + 1) - v, 0.0)
+        left, right = branch_points(spec)[branch : branch + 2]
+        if spec.kind == "piecewise_linear_full_branch":
+            gap = right - left
+            v = (m + right) - cofrac * gap if cofrac <= frac else (m + left) + frac * gap
+        else:
+            v = m + float(inverse_branch_values(spec, branch, np.float64(min(frac, 1.0)), tol=tol))
+    return v
+
+
+def reference_uqs_ratio(spec, x: float, t: float, n: int, tol: float) -> float:
+    """The n-fold inverse distortion ratio from three separate chains."""
+    plus, mid, minus = (reference_inverse_lift(spec, y, n, tol) for y in (x + t, x, x - t))
+    return (plus - mid) / (mid - minus)
+
+
+def reference_measure_profile(spec, intervals, tol: float):
+    """Measure deviations with one inverse-branch call per branch and end."""
+    import numpy as np
+    from circledyn.circle_maps import inverse_branch_values
+
+    a = np.asarray([iv[0] for iv in intervals], dtype=float)
+    b = np.asarray([iv[1] for iv in intervals], dtype=float)
+    total = np.zeros_like(a)
+    for s in range(spec.degree):
+        total += inverse_branch_values(spec, s, b, tol=tol)
+        total -= inverse_branch_values(spec, s, a, tol=tol)
+    return np.abs(total - (b - a))

@@ -8,14 +8,18 @@ import pytest
 from circledyn import (
     ConjugacyMap,
     DegreeMismatchError,
+    DepthCapExceeded,
     ResolutionExhausted,
     WorkCapExceeded,
     CellCapExceeded,
     Word,
     dilatation_report,
     dyadic_intervals,
+    global_inverse_lift,
     identity_homeo,
+    inverse_orbit,
     iter_dilatation_reports,
+    iter_uqs_ratios,
     linear_map,
     make_conjugated,
     measure_deviation,
@@ -28,11 +32,14 @@ from circledyn import (
     tail_sum,
     uqs_ratio_endo,
 )
-from circledyn import analysis, conjugacy
+from circledyn import analysis, circle_maps, conjugacy
 from circledyn.symbolic_partition import index_of_word
 from _oracles import (
     conjugated_inverse_branch,
     pl_tail_sum_bruteforce,
+    reference_inverse_lift,
+    reference_measure_profile,
+    reference_uqs_ratio,
     sine_homeo_lift,
 )
 
@@ -216,9 +223,83 @@ class TestUqsRatioEndo:
         def no_work(*args, **kwargs):
             raise AssertionError("inverse orbit computed for a non-finite argument")
 
-        monkeypatch.setattr(analysis, "global_inverse_lift", no_work)
+        monkeypatch.setattr(circle_maps, "_inverse_steps", no_work)
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
             uqs_ratio_endo(f06, x, t, 3)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+            next(iter_uqs_ratios(f06, x, t, 3))
+
+
+BATCHED_SPECS = [
+    linear_map(2),
+    linear_map(3),
+    piecewise_linear([0.6]),
+    piecewise_linear([0.3, 0.55]),
+    smooth_sine_map(2, 0.5),
+    smooth_sine_map(3, -2.997),
+    make_conjugated(linear_map(2), sine_homeo(0.5)),
+    make_conjugated(piecewise_linear([0.6]), sine_homeo(-0.7)),
+    make_conjugated(smooth_sine_map(2, 1.5), sine_homeo(0.999)),
+]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestUqsOneOrbit:
+    """The 3-wide orbit and the n-walk equal three scalar chains per n."""
+
+    @pytest.mark.parametrize("spec", BATCHED_SPECS, ids=lambda spec: spec.describe())
+    @pytest.mark.parametrize("x, t", [(0.0, 0.2), (0.3, 0.05), (-1.7, 0.4), (2.05, 0.01)])
+    def test_equal_scalar_chains_bitwise(self, spec, x, t):
+        tol = 1e-13
+        n_max = 12
+        want = [reference_uqs_ratio(spec, x, t, n, tol) for n in range(1, n_max + 1)]
+        assert _bits(list(iter_uqs_ratios(spec, x, t, n_max, tol=tol))) == _bits(want)
+        for n in (1, 5, n_max):
+            assert _bits([uqs_ratio_endo(spec, x, t, n, tol=tol)]) == _bits([want[n - 1]])
+
+    @pytest.mark.parametrize("spec", BATCHED_SPECS, ids=lambda spec: spec.describe())
+    def test_orbit_points_equal_single_orbits(self, spec):
+        ys = (2.3, 0.0, -0.45, 1.0)
+        for n, values in enumerate(inverse_orbit(spec, ys, 7), 1):
+            assert _bits(values) == _bits([global_inverse_lift(spec, y, n) for y in ys])
+            assert _bits(values) == _bits([reference_inverse_lift(spec, y, n, 1e-13) for y in ys])
+
+    def test_walk_stops_where_the_per_n_loop_raises(self, f06):
+        # the f_0.6 orbit of 0 - 0.2 lands on 0 - 0 (denominator 0) at n = 40
+        walk = iter_uqs_ratios(f06, 0.0, 0.2, 45)
+        ratios = [next(walk) for _ in range(39)]
+        with pytest.raises(ResolutionExhausted) as walked:
+            next(walk)
+        with pytest.raises(ResolutionExhausted) as alone:
+            uqs_ratio_endo(f06, 0.0, 0.2, 40)
+        assert str(walked.value) == str(alone.value)
+        assert ratios[-1] == uqs_ratio_endo(f06, 0.0, 0.2, 39)
+
+    def test_depth_cap_raises_after_the_capped_ratios(self, smooth05):
+        walk = iter_uqs_ratios(smooth05, 0.3, 0.05, 9, depth_cap=6)
+        assert len([next(walk) for _ in range(6)]) == 6
+        with pytest.raises(DepthCapExceeded, match=r"^inverse depth 7 exceeds cap 6$"):
+            next(walk)
+        with pytest.raises(DepthCapExceeded, match=r"^inverse depth 7 exceeds cap 6$"):
+            uqs_ratio_endo(smooth05, 0.3, 0.05, 7, depth_cap=6)
+
+    def test_empty_walk(self, f06):
+        assert list(iter_uqs_ratios(f06, 0.0, 0.2, 0)) == []
+
+    def test_one_solve_per_step(self, smooth05, monkeypatch):
+        calls = []
+        solve = circle_maps.inverse_branch_values
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[2]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(circle_maps, "inverse_branch_values", counted)
+        list(iter_uqs_ratios(smooth05, 0.3, 0.05, 10))
+        assert calls == [3] * 10
 
 
 class TestMeasureDeviation:
@@ -247,6 +328,24 @@ class TestMeasureDeviation:
     def test_interval_validation(self, lin2):
         with pytest.raises(ValueError):
             measure_deviation(lin2, [(0.5, 0.5)])
+
+    @pytest.mark.parametrize("spec", [piecewise_linear([0.6]), smooth_sine_map(2, 0.5)], ids=["pl", "smooth"])
+    @pytest.mark.parametrize(
+        "bad", [(math.nan, 0.5), (0.0, math.nan), (-math.inf, 0.5), (0.5, math.inf), (math.nan, math.nan)]
+    )
+    def test_non_finite_ends_rejected_before_any_solve(self, spec, bad, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("inverse branch solved for a non-finite interval end")
+
+        monkeypatch.setattr(analysis, "inverse_branch_values", no_work)
+        with pytest.raises(ValueError, match="nondegenerate subintervals"):
+            measure_profile(spec, [bad, (0.5, 1.0)])
+
+    @pytest.mark.parametrize("spec", BATCHED_SPECS, ids=lambda spec: spec.describe())
+    def test_profile_equals_per_branch_calls_bitwise(self, spec):
+        intervals = dyadic_intervals(64) + [(0.0, 1.0), (0.1, 0.37), (0.5, 0.5000001), (1e-300, 1e-12)]
+        want = reference_measure_profile(spec, intervals, 1e-13)
+        assert _bits(measure_profile(spec, intervals, tol=1e-13)) == _bits(want)
 
     def test_empty_interval_list(self, smooth05):
         with pytest.raises(ValueError, match="interval list is empty"):

@@ -39,6 +39,7 @@ from _oracles import (
     conjugated_inverse_branch,
     mp_sine_family_root,
     pl_lift,
+    reference_sine_family_solve,
     sine_homeo_lift,
     smooth_lift,
 )
@@ -242,6 +243,26 @@ def _count_solver_evaluations(monkeypatch):
     return counter
 
 
+def _count_numpy_points(monkeypatch, *names):
+    """Patch ``circle_maps.np`` so the points passed to each of ``names`` are counted."""
+    counter = {"points": 0}
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            fn = getattr(np, name)
+            if name not in names:
+                return fn
+
+            def counted(x, *args, **kwargs):
+                counter["points"] += np.size(x)
+                return fn(x, *args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(circle_maps, "np", CountedNumpy())
+    return counter
+
+
 class TestSeedBracket:
     @pytest.mark.parametrize("D, a", SINE_FAMILY)
     def test_bracket_contains_mp_root(self, D, a):
@@ -305,31 +326,36 @@ class TestSeedBracket:
         ids=lambda spec: spec.describe(),
     )
     def test_evaluations_per_root(self, spec, monkeypatch):
-        # ends included; starting every solve from [0, 1] took 8.7
-        # (smooth_sine) and 9.5 (conjugated) evaluations per root
+        # starting every solve from [0, 1] took 8.7 (smooth_sine) and 9.5
+        # (conjugated) solver evaluations per root, and evaluating the seeded
+        # bracket's ends took 2; a certified bracket now takes none
         counter = _count_solver_evaluations(monkeypatch)
         ys = np.linspace(0.0, 1.0, 1001)
         for branch in (0, 1):
             inverse_branch_values(spec, branch, ys)
-        assert counter["points"] <= 3 * 2 * ys.size
+        assert counter["points"] == 0
+
+    @pytest.mark.parametrize(
+        "spec, per_root",
+        [(smooth_sine_map(2, 0.5), 3), (make_conjugated(linear_map(2), sine_homeo(0.5)), 4)],
+        ids=lambda value: value.describe() if hasattr(value, "describe") else str(value),
+    )
+    def test_trig_evaluations_per_root(self, spec, per_root, monkeypatch):
+        # one sine certifies the table guess, a cosine and a sine make its
+        # Newton step; the conjugated map also evaluates H once per target
+        ys = np.linspace(0.0, 1.0, 1001)
+        inverse_branch_values(spec, 0, ys)  # the inverse table is built once per (D, a)
+        counter = _count_numpy_points(monkeypatch, "sin", "cos")
+        for branch in (0, 1):
+            inverse_branch_values(spec, branch, ys)
+        assert counter["points"] <= per_root * 2 * ys.size
 
     @pytest.mark.parametrize("D, a", [(D, a) for D, a in SINE_FAMILY if abs(a) < 0.9 * D])
     def test_seed_evaluates_the_family_at_most_twice_per_target(self, D, a, monkeypatch):
         # the table guess is certified once and, after one Newton step, once more
-        counter = {"points": 0}
-
-        class CountedNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def sin(x):
-                counter["points"] += np.size(x)
-                return np.sin(x)
-
         targets = _sine_family_targets(D)
         circle_maps._sine_family_inverse_table(D, a)  # built once per (D, a), not per target
-        monkeypatch.setattr(circle_maps, "np", CountedNumpy())
+        counter = _count_numpy_points(monkeypatch, "sin")
         circle_maps._sine_family_bracket(D, a, targets)
         assert counter["points"] <= 2 * targets.size
 
@@ -363,6 +389,79 @@ class TestSeedBracket:
         else:
             homeo_inverse_values(sine_homeo(a), targets)
         assert counter["points"] <= evaluations * targets.size
+
+
+def _family_fn(D, a):
+    """The solver's ``fn`` for the family member (D, a), as its map kind builds it."""
+    if D > 1:
+        spec = smooth_sine_map(D, a)
+        return lambda u: circle_maps._unit_lift(spec, u, TOL)
+    return lambda u: homeo_lift_values(sine_homeo(a), u)
+
+
+def _oracle_targets(D, a):
+    """Random targets, both ends, the integers and their float neighbours,
+    targets within the range slack outside [0, D], and flat-spot targets."""
+    ints = np.arange(D + 1.0)
+    return np.concatenate([
+        np.random.default_rng(29 + D).random(200) * D,
+        ints,
+        np.nextafter(ints, -np.inf)[1:],
+        np.nextafter(ints, np.inf)[:-1],
+        [-5e-10, -1e-300, 5e-324, D + 5e-10, 0.5 * D],
+        _flat_spot_targets(D, a),
+    ])
+
+
+class TestCertifiedFinish:
+    """A bracket at most tol wide is finished from the targets alone."""
+
+    def test_unit_ends_are_exact(self):
+        # f(0) = 0 and f(1) = D bit for bit: |a*sin(2*pi)/(2*pi)| < half an ulp of D
+        sweep = [(D, float(a)) for D in range(1, 9) for a in np.linspace(-D, D, 401)[1:-1]]
+        for D, a in SINE_FAMILY + [(5, -4.9), (3, 2.997)] + sweep:
+            assert _family_fn(D, a)(np.array([0.0, 1.0])).tolist() == [0.0, float(D)], (D, a)
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])
+    @pytest.mark.parametrize("D, a", SINE_FAMILY)
+    def test_equals_bracket_then_full_solve_bitwise(self, D, a, tol):
+        targets = _oracle_targets(D, a)
+        got = circle_maps._solve_sine_family(_family_fn(D, a), D, a, targets, tol)
+        want = reference_sine_family_solve(D, a, targets, tol)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("D, a", SINE_FAMILY)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (-2e-9, "outside monotone bracket"),
+            (-1.0, "outside monotone bracket"),
+            ("D+", "outside monotone bracket"),
+            (math.nan, "non-finite"),
+            (math.inf, "non-finite"),
+            (-math.inf, "non-finite"),
+        ],
+    )
+    def test_rejects_as_the_full_solve_does(self, D, a, bad, message):
+        # a NaN anywhere takes precedence over a range failure
+        bad = D + 2e-9 if bad == "D+" else bad
+        for targets, want in (
+            (np.array([0.5 * D, bad]), message),
+            (np.array([bad, -1.0, math.nan]), "non-finite"),
+        ):
+            for solve in (
+                lambda t: circle_maps._solve_sine_family(_family_fn(D, a), D, a, t, TOL),
+                lambda t: reference_sine_family_solve(D, a, t, TOL),
+            ):
+                with pytest.raises(SolverError, match=want):
+                    solve(targets)
+
+    def test_runs_warning_free(self):
+        # the bracket no longer guards NaN with np.errstate: none reaches it
+        for D, a in SINE_FAMILY:
+            targets = _oracle_targets(D, a)
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                circle_maps._solve_sine_family(_family_fn(D, a), D, a, targets, TOL)
 
 
 class TestGlobalInverseLift:

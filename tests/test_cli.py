@@ -215,6 +215,21 @@ class TestAnalyzeCommands:
         _, rows = _data_rows(out)
         assert len(rows) == 16
 
+    @pytest.mark.parametrize("kind", ["f06", "smooth"])
+    def test_measure_nan_interval_end_exits_1(self, specs, capsys, kind):
+        if kind == "smooth":
+            path = specs["dir"] / "smooth.json"
+            path.write_text('{"kind": "smooth_sine", "degree": 2, "epsilon": 0.5}')
+        else:
+            path = specs[kind]
+        intervals = specs["dir"] / "intervals.json"
+        intervals.write_text("[[NaN, 0.5], [0.5, 1.0]]")
+        code = main(["analyze", "measure", "--map", str(path), "--intervals", str(intervals)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: intervals must be nondegenerate subintervals of [0,1]\n"
+
     def test_measure_empty_intervals_exits_1(self, specs, capsys):
         code = main(["analyze", "measure", "--map", specs["conj"], "--intervals", "dyadic:0"])
         assert code == 1
