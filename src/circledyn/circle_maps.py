@@ -706,40 +706,54 @@ def eval_lift(spec: CircleMapSpec, x: float, tol: float = defaults.SOLVER_TOL) -
 
 
 def inverse_branch_values(
-    spec: CircleMapSpec, branch, y, tol: float = defaults.SOLVER_TOL
+    spec: CircleMapSpec, branch, y, tol: float = defaults.SOLVER_TOL, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Vectorized inverse branch: the x in branch ``b`` with ``F(x) = y + b``.
 
     ``branch`` is an integer array (or scalar) that broadcasts against ``y``,
     whose values lie in [0,1]; the result has the broadcast shape.  Closed
     forms are used for the linear and piecewise-linear kinds; the other kinds
-    use the bracketed root solver on the unit interval.
+    use the bracketed root solver on the unit interval.  Given ``out``, an
+    array of the broadcast shape that does not overlap ``y``, the values are
+    stored there and ``out`` is returned; closed forms compute them in place.
     """
     y = np.asarray(y, dtype=float)
     branch = np.asarray(branch, dtype=np.int64)
     if is_closed_form(spec):
-        return closed_form_inverse(spec, _pl_ext(spec.cuts), branch, y)
+        return closed_form_inverse(spec, _pl_ext(spec.cuts), branch, y, out=out)
     if spec.kind == "smooth_sine":
-        return _solve_sine_family(
+        x = _solve_sine_family(
             lambda u: _unit_lift(spec, u, tol), spec.degree, spec.epsilon, branch + y, tol
         )
-    hv = homeo_lift_values(spec.homeo, y)
-    xb = inverse_branch_values(spec.base, branch, np.clip(hv, 0.0, 1.0), tol=tol)
-    return _homeo_inverse_unit(spec.homeo, xb, tol)
+    else:
+        hv = homeo_lift_values(spec.homeo, y)
+        xb = inverse_branch_values(spec.base, branch, np.clip(hv, 0.0, 1.0), tol=tol)
+        x = _homeo_inverse_unit(spec.homeo, xb, tol)
+    if out is None:
+        return x
+    out[...] = x
+    return out
 
 
-def closed_form_inverse(spec: CircleMapSpec, ends, branch, y):
+def closed_form_inverse(spec: CircleMapSpec, ends, branch, y, out: np.ndarray | None = None):
     """Inverse branch ``branch`` of a linear or piecewise-linear map at ``y``.
 
     Takes ndarrays or Python floats alike: ``ends`` is the branch endpoint
     table ``[0, c_1, ..., c_{d-1}, 1]`` indexed by ``branch`` (the linear map
     ignores it).  Either way the same IEEE operations run in the same order,
-    so a chain on floats equals the same chain on arrays bit for bit.
+    so a chain on floats equals the same chain on arrays bit for bit.  An
+    ndarray ``out`` of the broadcast shape, not overlapping ``y``, receives
+    the values of those same operations in place of new arrays.
     """
     if spec.kind == "linear":
-        return (branch + y) / spec.degree
+        if out is None:
+            return (branch + y) / spec.degree
+        return np.divide(np.add(branch, y, out=out), spec.degree, out=out)
     # lerp form is exact at y = 0 and y = 1
-    return (1.0 - y) * ends[branch] + y * ends[branch + 1]
+    if out is None:
+        return (1.0 - y) * ends[branch] + y * ends[branch + 1]
+    np.multiply(np.subtract(1.0, y, out=out), ends[branch], out=out)
+    return np.add(out, y * ends[branch + 1], out=out)
 
 
 def closed_form_cylinder(spec: CircleMapSpec, symbols: tuple[int, ...]) -> tuple[float, float]:

@@ -111,6 +111,13 @@ def _load_homeo(path: str):
         return homeo_spec_from_json(fh.read())
 
 
+def _check_point_count(count: int, what: str, caps: dict) -> None:
+    """Refuse a request for more evaluation points than the cell cap, before any is built."""
+    cap = caps.get("cell_cap", defaults.CELL_CAP)
+    if count > cap:
+        raise CellCapExceeded(f"{what} exceed cell cap {cap}")
+
+
 def _caps_from_env() -> dict:
     caps = {}
     for name, key in (
@@ -181,6 +188,7 @@ def _cmd_conjugacy(args, caps) -> int:
         return EXIT_OK
     if args.grid < 1:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
+    _check_point_count(args.grid, f"{args.grid} grid points", caps)
     xs = np.arange(args.grid, dtype=float) / args.grid
     lo, hi, depth, met = conjugacy_enclosures(f, g, xs, tol=args.tol, depth_cap=depth_cap)
     unreached = int(np.count_nonzero(~met))
@@ -217,10 +225,12 @@ def _cmd_analyze_qs(args, caps) -> int:
     ratio = qs_ratio(subject, args.x, args.t)
     width = 0.0
     if isinstance(subject, ConjugacyMap):
-        width = max(
-            subject.enclosure(min(1.0, max(0.0, v % 1.0))).width
-            for v in (args.x - args.t, args.x, args.x + args.t)
+        # numpy's remainder rounds as Python's float % does
+        reduced = np.clip(np.asarray([args.x - args.t, args.x, args.x + args.t]) % 1.0, 0.0, 1.0)
+        lo, hi, _, _ = conjugacy_enclosures(
+            subject.f, subject.g, reduced, tol=subject.tol, depth_cap=subject.depth_cap
         )
+        width = float(np.max(hi - lo))
     config = {"command": "analyze-qs", **meta}
     _write_report(
         args,
@@ -239,7 +249,11 @@ def _parse_scales(text: str | None):
 
 def _cmd_analyze_symmetry(args, caps) -> int:
     subject, meta = _homeo_subject(args, caps)
-    report = symmetry_modulus(subject, scales=_parse_scales(args.scales), grid=args.grid)
+    scales = _parse_scales(args.scales)
+    # the modulus evaluates the grid and its shifts by each distinct scale both ways
+    shifts = 2 * len(set(scales)) + 1
+    _check_point_count(shifts * args.grid, f"{shifts} x {args.grid} grid points", caps)
+    report = symmetry_modulus(subject, scales=scales, grid=args.grid)
     config = {"command": "analyze-symmetry", "grid": args.grid, "subject": report.subject, **meta}
     rows = [(row.scale, row.deviation, row.argmax_x) for row in report.rows]
     _write_report(args, ["scale", "deviation", "argmax_x"], rows, config)

@@ -195,8 +195,11 @@ def conjugacy_enclosures(
     is at most ``tol`` wide or x snaps onto the left end of its f-cylinder
     (zero width).  The enclosure is then one backward g-chain at the stop
     depth: ``hi - lo`` is the width the stop rule measured, and the values
-    are those the per-depth chains gave before, bit for bit.  Points are
-    refined in blocks of ``_ENCLOSURE_BLOCK``, which caps the working set.
+    are those the per-depth chains gave before, bit for bit.  Each distinct
+    value of ``xs`` is refined once and its enclosure copied to every
+    repeat, so the cost follows the distinct points, and distinct points
+    are refined in blocks of ``_ENCLOSURE_BLOCK``, which caps the working
+    set.
 
     Raises:
         ValueError: a point is not a finite number in [0,1], tol is negative
@@ -209,6 +212,10 @@ def conjugacy_enclosures(
     if depth_cap < 0:
         raise ValueError(f"depth_cap must be >= 0, got {depth_cap}")
     _check_pair(f, g)
+    # points are refined independently, so refining each distinct value once
+    # and copying it back changes no bit (0.0 and -0.0 are one value here,
+    # and both are the fixed point 0)
+    xs, repeats = np.unique(xs, return_inverse=True)
     m = xs.size
     lo = np.zeros(m)
     hi = np.ones(m)
@@ -235,7 +242,7 @@ def conjugacy_enclosures(
         hi[rows] = np.where(snapped, ends[0], ends[1])
         depth[rows] = k
     tol_met = (hi - lo) <= tol
-    return lo, hi, depth, tol_met
+    return lo[repeats], hi[repeats], depth[repeats], tol_met[repeats]
 
 
 def conjugacy_eval(
@@ -287,11 +294,14 @@ class ConjugacyMap:
         self.tol = tol
         self.depth_cap = depth_cap
 
-    def enclosure(self, x: float) -> ConjugacyEnclosure:
-        return conjugacy_eval(self.f, self.g, x, tol=self.tol, depth_cap=self.depth_cap)
-
     def lift_values(self, x) -> np.ndarray:
-        """Vectorized lift values (enclosure midpoints + integer part)."""
+        """Vectorized lift values (enclosure midpoints + integer part).
+
+        The enclosures are taken at ``x`` mod 1, and each distinct value is
+        refined once, so shifted copies of one grid (``x + k``, or the rows
+        of a symmetry modulus whose shifts land on grid points) cost what
+        the distinct points cost.
+        """
         x = np.asarray(x, dtype=float)
         k = np.floor(x)
         u = x - k

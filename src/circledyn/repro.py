@@ -272,13 +272,11 @@ def criterion_8(config: ReproConfig = ReproConfig()) -> CriterionResult:
         worst_refine = max(
             worst_refine, float(np.max(np.abs(ends[::d] - ends_prev)))
         )
-        # dynamics: the lift maps each left endpoint onto the shifted word's endpoint
-        idx = np.arange(d**level)
-        image = lift_values(spec, ends[:-1]) - idx // d ** (level - 1)
-        worst_dynamics = max(
-            worst_dynamics,
-            float(np.max(np.abs(image - ends_prev[:-1][idx % d ** (level - 1)]))),
-        )
+        # dynamics: the lift maps each left endpoint onto the shifted word's
+        # endpoint; row s holds the words s w, whose shifted words w are the
+        # parent level in order
+        image = lift_values(spec, lefts).reshape(d, -1) - np.arange(d)[:, None]
+        worst_dynamics = max(worst_dynamics, float(np.max(np.abs(image - lefts_prev))))
         worst_measure = max(
             worst_measure, measure_deviation(spec, dyadic_intervals(64))
         )

@@ -554,8 +554,11 @@ def iter_levels(
     solves are elementwise deterministic.  Root-solved kinds copy those
     parents and solve only the other children, d^n solves for a level-n walk
     instead of d(d^n - 1)/(d - 1); closed forms, cheaper to recompute than to
-    scatter, apply the d branches to every parent.  The next level is built
-    from the yielded array, so callers must not modify it.
+    scatter, apply the d branches to every parent, each branch written
+    straight into its slice of the new level.  Every level equals the
+    concatenation of the d branch images of the level above bit for bit.
+    The next level is built from the yielded array, so callers must not
+    modify it.
 
     Raises:
         CellCapExceeded: if d^n exceeds ``cell_cap``.
@@ -577,7 +580,10 @@ def iter_levels(
             lefts = np.concatenate((lefts.reshape(d, -1, 1), children), axis=2).reshape(-1)
             del children  # hold no level across the yield
         else:
-            lefts = np.concatenate([inverse_branch_values(spec, s, lefts, tol=tol) for s in range(d)])
+            level = np.empty(d * lefts.size)
+            for s, part in enumerate(level.reshape(d, -1)):
+                inverse_branch_values(spec, s, lefts, tol=tol, out=part)
+            lefts = level
         yield lefts
 
 

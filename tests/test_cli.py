@@ -154,6 +154,23 @@ class TestConjugacyCommand:
         assert captured.out == ""
         assert "--grid must be >= 1" in captured.err
 
+    def test_grid_over_cell_cap_exits_2_before_any_work(self, specs, capsys, monkeypatch):
+        import circledyn.cli as cli
+
+        monkeypatch.setenv("CIRCLEDYN_CELL_CAP", "64")
+        argv = ["conjugacy", "--from", specs["f06"], "--to", specs["lin2"], "--grid"]
+        assert main(argv + ["64"]) == 0
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("enclosures computed past the cell cap")
+
+        monkeypatch.setattr(cli, "conjugacy_enclosures", no_work)
+        assert main(argv + ["65"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 65 grid points exceed cell cap 64\n"
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_invalid_tol_exits_1(self, specs, capsys, tol):
         code = main(["conjugacy", "--from", specs["f06"], "--to", specs["lin2"], "--grid", "4", "--tol", tol])
@@ -178,6 +195,51 @@ class TestAnalyzeCommands:
         assert "grid must be >= 1" in captured.err
         assert "zero-size array" not in captured.err
 
+
+    @pytest.mark.parametrize("subject", ["conjugacy", "homeo"])
+    def test_symmetry_points_over_cell_cap_exit_2_before_any_work(self, specs, capsys, monkeypatch, subject):
+        import circledyn.cli as cli
+
+        homeo = specs["dir"] / "h.json"
+        homeo.write_text('{"kind": "sine_homeo", "c": 0.3}')
+        source = (
+            ["--from", specs["f06"], "--to", specs["lin2"]] if subject == "conjugacy" else ["--homeo", str(homeo)]
+        )
+        monkeypatch.setenv("CIRCLEDYN_CELL_CAP", "64")
+        # the point count is (2 * distinct scales + 1) * grid
+        argv = ["analyze", "symmetry", *source, "--scales", "0.5,0.25,0.25", "--grid"]
+        assert main(argv + ["12"]) == 0
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("modulus computed past the cell cap")
+
+        monkeypatch.setattr(cli, "symmetry_modulus", no_work)
+        assert main(argv + ["13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 5 x 13 grid points exceed cell cap 64\n"
+        # the default ladder of 20 scales: 41 rows
+        assert main(["analyze", "symmetry", *source, "--grid", "2"]) == 2
+        assert capsys.readouterr().err == "error: 41 x 2 grid points exceed cell cap 64\n"
+
+    def test_qs_for_conjugacy_refines_twice(self, specs, capsys, monkeypatch):
+        # one enclosure call for the ratio and one for the three widths
+        import circledyn.cli as cli
+        import circledyn.conjugacy as conjugacy
+
+        calls = []
+        original = conjugacy.conjugacy_enclosures
+
+        def counted(f, g, xs, *args, **kwargs):
+            calls.append(np.size(xs))
+            return original(f, g, xs, *args, **kwargs)
+
+        for module in (cli, conjugacy):
+            monkeypatch.setattr(module, "conjugacy_enclosures", counted)
+        argv = ["analyze", "qs", "--from", specs["f06"], "--to", specs["lin2"], "--x", "0.02", "--t", "0.1"]
+        assert main(argv) == 0
+        assert calls == [3, 3]
 
     def test_uqs_rows(self, specs, capsys):
         code = main(

@@ -89,6 +89,28 @@ class TestAgainstReferenceLoop:
             assert np.array_equal(a, b), (spec, k)
             assert _same_bits(a, b), (spec, k)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", ["linear", "random_pl", "narrow_pl"])
+    def test_closed_form_levels_bit_identical(self, d, family):
+        # closed forms write each branch into its slice of the level; the
+        # values must be those of the concatenated per-branch calls
+        if family == "linear":
+            spec = linear_map(d)
+        elif family == "random_pl":
+            gaps = np.random.default_rng(d).uniform(0.1, 1.0, size=d)
+            spec = piecewise_linear(np.cumsum(gaps)[:-1] / np.sum(gaps))
+        else:
+            # branches 1.5 and 1.9 minimum gaps wide
+            narrow = 1.5 * defaults.MIN_CUT_GAP
+            cuts = [narrow, narrow + 1.9 * defaults.MIN_CUT_GAP] + [0.5 + 0.1 * k for k in range(d - 3)]
+            spec = piecewise_linear(cuts[: d - 1])
+        n = int(math.log(2**12, d) + 1e-9)
+        got = list(iter_levels(spec, n))
+        want = reference_levels(spec, n, TOL)
+        assert len(got) == n
+        for k, (a, b) in enumerate(zip(got, want), 1):
+            assert _same_bits(a, b), (spec, k)
+
     def test_parents_are_every_dth_child(self):
         levels = list(iter_levels(smooth_sine_map(3, 1.2), 6))
         for parent, child in zip(levels, levels[1:]):

@@ -27,7 +27,9 @@ from circledyn import (
     sine_homeo,
     smooth_sine_map,
 )
-from circledyn import circle_maps, defaults
+from circledyn import circle_maps, conjugacy, defaults
+from circledyn.analysis import symmetry_modulus
+from circledyn.conjugacy import ConjugacyMap
 from circledyn.circle_maps import branch_points, inverse_branch_values
 from circledyn.symbolic_partition import _word_model, chain_values, itinerary_batch, refine_words
 from _oracles import reference_enclosures, reference_itinerary
@@ -329,6 +331,61 @@ class TestCost:
         calls = _count_calls(monkeypatch)
         itinerary_batch(f06, xs, 32)
         assert calls[0] <= 128
+
+
+def _same_per_copy(got, distinct, got_single):
+    """Each copy of ``distinct[j]`` holds the bits ``got_single`` has at j."""
+    for name, a, b in zip(("lo", "hi", "depth", "tol_met"), got, got_single):
+        want = b[distinct]
+        assert a.dtype == want.dtype and a.tobytes() == want.tobytes(), name
+
+
+class TestRepeatedPoints:
+    """Each distinct point is refined once and its enclosure copied to every
+    repeat, so a repeat gets the bits of a call that holds the point once."""
+
+    @pytest.mark.parametrize("pair", ["pl", "solved", "conjugated"])
+    def test_shuffled_grid_twice(self, pair, f06, lin2, smooth05, conj_smooth):
+        f, g = {"pl": (f06, lin2), "solved": (f06, smooth05), "conjugated": (conj_smooth, lin2)}[pair]
+        grid = np.arange(64, dtype=float) / 64 + 0.0123
+        order = np.random.default_rng(3).permutation(np.repeat(np.arange(64), 2))
+        got = conjugacy_enclosures(f, g, grid[order], tol=1e-10)
+        _same_per_copy(got, order, conjugacy_enclosures(f, g, grid, tol=1e-10))
+
+    def test_signed_zeros_and_one(self, f06, lin2):
+        xs = np.asarray([0.0, -0.0, 1.0, 0.3, -0.0, 1.0, 0.0, 0.3])
+        got = conjugacy_enclosures(f06, lin2, xs, tol=1e-10)
+        singles = [conjugacy_enclosures(f06, lin2, xs[i : i + 1], tol=1e-10) for i in range(xs.size)]
+        for i in range(xs.size):
+            for a, b in zip(got, singles[i]):
+                assert a[i : i + 1].tobytes() == b.tobytes(), (i, xs[i])
+        lo, hi, _, _ = got
+        assert hi[0] == hi[1] == 0.0 and lo[2] == 1.0
+
+    def test_repeats_across_the_block_boundary(self, f06, lin2):
+        count = conjugacy._ENCLOSURE_BLOCK + 64
+        distinct = np.arange(count, dtype=float) / count
+        order = np.concatenate((np.arange(count), np.arange(count - 96, count), np.arange(96)))
+        order = np.random.default_rng(5).permutation(order)
+        got = conjugacy_enclosures(f06, lin2, distinct[order], tol=1e-8)
+        _same_per_copy(got, order, conjugacy_enclosures(f06, lin2, distinct, tol=1e-8))
+
+    def test_symmetry_modulus_refines_each_grid_point_once(self, f06, monkeypatch):
+        # criterion 6's modulus call: 21 shifted copies of the 1024 grid are
+        # 21,504 points but only the 1024 grid points mod 1, and 0 maps to 0
+        # without refinement
+        refined = [0]
+        original = conjugacy.refine_words
+
+        def counted(spec, xs, *args, **kwargs):
+            refined[0] += np.size(xs)
+            return original(spec, xs, *args, **kwargs)
+
+        monkeypatch.setattr(conjugacy, "refine_words", counted)
+        h = ConjugacyMap(f06, f06, tol=1e-10)
+        report = symmetry_modulus(h, scales=[2.0**-j for j in range(1, 11)], grid=1024)
+        assert len(report.rows) == 10
+        assert refined[0] == 1023
 
 
 class TestInputs:
