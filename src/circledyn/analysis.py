@@ -346,10 +346,16 @@ def _dilatation(
     (the minimum likewise).  The witness is the lowest word index among the
     tied ones (the lexicographic rule), so mirror cylinders of equal true
     length do not swap with rounding noise.
+
+    Raises:
+        ResolutionExhausted: some f-cylinder has no positive computed length.
     """
+    shortest = float(np.min(len_f))
+    if not shortest > 0.0:
+        raise ResolutionExhausted(f"f-cylinder of level {n} has computed length {shortest:.3e}")
     ratios = len_g / len_f
     top, bottom = float(np.max(ratios)), float(np.min(ratios))
-    floor = float(np.min(len_f)) - 2.0 * err_f
+    floor = shortest - 2.0 * err_f
     # every radius is at most ``bound``, so only ratios within 2*bound of an
     # extreme can tie it; the exact radii are taken on those alone
     bound = 2.0 * (err_g + top * err_f) / floor if floor > 0.0 else math.inf
@@ -395,7 +401,8 @@ def dilatation_report(
     so cylinder ratios are computed from the two partitions alone.
 
     Raises:
-        DegreeMismatchError, CellCapExceeded, ValueError (coarse_level >= n).
+        DegreeMismatchError, CellCapExceeded, ValueError (coarse_level >= n),
+        ResolutionExhausted (an f-cylinder computes as zero length).
     """
     _check_pair(f, g)
     if not 0 <= coarse_level < n:
@@ -421,7 +428,8 @@ def iter_dilatation_reports(
 
     Raises:
         DegreeMismatchError, CellCapExceeded, ValueError (n < 0), all before
-        the first report.
+        the first report; ResolutionExhausted at the first level where an
+        f-cylinder computes as zero length.
     """
     _check_pair(f, g)
     walks = (iter_levels(spec, n, tol=tol, cell_cap=cell_cap) for spec in (f, g))

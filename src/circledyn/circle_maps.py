@@ -31,7 +31,8 @@ word model is then the forward orbit).
 Closed forms are used for the linear and piecewise-linear kinds; every other
 inverse is a bracketed root solve to an absolute tolerance (default
 ``SOLVER_TOL``).  The root-solved lifts ``smooth_sine`` and ``sine_homeo``
-are one family, ``x -> D*x + a*sin(2*pi*x)/(2*pi)``, and each target gets its
+are one family, ``x -> D*x + a*sin(2*pi*x)/(2*pi)``, and
+:func:`_solve_sine_family` is the one root solver.  Each target gets its
 own starting bracket: a cached per-``(D, a)`` table of the inverse gives a
 guess, the slope floor ``D - |a|`` certifies a radius around it that holds
 the root whatever the guess (compute fast, then verify), and only elements
@@ -39,16 +40,16 @@ whose radius is still above ``tol/2`` take Newton steps, usually one.  The
 bracket is then usually ``tol`` wide and its midpoint is the result, with no
 further evaluation of the lift: the family has ``f(0) = 0`` and ``f(1) = D``
 exactly, so the targets alone decide the range check and the exact end hits.
-Only the few brackets still wider than ``tol`` (near a flat spot) go to the
-general solver, which keeps a bracket ``fn(lo) < target <= fn(hi)``
-around each root and narrows it with a false-position step followed by a
-probe that straddles the root, falling back to bisection whenever a pass
-fails to halve the bracket, so it never needs more than about twice the
-evaluations of plain bisection.  Each element stops as soon as its own
-bracket is ``tol`` wide and returns the midpoint, within ``tol/2`` of the
-root; large inputs are solved in fixed-size blocks.  Specs are immutable and
-every evaluation is a pure function of (spec, inputs), so all operations are
-safe to call concurrently.
+Only the few brackets still wider than ``tol`` (near the flat spot of a
+near-degenerate map) take solver passes, which keep a bracket
+``f(lo) < target <= f(hi)`` around each root and narrow it with a
+false-position step followed by a probe that straddles the root, falling
+back to bisection whenever a pass fails to halve the bracket, so they never
+need more than about twice the evaluations of plain bisection.  Each
+element stops as soon as its own bracket is ``tol`` wide and returns the
+midpoint, within ``tol/2`` of the root; large inputs are solved in
+fixed-size blocks.  Specs are immutable and every evaluation is a pure
+function of (spec, inputs), so all operations are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -331,7 +332,7 @@ def homeo_lift_values(spec: CircleHomeoSpec, x) -> np.ndarray:
     if spec.kind == "identity":
         return x.copy()
     if spec.kind == "sine_homeo":
-        return x + spec.c * np.sin(_TWO_PI * x) / _TWO_PI
+        return _sine_family(1, spec.c, x)
     out = x
     for part in reversed(spec.parts):
         out = homeo_lift_values(part, out)
@@ -343,7 +344,7 @@ def _homeo_inverse_unit(spec: CircleHomeoSpec, y: np.ndarray, tol: float) -> np.
     if spec.kind == "identity":
         return np.asarray(y, dtype=float).copy()
     if spec.kind == "sine_homeo":
-        return _solve_sine_family(lambda u: homeo_lift_values(spec, u), 1, spec.c, y, tol)
+        return _solve_sine_family(1, spec.c, y, tol)
     out = np.asarray(y, dtype=float)
     for part in spec.parts:
         out = _homeo_inverse_unit(part, out, tol)
@@ -367,54 +368,9 @@ def homeo_eval(spec: CircleHomeoSpec, x: float) -> float:
 # Root solver
 # ---------------------------------------------------------------------------
 
-def _bisect_increasing(fn, lo, hi, target: np.ndarray, tol: float) -> np.ndarray:
-    """Solve ``fn(x) = target`` for an increasing ``fn``, elementwise.
-
-    ``lo``/``hi`` may be scalars or arrays bracketing each target; the map
-    kinds send only the per-target brackets of :func:`_sine_family_bracket`
-    that are still wider than ``tol``, and finish the rest without ``fn``.
-    ``fn`` is evaluated at both ends of every bracket.  Targets outside the
-    bracket by more than ``tol`` (in x, via monotonicity this is checked on
-    the function values with a generous margin) signal a non-monotone lift
-    and raise :class:`SolverError`, as do non-finite targets.  Each result
-    is the midpoint of a bracket of width at most ``tol``, so it lies within
-    ``tol/2`` of the root.  Large inputs are solved in blocks of
-    ``_SOLVER_BLOCK`` elements, which bounds the working set.
-    """
-    target = np.asarray(target, dtype=float)
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    # scalar ends are evaluated once, not once per target
-    flo = _broadcast(fn(lo), target.shape)
-    fhi = _broadcast(fn(hi), target.shape)
-    _check_targets(target, flo, fhi)
-    lo = _broadcast(lo, target.shape)
-    hi = _broadcast(hi, target.shape)
-    # reshape, not ravel: a broadcast scalar stays a zero-stride view
-    columns = [arr.reshape(-1) for arr in (lo, hi, flo, fhi, target)]
-    out = np.empty(target.size)
-    for start in range(0, target.size, _SOLVER_BLOCK):
-        block = slice(start, start + _SOLVER_BLOCK)
-        out[block] = _solve_block(fn, *(col[block] for col in columns), tol)
-    # exact hits at the bracket ends return the end itself, so chains of
-    # inverse branches preserve shared endpoints bit for bit
-    mid = out.reshape(target.shape)
-    return np.where(flo == target, lo, np.where(fhi == target, hi, mid))
-
-
-def _broadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``arr`` broadcast to ``shape``; an array of that shape already is returned as it is."""
-    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
-
-
-def _check_targets(target: np.ndarray, f_lo, f_hi) -> None:
-    """Reject non-finite targets, then targets below ``f_lo`` or above ``f_hi``
-    by more than a generous slack."""
-    if not np.all(np.isfinite(target)):
-        raise SolverError("non-finite solver target")
-    slack = 1e-9
-    if np.any(target < f_lo - slack) or np.any(target > f_hi + slack):
-        raise SolverError("target outside monotone bracket (lift not monotone?)")
+def _sine_family(D: int, a: float, x):
+    """The root-solved family ``D*x + a*sin(2*pi*x)/(2*pi)``, elementwise."""
+    return D * x + a * np.sin(_TWO_PI * x) / _TWO_PI
 
 
 @lru_cache(maxsize=16)
@@ -425,8 +381,7 @@ def _sine_family_inverse_table(D: int, a: float) -> np.ndarray:
     One ``np.interp`` of forward samples on a uniform x grid, no root solve.
     """
     xs = np.linspace(0.0, 1.0, _SEED_NODES + 1)
-    fs = D * xs + a * np.sin(_TWO_PI * xs) / _TWO_PI
-    table = np.interp(np.linspace(0.0, D, _SEED_NODES + 1), fs, xs)
+    table = np.interp(np.linspace(0.0, D, _SEED_NODES + 1), _sine_family(D, a, xs), xs)
     table.setflags(write=False)
     return table
 
@@ -461,7 +416,7 @@ def _sine_family_bracket(
     node = np.minimum(np.maximum(pos, 0.0), _SEED_NODES - 1).astype(np.intp)
     left = table[node]
     x = np.minimum(np.maximum(left + (pos - node) * (table[node + 1] - left), 0.0), 1.0)
-    residual = D * x + a * np.sin(_TWO_PI * x) / _TWO_PI - target
+    residual = _sine_family(D, a, x) - target
     radius = (np.abs(residual) + pad) / floor
     for _ in range(_NEWTON_STEPS):
         todo = np.flatnonzero(radius > 0.5 * tol)
@@ -471,7 +426,7 @@ def _sine_family_bracket(
         part = todo.size < x.size
         xs, ts, rs = (x[todo], target[todo], residual[todo]) if part else (x, target, residual)
         xs = np.minimum(np.maximum(xs - rs / (D + a * np.cos(_TWO_PI * xs)), 0.0), 1.0)
-        rs = D * xs + a * np.sin(_TWO_PI * xs) / _TWO_PI - ts
+        rs = _sine_family(D, a, xs) - ts
         rad = (np.abs(rs) + pad) / floor
         if part:
             x[todo], residual[todo], radius[todo] = xs, rs, rad
@@ -480,33 +435,40 @@ def _sine_family_bracket(
     return np.maximum(x - radius, 0.0), np.minimum(x + radius, 1.0)
 
 
-def _solve_sine_family(fn, D: int, a: float, target, tol: float) -> np.ndarray:
-    """Roots of the increasing ``fn(x) = D*x + a*sin(2*pi*x)/(2*pi)`` on [0, 1].
+def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
+    """Roots of ``_sine_family(D, a, x) = target`` on [0, 1], each within ``tol/2``.
 
     ``smooth_sine`` (D = degree, a = epsilon) and ``sine_homeo`` (D = 1,
-    a = c) are this family.  Each block of ``_SOLVER_BLOCK`` targets gets its
-    brackets from :func:`_sine_family_bracket`, so temporaries stay
-    block-sized.  A bracket at most ``tol`` wide gives its midpoint with no
-    evaluation of ``fn``: the family has ``f(0) = 0`` and ``f(1) = D``
+    a = c) are this family, and every root solve of the package is this one.
+    Each block of ``_SOLVER_BLOCK`` targets gets its brackets from
+    :func:`_sine_family_bracket`, so temporaries stay block-sized.
+    Non-finite targets, then targets outside [0, D] by more than 1e-9, raise
+    :class:`SolverError`.  A bracket at most ``tol`` wide gives its midpoint
+    with no evaluation of the family: it has ``f(0) = 0`` and ``f(1) = D``
     exactly (``|a*sin(2*pi)/(2*pi)|`` is below half an ulp of D), and the
     computed f straddles the target at unclipped ends, so the range check
     reads the targets alone and the only exact end hits are ``t == 0`` (the
-    left end) and ``t == D`` (the right end).  The brackets still wider than
-    ``tol``, near the flat spot of a near-degenerate map, are finished by
-    :func:`_bisect_increasing`.  Results equal bracket-then-bisect on every
-    target bit for bit.
+    left end) and ``t == D`` (the right end).  Returning those ends as they
+    are keeps the endpoints that inverse-branch chains share bit for bit.
+    The other brackets still wider than ``tol``, near the flat spot of a
+    near-degenerate map, are finished by :func:`_solve_block`.  Results
+    equal bracket-then-solve on every target bit for bit.
     """
     target = np.asarray(target, dtype=float)
     out = np.empty(target.shape)
     flat_target, flat_out = target.reshape(-1), out.reshape(-1)
+    family = partial(_sine_family, D, a)
     for start in range(0, target.size, _SOLVER_BLOCK):
         t = flat_target[start : start + _SOLVER_BLOCK]
-        _check_targets(t, 0.0, float(D))
+        if not np.all(np.isfinite(t)):
+            raise SolverError("non-finite solver target")
+        if np.any(t < -1e-9) or np.any(t > D + 1e-9):
+            raise SolverError("target outside monotone bracket (lift not monotone?)")
         lo, hi = _sine_family_bracket(D, a, t, tol)
         root = np.where(t == 0.0, lo, np.where(t == D, hi, 0.5 * (lo + hi)))
-        wide = np.flatnonzero(hi - lo > tol)
+        wide = np.flatnonzero((hi - lo > tol) & (t != 0.0) & (t != D))
         if wide.size:
-            root[wide] = _bisect_increasing(fn, lo[wide], hi[wide], t[wide], tol)
+            root[wide] = _solve_block(family, lo[wide], hi[wide], t[wide], tol)
         flat_out[start : start + _SOLVER_BLOCK] = root
     return out
 
@@ -522,8 +484,13 @@ def _narrow(x, fx, t, a, b, fa, fb):
     )
 
 
-def _solve_block(fn, lo, hi, flo, fhi, target, tol: float) -> np.ndarray:
-    """Bracket midpoints for one block of 1-D arrays (see :func:`_bisect_increasing`).
+def _solve_block(fn, lo, hi, target, tol: float) -> np.ndarray:
+    """Solve ``fn(x) = target`` for an increasing ``fn``, elementwise on 1-D arrays.
+
+    Each bracket ``[lo, hi]`` must hold its root.  ``fn`` is evaluated at
+    both ends of every bracket wider than ``tol``, and each result is the
+    midpoint of a bracket at most ``tol`` wide, so it lies within ``tol/2``
+    of the root.
 
     Every pass makes two probes per unconverged element.  The first is a
     false-position step; the second "straddles" the root from the first
@@ -538,11 +505,11 @@ def _solve_block(fn, lo, hi, flo, fhi, target, tol: float) -> np.ndarray:
     ``fn`` only on the elements left.
     """
     out = 0.5 * (lo + hi)
-    # invariant fn(a) < t <= fn(b), with the same ``<`` as plain bisection
-    idx = np.flatnonzero((hi - lo > tol) & (flo != target) & (fhi != target))
-    if idx.size == 0:  # seeded brackets are often tol-wide already
-        return out
-    a, b, fa, fb, t = lo[idx], hi[idx], flo[idx], fhi[idx], target[idx]
+    idx = np.flatnonzero(hi - lo > tol)
+    # invariant fn(a) < t <= fn(b), with the same ``<`` as plain bisection; at
+    # an end hit fn(a) == t every probe moves b, so the bracket closes on a
+    a, b, t = lo[idx], hi[idx], target[idx]
+    fa, fb = fn(a), fn(b)
     bisect = np.zeros(idx.size, dtype=bool)
     margin = 0.25 * tol
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -593,7 +560,7 @@ def _unit_lift(spec: CircleMapSpec, u: np.ndarray, tol: float) -> np.ndarray:
         right = ext[idx + 1]
         return idx + (u - left) / (right - left)
     if spec.kind == "smooth_sine":
-        return spec.degree * u + spec.epsilon * np.sin(_TWO_PI * u) / _TWO_PI
+        return _sine_family(spec.degree, spec.epsilon, u)
     hv = homeo_lift_values(spec.homeo, u)
     gv = lift_values(spec.base, hv, tol=tol)
     return homeo_inverse_values(spec.homeo, gv, tol=tol)
@@ -722,9 +689,7 @@ def inverse_branch_values(
     if is_closed_form(spec):
         return closed_form_inverse(spec, _pl_ext(spec.cuts), branch, y, out=out)
     if spec.kind == "smooth_sine":
-        x = _solve_sine_family(
-            lambda u: _unit_lift(spec, u, tol), spec.degree, spec.epsilon, branch + y, tol
-        )
+        x = _solve_sine_family(spec.degree, spec.epsilon, branch + y, tol)
     else:
         hv = homeo_lift_values(spec.homeo, y)
         xb = inverse_branch_values(spec.base, branch, np.clip(hv, 0.0, 1.0), tol=tol)
@@ -1005,8 +970,9 @@ def _cached_validation(spec: CircleMapSpec, grid: int) -> ValidationReport:
         return ok
 
     if structural(spec, "map"):
-        # numeric checks: endpoints, periodicity anchor, strict monotonicity on a
-        # dense grid plus all breakpoints
+        # strict monotonicity on a dense grid plus all breakpoints; F(0) = 0
+        # and F(1) = d hold exactly for every kind, as lift_values reduces
+        # x = 1 to u = 0 and every unit lift maps 0 to 0
         xs = np.linspace(0.0, 1.0, grid + 1)
         cuts = _structural_cuts(spec)
         if cuts.size:
@@ -1020,17 +986,7 @@ def _cached_validation(spec: CircleMapSpec, grid: int) -> ValidationReport:
             ) < defaults.MIN_CUT_GAP
             near[[0, -1]] = False
             xs = np.unique(np.concatenate([xs[~near], cuts]))
-        vals = lift_values(spec, xs)
-        f0 = float(vals[0])
-        f1 = float(vals[-1])
-        if abs(f0) > 1e-12:
-            violations.append(Violation("fixed_point", f"F(0) = {f0:.3e} != 0", location=0.0))
-        if abs(f1 - spec.degree) > 1e-9:
-            violations.append(
-                Violation("endpoint", f"F(1) = {f1!r} != degree {spec.degree}", location=1.0)
-            )
-        diffs = np.diff(vals)
-        bad = np.where(diffs <= 0)[0]
+        bad = np.flatnonzero(np.diff(lift_values(spec, xs)) <= 0)
         if bad.size:
             at = float(xs[bad[0]])
             violations.append(

@@ -337,7 +337,7 @@ def reference_sine_family_solve(D: int, a: float, target, tol: float):
         f_lo, f_hi = f(lo), f(hi)
         if np.any(t < f_lo - 1e-9) or np.any(t > f_hi + 1e-9):
             raise SolverError("target outside monotone bracket (lift not monotone?)")
-        mid = circle_maps._solve_block(f, lo, hi, f_lo, f_hi, t, tol)
+        mid = circle_maps._solve_block(f, lo, hi, t, tol)
         out[start : start + block_size] = np.where(f_lo == t, lo, np.where(f_hi == t, hi, mid))
     return out
 

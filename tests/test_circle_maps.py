@@ -57,7 +57,7 @@ def _solve_counted(fn, targets):
         evaluated += np.size(u)
         return fn(u)
 
-    roots = circle_maps._bisect_increasing(counted, 0.0, 1.0, targets, TOL)
+    roots = circle_maps._solve_block(counted, np.zeros(targets.size), np.ones(targets.size), targets, TOL)
     return roots, evaluated
 
 
@@ -174,13 +174,8 @@ class TestRootSolver:
         assert inverse_branch_values(smooth05, 0, 0.0) == 0.0
         assert inverse_branch_values(conj_smooth, 0, 0.0) == 0.0
         assert inverse_branch_values(conj_smooth, 1, 1.0) == 1.0
-        lo = np.array([0.5, 0.5, 0.5])
-        hi = np.array([1.0, 1.0, 1.0])
-        got = circle_maps._bisect_increasing(
-            lambda u: u**3, lo, hi, np.array([0.125, 1.0, 0.3]), TOL
-        )
-        assert got[0] == 0.5 and got[1] == 1.0
-        assert abs(got[2] - 0.3 ** (1.0 / 3.0)) <= TOL
+        got = circle_maps._solve_block(lambda u: u**3, np.array([0.5]), np.array([1.0]), np.array([0.3]), TOL)
+        assert abs(got[0] - 0.3 ** (1.0 / 3.0)) <= TOL
 
     def test_element_alone_matches_batch_bitwise(self, smooth05, conj_smooth):
         # a batch over more than one solver block, against single targets;
@@ -228,9 +223,9 @@ def _flat_spot_targets(D, a):
 
 
 def _count_solver_evaluations(monkeypatch):
-    """Patch the solver so every point its ``fn`` is evaluated at is counted."""
+    """Patch the solver passes so every point their ``fn`` is evaluated at is counted."""
     counter = {"points": 0}
-    solve = circle_maps._bisect_increasing
+    solve = circle_maps._solve_block
 
     def counted_solve(fn, lo, hi, target, tol):
         def counted(u):
@@ -239,7 +234,7 @@ def _count_solver_evaluations(monkeypatch):
 
         return solve(counted, lo, hi, target, tol)
 
-    monkeypatch.setattr(circle_maps, "_bisect_increasing", counted_solve)
+    monkeypatch.setattr(circle_maps, "_solve_block", counted_solve)
     return counter
 
 
@@ -392,7 +387,7 @@ class TestSeedBracket:
 
 
 def _family_fn(D, a):
-    """The solver's ``fn`` for the family member (D, a), as its map kind builds it."""
+    """The lift of the family member (D, a), as its map kind evaluates it."""
     if D > 1:
         spec = smooth_sine_map(D, a)
         return lambda u: circle_maps._unit_lift(spec, u, TOL)
@@ -426,7 +421,7 @@ class TestCertifiedFinish:
     @pytest.mark.parametrize("D, a", SINE_FAMILY)
     def test_equals_bracket_then_full_solve_bitwise(self, D, a, tol):
         targets = _oracle_targets(D, a)
-        got = circle_maps._solve_sine_family(_family_fn(D, a), D, a, targets, tol)
+        got = circle_maps._solve_sine_family(D, a, targets, tol)
         want = reference_sine_family_solve(D, a, targets, tol)
         assert got.tobytes() == want.tobytes()
 
@@ -450,7 +445,7 @@ class TestCertifiedFinish:
             (np.array([bad, -1.0, math.nan]), "non-finite"),
         ):
             for solve in (
-                lambda t: circle_maps._solve_sine_family(_family_fn(D, a), D, a, t, TOL),
+                lambda t: circle_maps._solve_sine_family(D, a, t, TOL),
                 lambda t: reference_sine_family_solve(D, a, t, TOL),
             ):
                 with pytest.raises(SolverError, match=want):
@@ -461,7 +456,7 @@ class TestCertifiedFinish:
         for D, a in SINE_FAMILY:
             targets = _oracle_targets(D, a)
             with np.errstate(divide="raise", invalid="raise", over="raise"):
-                circle_maps._solve_sine_family(_family_fn(D, a), D, a, targets, TOL)
+                circle_maps._solve_sine_family(D, a, targets, TOL)
 
 
 class TestGlobalInverseLift:
@@ -582,6 +577,21 @@ class TestValidate:
     def test_homeo_amplitude_bound(self):
         with pytest.raises(InvalidMapError):
             make_conjugated(linear_map(2), sine_homeo(1.0))
+
+    @pytest.mark.parametrize(
+        "base, homeo",
+        [
+            (smooth_sine_map(2, 1.0), compose_homeos([sine_homeo(0.999999), sine_homeo(-0.999999), sine_homeo(0.999999)])),
+            (smooth_sine_map(2, 1.999999), sine_homeo(0.999999)),
+        ],
+    )
+    def test_grid_check_rejects_structurally_valid_specs(self, base, homeo):
+        # the base and the homeomorphism pass their structural checks, but
+        # the computed lift of the conjugated map is not strictly increasing:
+        # only the numeric grid check rejects it
+        report = validate(make_conjugated(base, homeo))
+        assert [v.code for v in report.violations] == ["non_monotone"]
+        assert report.violations[0].message.startswith("lift not strictly increasing on the validation grid")
 
 
 class TestMakeConjugated:

@@ -322,6 +322,19 @@ class TestAnalyzeCommands:
         assert [float(r[1]) for r in rows] == pytest.approx([1.25**n for n in range(1, 5)], rel=1e-12)
         assert rows[-1][2] == "1111"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phi_zero_length_cylinder_exits_2(self, specs, capsys):
+        # a valid map whose narrowest level-3 cylinders are shorter than an ulp
+        narrow = specs["dir"] / "narrow.json"
+        narrow.write_text('{"kind": "piecewise_linear_full_branch", "cuts": [1.5e-9, 0.5]}')
+        lin3 = specs["dir"] / "lin3.json"
+        lin3.write_text('{"kind": "linear", "degree": 3}')
+        code = main(["analyze", "phi", "--from", str(narrow), "--to", str(lin3), "--level", "6"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: f-cylinder of level 3 has computed length 0.000e+00\n"
+
     def test_tailsum(self, specs, capsys):
         code = main(["analyze", "tailsum", "--map", specs["f06"], "--word", "0", "--kmax", "5"])
         assert code == 0

@@ -9,9 +9,12 @@ on another CPU.  Of ``repro all`` only the rows of criteria 2, 6, 7 and 8 are
 kept: they use piecewise-linear maps alone, while criteria 1 and 4 print
 elapsed times and the others solve roots.
 
-To record the files again (only when an output change is intended)::
+With no arguments the script records the cases whose file is missing (a new
+case); cases named on the command line are recorded again, which is only for
+an intended output change.  No other file is touched::
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py partition_f06_level4.csv
 """
 
 from __future__ import annotations
@@ -109,12 +112,18 @@ def test_cli_output_matches_golden(name, tmp_path):
         assert all(_close(a, b) for a, b in zip(got, ref)), (got, ref)
 
 
-def _record() -> None:
+def _record(names: list[str]) -> None:
+    """Record the named cases, or with no names every case whose file is missing."""
     import tempfile
 
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
+    names = names or [name for name in CASES if not (GOLDEN / name).exists()]
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (argv, want_code, _) in CASES.items():
+        for name in names:
+            argv, want_code, _ = CASES[name]
             code, out = _report(name, argv, Path(tmp))
             if code != want_code:
                 raise SystemExit(f"{name}: exit {code}, expected {want_code}")
@@ -125,4 +134,4 @@ def _record() -> None:
 
 
 if __name__ == "__main__":
-    _record()
+    _record(sys.argv[1:])

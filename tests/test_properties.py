@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circledyn import (
+    CircleMapSpec,
     Word,
+    compose_homeos,
     drop_last,
     eval_lift,
     global_inverse_lift,
+    identity_homeo,
     interval_of_word,
     inverse_branch,
     left_shift,
     level_endpoints,
+    lift_values,
+    linear_map,
     piecewise_linear,
     qs_ratio,
     sine_homeo,
+    smooth_sine_map,
     word_of_point,
 )
 from _oracles import sine_homeo_lift
@@ -43,10 +49,44 @@ def words_for(draw, degree, max_level=6):
     return Word(tuple(draw(st.integers(0, degree - 1)) for _ in range(level)))
 
 
+@st.composite
+def homeos(draw, depth=1):
+    """Identity, sine and compose homeomorphisms, compositions nested ``depth`` deep."""
+    kind = draw(st.sampled_from(["identity", "sine_homeo", "compose"][: 3 if depth else 2]))
+    if kind == "identity":
+        return identity_homeo()
+    if kind == "sine_homeo":
+        return sine_homeo(draw(st.floats(-0.999, 0.999)))
+    return compose_homeos(draw(st.lists(homeos(depth - 1), min_size=1, max_size=3)))
+
+
+@st.composite
+def any_maps(draw, depth=1):
+    """Maps of every kind, conjugated maps nested ``depth`` deep (built unvalidated)."""
+    kind = draw(st.sampled_from(["linear", "pl", "smooth_sine", "conjugated"][: 4 if depth else 3]))
+    if kind == "linear":
+        return linear_map(draw(st.integers(2, 5)))
+    if kind == "pl":
+        return draw(pl_maps())
+    if kind == "smooth_sine":
+        degree = draw(st.integers(2, 5))
+        return smooth_sine_map(degree, degree * draw(st.floats(-0.999, 0.999)))
+    base = draw(any_maps(depth - 1))
+    return CircleMapSpec(kind="conjugated", degree=base.degree, base=base, homeo=draw(homeos()))
+
+
 unit_points = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
 
 class TestLiftProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(any_maps())
+    def test_unit_ends_exact(self, spec):
+        # x = 1 reduces to u = 0, and every unit lift maps 0 to 0 exactly,
+        # so validation needs no F(0) or F(1) check
+        assert lift_values(spec, 0.0) == 0.0
+        assert lift_values(spec, 1.0) == spec.degree
+
     @settings(max_examples=50, deadline=None)
     @given(pl_maps(), st.floats(-3.0, 3.0, allow_nan=False))
     def test_periodicity(self, spec, x):
