@@ -7,7 +7,9 @@ compared byte for byte.  Reports that involve a root-solved map are compared
 as parsed values within 1e-12, because numpy's ``sin`` may round differently
 on another CPU.  Of ``repro all`` only the rows of criteria 2, 6, 7 and 8 are
 kept: they use piecewise-linear maps alone, while criteria 1 and 4 print
-elapsed times and the others solve roots.
+elapsed times and the others solve roots.  A report is what the command
+writes to stdout and stderr, so the ``validate`` cases of invalid specs
+(exit 1) also pin the message of a spec the JSON reader refuses.
 
 With no arguments the script records the cases whose file is missing (a new
 case); cases named on the command line are recorded again, which is only for
@@ -36,6 +38,16 @@ SPECS = {
     "f06.json": '{"kind": "piecewise_linear_full_branch", "cuts": [0.6]}',
     "lin2.json": '{"kind": "linear", "degree": 2}',
     "sine.json": '{"kind": "smooth_sine", "degree": 2, "epsilon": 0.5}',
+    "lin1.json": '{"kind": "linear", "degree": 1}',
+    "cuts_down.json": '{"kind": "piecewise_linear_full_branch", "cuts": [0.6, 0.4]}',
+    "cuts_close.json": '{"kind": "piecewise_linear_full_branch", "cuts": [0.5, 0.5000000001]}',
+    "sine_nan.json": '{"kind": "smooth_sine", "degree": 2, "epsilon": NaN}',
+    "sine_steep.json": '{"kind": "smooth_sine", "degree": 2, "epsilon": 2.5}',
+    "conj_bad_homeo.json": (
+        '{"kind": "conjugated", "base": {"kind": "piecewise_linear_full_branch", "cuts": [0.6]},'
+        ' "homeo": {"kind": "compose", "parts": [{"kind": "sine_homeo", "c": 0.3},'
+        ' {"kind": "sine_homeo", "c": -1.5}]}}'
+    ),
 }
 # name -> (argv, exit code, exact bytes?)
 CASES = {
@@ -58,6 +70,12 @@ CASES = {
     "qs_f06_lin2_wrapped.csv": (
         ["analyze", "qs", "--from", "f06.json", "--to", "lin2.json", "--x", "0.02", "--t", "0.1"], 0, True),
     "repro_all_pl_rows.csv": (["repro", "all"], 0, True),
+    "validate_bad_degree.csv": (["validate", "--map", "lin1.json"], 1, True),
+    "validate_cuts_not_increasing.csv": (["validate", "--map", "cuts_down.json"], 1, True),
+    "validate_branch_too_small.csv": (["validate", "--map", "cuts_close.json"], 1, True),
+    "validate_non_finite.csv": (["validate", "--map", "sine_nan.json"], 1, True),
+    "validate_sine_non_monotone.csv": (["validate", "--map", "sine_steep.json"], 1, True),
+    "validate_conj_bad_homeo.csv": (["validate", "--map", "conj_bad_homeo.json"], 1, True),
 }
 # the report rows kept of a case (by first column); other cases keep every line
 ROWS = {"repro_all_pl_rows.csv": ("2", "6", "7", "8")}
@@ -70,7 +88,7 @@ def _run(argv: list[str], workdir: Path) -> tuple[int, str]:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(buf):
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
             code = main(argv)
     finally:
         os.chdir(cwd)
