@@ -21,6 +21,7 @@ from .circle_maps import (
     CircleMapSpec,
     chain_error_bound,
     ensure_valid,
+    ensure_valid_homeo,
     homeo_lift_values,
     inverse_branch_values,
     inverse_orbit,
@@ -49,8 +50,9 @@ _MODULUS_BATCH = 2**15
 
 
 def _lift_fn(h: LiftLike) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
-    """Adapt a homeo spec, conjugacy, or raw callable to a vectorized lift."""
+    """Adapt a homeo spec (validated first), conjugacy, or raw callable to a vectorized lift."""
     if isinstance(h, CircleHomeoSpec):
+        ensure_valid_homeo(h)
         return (lambda x: homeo_lift_values(h, x)), h.describe()
     if isinstance(h, ConjugacyMap):
         return h.lift_values, h.describe()
@@ -87,6 +89,7 @@ def qs_ratio(
         ResolutionExhausted: the denominator fell below ``QS_DENOM_FLOOR``
             (the measurement resolution is used up at this scale).
         ValueError: ``x`` or ``t`` is not finite, or ``t <= 0``.
+        InvalidMapError: ``h`` is a homeomorphism spec that fails validation.
     """
     _check_finite(x=x, t=t)
     if t <= 0:
@@ -138,6 +141,7 @@ def symmetry_modulus(
     Raises:
         ResolutionExhausted: some increment at some grid point vanished.
         ValueError: a scale that is NaN or outside (0, 0.5], or grid < 1.
+        InvalidMapError: ``h`` is a homeomorphism spec that fails validation.
     """
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")

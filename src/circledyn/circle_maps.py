@@ -28,6 +28,11 @@ step, step error, validation); :func:`is_closed_form` and
 :func:`lift_slope_values` when it is root-solved and not conjugated (its
 word model is then the forward orbit).
 
+:func:`validate` checks a spec by formula and evaluates no lift.  Each
+kind's checks give a valid lift the slope floor
+``F' >= slope_bounds(spec)[0] > 0``; a conjugated map whose floor is below
+``MIN_CUT_GAP`` is refused as well, since its computed lift can go flat.
+
 Closed forms are used for the linear and piecewise-linear kinds; every other
 inverse is a bracketed root solve to an absolute tolerance (default
 ``SOLVER_TOL``).  The root-solved lifts ``smooth_sine`` and ``sine_homeo``
@@ -77,6 +82,12 @@ _SEED_NODES = 2**12
 # Spec types
 # ---------------------------------------------------------------------------
 
+def _number(value: float) -> str:
+    """``value`` in ``:g`` form when that reads back as the same float, else its repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 @dataclass(frozen=True)
 class CircleHomeoSpec:
     """Declarative description of a circle homeomorphism lift."""
@@ -93,7 +104,7 @@ class CircleHomeoSpec:
         if self.kind == "identity":
             return "identity"
         if self.kind == "sine_homeo":
-            return f"sine_homeo(c={self.c:g})"
+            return f"sine_homeo(c={_number(self.c)})"
         return "compose(" + ", ".join(p.describe() for p in self.parts) + ")"
 
 
@@ -116,9 +127,9 @@ class CircleMapSpec:
         if self.kind == "linear":
             return f"linear(d={self.degree})"
         if self.kind == "piecewise_linear_full_branch":
-            return "piecewise_linear(cuts=[" + ", ".join(f"{c:g}" for c in self.cuts) + "])"
+            return "piecewise_linear(cuts=[" + ", ".join(_number(c) for c in self.cuts) + "])"
         if self.kind == "smooth_sine":
-            return f"smooth_sine(d={self.degree}, epsilon={self.epsilon:g})"
+            return f"smooth_sine(d={self.degree}, epsilon={_number(self.epsilon)})"
         base = self.base.describe() if self.base is not None else "?"
         homeo = self.homeo.describe() if self.homeo is not None else "?"
         return f"conjugated(base={base}, homeo={homeo})"
@@ -196,11 +207,13 @@ def make_conjugated(base: CircleMapSpec, homeo: CircleHomeoSpec) -> CircleMapSpe
     """Spec whose lift is ``H^{-1} o G o H``; same degree as the base, fixes 0.
 
     Raises:
-        InvalidMapError: if the base map or the homeomorphism fails validation.
+        InvalidMapError: if the conjugated spec fails :func:`validate`: a bad
+            base map (``map.base``), a bad homeomorphism (``map.homeo``), or a
+            slope floor below ``MIN_CUT_GAP``.
     """
-    ensure_valid(base)
-    ensure_valid_homeo(homeo)
-    return _conjugated(base, homeo)
+    spec = _conjugated(base, homeo)
+    ensure_valid(spec)
+    return spec
 
 
 def _conjugated(base: CircleMapSpec, homeo: CircleHomeoSpec) -> CircleMapSpec:
@@ -891,131 +904,69 @@ def _collect_homeo_violations(spec: CircleHomeoSpec, out: list[Violation], path:
 
 
 @lru_cache(maxsize=512)
-def _cached_validation(spec: CircleMapSpec, grid: int) -> ValidationReport:
+def _cached_validation(spec: CircleMapSpec) -> ValidationReport:
     violations: list[Violation] = []
+    minimum = defaults.MIN_CUT_GAP
 
-    def structural(s: CircleMapSpec, path: str) -> bool:
-        """Collect structural violations; returns False when numeric checks are unsafe."""
-        ok = True
+    def flag(code: str, message: str, location: float | None = None) -> None:
+        violations.append(Violation(code, message, location))
+
+    def structural(s: CircleMapSpec, path: str) -> None:
         if not isinstance(s.degree, int) or not 2 <= s.degree <= defaults.DEGREE_CAP:
-            violations.append(
-                Violation("bad_degree", f"{path}: degree must be an integer in [2, {defaults.DEGREE_CAP}], got {s.degree!r}")
-            )
-            ok = False
+            flag("bad_degree", f"{path}: degree must be an integer in [2, {defaults.DEGREE_CAP}], got {s.degree!r}")
         if s.kind == "piecewise_linear_full_branch":
-            cuts = s.cuts
-            if len(cuts) + 1 != s.degree:
-                violations.append(
-                    Violation("bad_degree", f"{path}: degree must equal len(cuts)+1")
-                )
-                ok = False
-            if not all(math.isfinite(c) for c in cuts):
-                violations.append(
-                    Violation("non_finite", f"{path}: cuts must be finite numbers")
-                )
-                return False
-            ext = (0.0,) + tuple(cuts) + (1.0,)
-            for i in range(len(ext) - 1):
-                gap = ext[i + 1] - ext[i]
+            if len(s.cuts) + 1 != s.degree:
+                flag("bad_degree", f"{path}: degree must equal len(cuts)+1")
+            if not all(math.isfinite(c) for c in s.cuts):
+                flag("non_finite", f"{path}: cuts must be finite numbers")
+                return
+            ext = (0.0,) + tuple(s.cuts) + (1.0,)
+            for left, right in zip(ext, ext[1:]):
+                gap = right - left
                 if gap <= 0:
-                    violations.append(
-                        Violation(
-                            "cuts_not_increasing",
-                            f"{path}: cuts must be strictly increasing inside (0,1)",
-                            location=ext[i],
-                        )
-                    )
-                    ok = False
+                    flag("cuts_not_increasing", f"{path}: cuts must be strictly increasing inside (0,1)", left)
                     break
-                if gap < defaults.MIN_CUT_GAP:
-                    violations.append(
-                        Violation(
-                            "branch_too_small",
-                            f"{path}: branch width {gap:.3g} below minimum {defaults.MIN_CUT_GAP:g}",
-                            location=ext[i],
-                        )
-                    )
-                    ok = False
+                if gap < minimum:
+                    flag("branch_too_small", f"{path}: branch width {gap:.3g} below minimum {minimum:g}", left)
         elif s.kind == "smooth_sine":
             if not math.isfinite(s.epsilon):
-                violations.append(
-                    Violation("non_finite", f"{path}: epsilon={s.epsilon!r} is not a finite number")
-                )
-                ok = False
+                flag("non_finite", f"{path}: epsilon={s.epsilon!r} is not a finite number")
             elif not abs(s.epsilon) < s.degree:
-                violations.append(
-                    Violation(
-                        "non_monotone",
-                        f"{path}: non-monotone lift, min F' = d - |epsilon| = "
-                        f"{s.degree - abs(s.epsilon):g} <= 0 (F' changes sign)",
-                        location=0.5 if s.epsilon > 0 else 0.0,
-                    )
+                flag(
+                    "non_monotone",
+                    f"{path}: non-monotone lift, min F' = d - |epsilon| = "
+                    f"{s.degree - abs(s.epsilon):g} <= 0 (F' changes sign)",
+                    0.5 if s.epsilon > 0 else 0.0,
                 )
-                ok = False
         elif s.kind == "conjugated":
             if s.base is None or s.homeo is None:
-                violations.append(
-                    Violation("missing_field", f"{path}: conjugated needs base and homeo")
-                )
-                return False
-            ok = structural(s.base, f"{path}.base") and ok
-            if s.base is not None and s.degree != s.base.degree:
-                violations.append(
-                    Violation("bad_degree", f"{path}: degree must match the base map")
-                )
-                ok = False
-            before = len(violations)
+                flag("missing_field", f"{path}: conjugated needs base and homeo")
+                return
+            structural(s.base, f"{path}.base")
+            if s.degree != s.base.degree:
+                flag("bad_degree", f"{path}: degree must match the base map")
             _collect_homeo_violations(s.homeo, violations, f"{path}.homeo")
-            ok = ok and len(violations) == before
-        return ok
 
-    if structural(spec, "map"):
-        # strict monotonicity on a dense grid plus all breakpoints; F(0) = 0
-        # and F(1) = d hold exactly for every kind, as lift_values reduces
-        # x = 1 to u = 0 and every unit lift maps 0 to 0
-        xs = np.linspace(0.0, 1.0, grid + 1)
-        cuts = _structural_cuts(spec)
-        if cuts.size:
-            # an interior grid point closer to a breakpoint than MIN_CUT_GAP
-            # gives way to it: the lift step across so small a gap can round
-            # to zero and read as a monotonicity failure
-            j = np.searchsorted(cuts, xs)
-            near = np.minimum(
-                np.abs(xs - cuts[np.maximum(j - 1, 0)]),
-                np.abs(cuts[np.minimum(j, cuts.size - 1)] - xs),
-            ) < defaults.MIN_CUT_GAP
-            near[[0, -1]] = False
-            xs = np.unique(np.concatenate([xs[~near], cuts]))
-        bad = np.flatnonzero(np.diff(lift_values(spec, xs)) <= 0)
-        if bad.size:
-            at = float(xs[bad[0]])
-            violations.append(
-                Violation(
-                    "non_monotone",
-                    f"lift not strictly increasing on the validation grid "
-                    f"(first failure between x={at:.6g} and x={float(xs[bad[0] + 1]):.6g})",
-                    location=at,
-                )
-            )
+    structural(spec, "map")
+    if spec.kind == "conjugated" and not violations:
+        # the structural checks give F' >= floor > 0 in exact arithmetic; so
+        # small a floor lets the computed lift go flat between nearby floats
+        floor = slope_bounds(spec)[0]
+        if floor < minimum:
+            flag("non_monotone", f"map: slope floor {floor:.3g} of the conjugated lift below minimum {minimum:g}")
     return ValidationReport(subject=spec.describe(), violations=tuple(violations))
 
 
-def _structural_cuts(spec: CircleMapSpec) -> np.ndarray:
-    """Breakpoints worth adding to the validation grid (known cuts only)."""
-    if spec.kind == "piecewise_linear_full_branch":
-        return np.asarray(spec.cuts, dtype=float)
-    if spec.kind == "conjugated" and spec.base is not None and spec.homeo is not None:
-        inner = _structural_cuts(spec.base)
-        if inner.size:
-            return _homeo_inverse_unit(spec.homeo, inner, defaults.SOLVER_TOL)
-    return np.asarray([], dtype=float)
+def validate(spec: CircleMapSpec) -> ValidationReport:
+    """Validate a map spec by formula; the report lists violations with locations.
 
-
-def validate(spec: CircleMapSpec, grid: int = defaults.MONOTONE_GRID) -> ValidationReport:
-    """Validate a map spec; the report lists violations with locations."""
+    No lift is evaluated (see the module docstring).  A conjugated map whose
+    parts pass is still refused, as ``non_monotone``, when its slope floor
+    ``slope_bounds(spec)[0]`` is below ``MIN_CUT_GAP``.
+    """
     if not isinstance(spec, CircleMapSpec):
         raise TypeError(f"expected CircleMapSpec, got {type(spec).__name__}")
-    return _cached_validation(spec, grid)
+    return _cached_validation(spec)
 
 
 def ensure_valid(spec: CircleMapSpec) -> None:

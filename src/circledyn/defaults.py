@@ -1,10 +1,10 @@
 """Central table of numeric defaults.
 
 Every tolerance, cap, and grid size used by the workbench is defined here.
-The solver tolerance, the depth, cell and work caps and the grids and ladder
-(MONOTONE_GRID, MODULUS_GRID, SCALE_LADDER) are defaults of explicit
-parameters; DEGREE_CAP, MIN_CUT_GAP, ENDPOINT_SNAP, QS_DENOM_FLOOR and
-PROBE_LEVEL are read where they are used and take no parameter.
+The solver tolerance, the depth, cell and work caps and the grid and ladder
+(MODULUS_GRID, SCALE_LADDER) are defaults of explicit parameters;
+DEGREE_CAP, MIN_CUT_GAP, ENDPOINT_SNAP, QS_DENOM_FLOOR and PROBE_LEVEL are
+read where they are used and take no parameter.
 
 ===================  ============  ====================================================
 name                 default       used by
@@ -26,8 +26,9 @@ CELL_CAP             2**20         max cylinder count for a fully enumerated lev
 DEGREE_CAP           2**10         max map degree, checked at validation before any
                                    per-branch table is built
 WORK_CAP             10**7         max excluded-word tuple count in tail sums
-MIN_CUT_GAP          1e-9          smallest admissible branch width at validation
-MONOTONE_GRID        2048          sample count for the monotonicity validation check
+MIN_CUT_GAP          1e-9          smallest admissible branch width at validation,
+                                   and smallest admissible slope floor
+                                   ``slope_bounds(spec)[0]`` of a conjugated map
 ENDPOINT_SNAP        1e-12         distance at which a point is treated as a cylinder
                                    endpoint during conjugacy evaluation
 QS_DENOM_FLOOR       1e-300        denominator floor for distortion ratios
@@ -48,7 +49,6 @@ CELL_CAP = 2**20
 DEGREE_CAP = 2**10
 WORK_CAP = 10**7
 MIN_CUT_GAP = 1e-9
-MONOTONE_GRID = 2048
 ENDPOINT_SNAP = 1e-12
 QS_DENOM_FLOOR = 1e-300
 MODULUS_GRID = 1024

@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against the defining
 formulas (plain bisection, direct branch formulas, brute-force enumeration,
 60-digit Newton solves in mpmath) and never calls into the package, so
 package results can be checked against a second, structurally different
-computation path.  The reference loops at the end are the one exception.
+computation path.  The reference loops and the grid check at the end are the
+exceptions.
 """
 
 from __future__ import annotations
@@ -392,3 +393,62 @@ def reference_measure_profile(spec, intervals, tol: float):
         total += inverse_branch_values(spec, s, b, tol=tol)
         total -= inverse_branch_values(spec, s, a, tol=tol)
     return np.abs(total - (b - a))
+
+
+# Validation once sampled the lift as well: strict monotonicity on a grid of
+# 2048 intervals plus all breakpoints.  That check is kept here as the
+# reference that the formula check (the slope floor of a conjugated map) must
+# be at least as strict as; it calls the package's lift and inverse
+# homeomorphism, since it judges the lift the package computes.
+
+MONOTONE_GRID = 2048
+
+
+def structural_cuts(spec):
+    """Breakpoints worth adding to the validation grid (known cuts only)."""
+    import numpy as np
+    from circledyn import defaults
+    from circledyn.circle_maps import _homeo_inverse_unit
+
+    if spec.kind == "piecewise_linear_full_branch":
+        return np.asarray(spec.cuts, dtype=float)
+    if spec.kind == "conjugated" and spec.base is not None and spec.homeo is not None:
+        inner = structural_cuts(spec.base)
+        if inner.size:
+            return _homeo_inverse_unit(spec.homeo, inner, defaults.SOLVER_TOL)
+    return np.asarray([], dtype=float)
+
+
+def grid_monotone_failure(spec, grid: int = MONOTONE_GRID):
+    """The grid check's ``non_monotone`` violation of a structurally valid
+    spec, or None when its computed lift increases strictly on the grid."""
+    import numpy as np
+    from circledyn import defaults
+    from circledyn.circle_maps import Violation, lift_values
+
+    # strict monotonicity on a dense grid plus all breakpoints; F(0) = 0
+    # and F(1) = d hold exactly for every kind, as lift_values reduces
+    # x = 1 to u = 0 and every unit lift maps 0 to 0
+    xs = np.linspace(0.0, 1.0, grid + 1)
+    cuts = structural_cuts(spec)
+    if cuts.size:
+        # an interior grid point closer to a breakpoint than MIN_CUT_GAP
+        # gives way to it: the lift step across so small a gap can round
+        # to zero and read as a monotonicity failure
+        j = np.searchsorted(cuts, xs)
+        near = np.minimum(
+            np.abs(xs - cuts[np.maximum(j - 1, 0)]),
+            np.abs(cuts[np.minimum(j, cuts.size - 1)] - xs),
+        ) < defaults.MIN_CUT_GAP
+        near[[0, -1]] = False
+        xs = np.unique(np.concatenate([xs[~near], cuts]))
+    bad = np.flatnonzero(np.diff(lift_values(spec, xs)) <= 0)
+    if bad.size:
+        at = float(xs[bad[0]])
+        return Violation(
+            "non_monotone",
+            f"lift not strictly increasing on the validation grid "
+            f"(first failure between x={at:.6g} and x={float(xs[bad[0] + 1]):.6g})",
+            location=at,
+        )
+    return None

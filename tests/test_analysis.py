@@ -9,10 +9,12 @@ from circledyn import (
     ConjugacyMap,
     DegreeMismatchError,
     DepthCapExceeded,
+    InvalidMapError,
     ResolutionExhausted,
     WorkCapExceeded,
     CellCapExceeded,
     Word,
+    compose_homeos,
     dilatation_report,
     dyadic_intervals,
     global_inverse_lift,
@@ -46,6 +48,9 @@ from _oracles import (
 # measure deviation of conjugated(linear 2, sine 0.5) on 256 dyadic intervals,
 # pinned from a 40-digit bisection oracle before the build
 PINNED_CONJUGATED_DEVIATION = 0.0039046823935966124
+
+# homeomorphism specs whose lifts are not monotone: |c| >= 1
+INVALID_HOMEOS = [sine_homeo(5.0), compose_homeos([sine_homeo(-3.0)])]
 
 
 class TestQsRatio:
@@ -104,11 +109,21 @@ class TestQsRatio:
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
             qs_ratio(sine_homeo(0.3), x, t)
 
+    @pytest.mark.parametrize("h", INVALID_HOMEOS, ids=lambda h: h.describe())
+    def test_invalid_homeo_spec_rejected(self, h):
+        with pytest.raises(InvalidMapError, match="non-monotone"):
+            qs_ratio(h, 0.25, 0.2)
+
 
 class TestSymmetryModulus:
     def test_identity_is_zero(self):
         report = symmetry_modulus(identity_homeo(), scales=[0.25, 0.125], grid=64)
         assert report.worst() == 0.0
+
+    @pytest.mark.parametrize("h", INVALID_HOMEOS, ids=lambda h: h.describe())
+    def test_invalid_homeo_spec_rejected(self, h):
+        with pytest.raises(InvalidMapError, match="non-monotone"):
+            symmetry_modulus(h, scales=[0.25], grid=16)
 
     def test_conjugacy_deviation_grows_at_small_scales(self, f06, lin2):
         h = ConjugacyMap(f06, lin2, tol=1e-10)

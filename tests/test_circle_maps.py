@@ -1,6 +1,7 @@
 """Lift evaluation, branch inversion, validation, and spec ingestion."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,7 @@ from circledyn import circle_maps, defaults
 from _oracles import (
     bisect_root,
     conjugated_inverse_branch,
+    grid_monotone_failure,
     mp_sine_family_root,
     pl_lift,
     reference_sine_family_solve,
@@ -588,13 +590,42 @@ class TestValidate:
     def test_grid_check_rejects_structurally_valid_specs(self, base, homeo):
         # the base and the homeomorphism pass their structural checks, but
         # the computed lift of the conjugated map is not strictly increasing:
-        # only the numeric grid check rejects it
-        report = validate(make_conjugated(base, homeo))
+        # the slope floor rejects it
+        spec = CircleMapSpec(kind="conjugated", degree=base.degree, base=base, homeo=homeo)
+        assert grid_monotone_failure(spec) is not None
+        report = validate(spec)
         assert [v.code for v in report.violations] == ["non_monotone"]
-        assert report.violations[0].message.startswith("lift not strictly increasing on the validation grid")
+        assert re.fullmatch(
+            r"map: slope floor \S+ of the conjugated lift below minimum 1e-09", report.violations[0].message
+        )
+        assert report.violations[0].location is None
+        with pytest.raises(InvalidMapError, match="slope floor"):
+            make_conjugated(base, homeo)
+
+
+class TestDescribe:
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (piecewise_linear([0.6]), "piecewise_linear(cuts=[0.6])"),
+            (smooth_sine_map(2, 0.5), "smooth_sine(d=2, epsilon=0.5)"),
+            # :g would print epsilon=2, which names an invalid map
+            (smooth_sine_map(2, 1.999999), "smooth_sine(d=2, epsilon=1.999999)"),
+            (smooth_sine_map(2, 2 - 1e-15), "smooth_sine(d=2, epsilon=1.999999999999999)"),
+            (piecewise_linear([1 / 3, 0.5]), "piecewise_linear(cuts=[0.3333333333333333, 0.5])"),
+            (sine_homeo(1 - 1e-9), "sine_homeo(c=0.999999999)"),
+            (sine_homeo(0.1 + 0.2), "sine_homeo(c=0.30000000000000004)"),
+        ],
+    )
+    def test_numbers_read_back_exactly(self, spec, text):
+        assert spec.describe() == text
 
 
 class TestMakeConjugated:
+    def test_bad_parts_named_by_path(self):
+        with pytest.raises(InvalidMapError, match=r"map\.base: non-monotone lift.*; map\.homeo: \|c\|=1\.5 >= 1"):
+            make_conjugated(smooth_sine_map(2, 2.5), sine_homeo(1.5))
+
     def test_identity_homeo_is_noop(self, lin2):
         conj = make_conjugated(lin2, identity_homeo())
         xs = np.linspace(0.0, 1.0, 1000, endpoint=False)

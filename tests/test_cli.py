@@ -379,6 +379,29 @@ class TestAnalyzeCommands:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: scales must lie in (0, 0.5]"]
 
+    @pytest.mark.parametrize(
+        "homeo, message",
+        [
+            ('{"kind": "sine_homeo", "c": 5.0}',
+             "sine_homeo(c=5): homeo: |c|=5 >= 1 makes the lift non-monotone"),
+            ('{"kind": "compose", "parts": [{"kind": "sine_homeo", "c": -3.0}]}',
+             "compose(sine_homeo(c=-3)): homeo.parts[0]: |c|=3 >= 1 makes the lift non-monotone"),
+        ],
+        ids=["sine", "compose"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["qs", "--x", "0.25", "--t", "0.2"], ["symmetry", "--grid", "16", "--scales", "0.25"]],
+        ids=["qs", "symmetry"],
+    )
+    def test_invalid_homeo_exits_1(self, tmp_path, capsys, homeo, message, command):
+        p = tmp_path / "h.json"
+        p.write_text(homeo)
+        code = main(["analyze", command[0], "--homeo", str(p), *command[1:]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message} (H' = 1 + c*cos(2*pi*x) changes sign)"]
+
     def test_work_cap_exit2(self, specs):
         assert main(["analyze", "tailsum", "--map", specs["f06"], "--word", "01010", "--kmax", "10"]) == 2
 

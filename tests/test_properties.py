@@ -22,9 +22,10 @@ from circledyn import (
     qs_ratio,
     sine_homeo,
     smooth_sine_map,
+    validate,
     word_of_point,
 )
-from _oracles import sine_homeo_lift
+from _oracles import grid_monotone_failure, sine_homeo_lift
 
 
 @st.composite
@@ -76,6 +77,30 @@ def any_maps(draw, depth=1):
 
 
 unit_points = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
+# 1 - 10**u for u in [-7, 0], with a random sign: amplitude fractions from 0
+# to within 1e-7 of the validity bound
+near_bound = st.builds(
+    lambda sign, u: sign * (1.0 - 10.0**u), st.sampled_from([-1.0, 1.0]), st.floats(-7.0, 0.0)
+)
+
+
+@st.composite
+def flat_conjugated_maps(draw):
+    """Conjugated maps over the ranges that fix the slope floor of validation:
+    degree 2-3; a linear, piecewise-linear (gaps in [0.05, 1]) or smooth
+    base with ``epsilon = d * near_bound``; 1-3 sine parts with ``c =
+    near_bound`` (built unvalidated)."""
+    d = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["linear", "pl", "smooth_sine"]))
+    if kind == "linear":
+        base = linear_map(d)
+    elif kind == "pl":
+        gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
+        base = piecewise_linear(np.cumsum(gaps)[:-1] / sum(gaps))
+    else:
+        base = smooth_sine_map(d, d * draw(near_bound))
+    homeo = compose_homeos(draw(st.lists(near_bound.map(sine_homeo), min_size=1, max_size=3)))
+    return CircleMapSpec(kind="conjugated", degree=d, base=base, homeo=homeo)
 
 
 class TestLiftProperties:
@@ -194,6 +219,15 @@ class TestPartitionProperties:
 
         tau = max(np.diff(np.concatenate([[0.0], spec.cuts, [1.0]])))
         assert mesh(spec, n) <= tau**n + 1e-12
+
+
+class TestValidationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(flat_conjugated_maps())
+    def test_accepted_conjugated_maps_pass_grid_check(self, spec):
+        # the slope floor is at least as strict as sampling the computed lift
+        if validate(spec).ok:
+            assert grid_monotone_failure(spec) is None
 
 
 class TestDistortionProperties:
