@@ -38,8 +38,10 @@ from .symbolic_partition import (
     Word,
     check_word,
     cylinder_lengths,
+    descent_ratio,
     index_of_word,
     iter_levels,
+    level_lengths,
     level_words,
     word_of_index,
 )
@@ -439,9 +441,7 @@ def iter_dilatation_reports(
     walks = (iter_levels(spec, n, tol=tol, cell_cap=cell_cap) for spec in (f, g))
     err_f, err_g = (chain_error_bound(spec, tol, n) for spec in (f, g))
     for k, (lefts_f, lefts_g) in enumerate(zip(*walks), 1):
-        len_f = np.diff(np.append(lefts_f, 1.0))
-        len_g = np.diff(np.append(lefts_g, 1.0))
-        yield _dilatation(len_f, len_g, k, 0, f.degree, err_f[k], err_g[k])
+        yield _dilatation(level_lengths(lefts_f), level_lengths(lefts_g), k, 0, f.degree, err_f[k], err_g[k])
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +488,9 @@ def tail_sum(
 
     Piecewise-linear maps use the product-of-lengths closed form
     ``S_k = (1 - |I_w|)^k``; other kinds enumerate all level-nk cylinders and
-    mask by block digits.
+    mask by block digits.  The enumeration streams one level walk that holds
+    the current level, its lengths, the previous and block-parent lengths and
+    a bool mask: its peak, level solve included, is about 2.8 level-nk arrays.
 
     Raises:
         WorkCapExceeded: ``(d^n - 1)^k_max`` excluded tuples exceed the cap.
@@ -507,67 +509,50 @@ def tail_sum(
         raise WorkCapExceeded(
             f"({d}^{n} - 1)^{k_max} = {tuples_capped} excluded tuples exceed work cap {work_cap}"
         )
+    if not is_closed_form(spec):
+        return _enumerated_tail_sum(spec, word, k_max, tol, cell_cap)
+    lengths1 = cylinder_lengths(spec, 1, tol=tol, cell_cap=cell_cap)
+    base_len = float(np.prod([lengths1[s] for s in word.symbols]))
+    floor = float(np.min(lengths1)) ** n  # also C^-n: C = 1/min branch length for these maps
+    sums = [((1.0 - base_len) ** k, (d**n - 1) ** k) for k in range(1, k_max + 1)]
+    return _tail_sum_report(word, floor, floor, sums, "closed_form")
 
-    if is_closed_form(spec):
-        lengths1 = cylinder_lengths(spec, 1, tol=tol, cell_cap=cell_cap)
-        base_len = float(np.prod([lengths1[s] for s in word.symbols]))
-        ratio_floor = float(np.min(lengths1)) ** n
-        bg_floor = ratio_floor  # C = 1/min branch length for these maps
-        rows = []
-        for k in range(1, k_max + 1):
-            rows.append(
-                TailSumRow(
-                    k=k,
-                    excluded_sum=(1.0 - base_len) ** k,
-                    bound_empirical=(1.0 - ratio_floor) ** k,
-                    bound_bg_constant=(1.0 - bg_floor) ** k,
-                    interval_count=(d**n - 1) ** k,
-                )
-            )
-        return TailSumReport(
-            word=word,
-            block_level=n,
-            ratio_floor=ratio_floor,
-            bg_ratio_floor=bg_floor,
-            method="closed_form",
-            rows=tuple(rows),
-        )
 
-    # one walk: parent/child ratios at every level, n-level descent ratios at blocks
-    widx = index_of_word(word, d)
+def _enumerated_tail_sum(spec: CircleMapSpec, word: Word, k_max: int, tol: float, cell_cap: int) -> TailSumReport:
+    """:func:`tail_sum` by enumeration, for any map kind: one level walk gives
+    the parent/child ratios at every level and, at each block level, the
+    n-level descent ratios and the sum over the words avoiding the block."""
+    d, n = spec.degree, word.level
+    # the last n digits of a level-nk index are its residue mod d^n
+    avoids = np.arange(d**n) != index_of_word(word, d)
     prev = parent = np.ones(1)
-    block_lengths: list[np.ndarray] = []
+    mask = np.ones(1, dtype=bool)
+    sums = []
     bg_worst = ratio_floor = 1.0
     for level, lefts in enumerate(iter_levels(spec, n * k_max, tol=tol, cell_cap=cell_cap), 1):
-        lengths = np.diff(np.append(lefts, 1.0))
-        bg_worst = max(bg_worst, float(np.max(np.repeat(prev, d) / lengths)))
+        lengths = level_lengths(lefts)
+        bg_worst = max(bg_worst, descent_ratio(prev, lengths))
         prev = lengths
         if level % n == 0:
-            ratio_floor = min(ratio_floor, float(np.min(lengths / np.repeat(parent, d**n))))
+            ratio_floor = min(ratio_floor, descent_ratio(parent, lengths, floor=True))
             parent = lengths
-            block_lengths.append(lengths)
-    bg_floor = bg_worst**-n
-    rows = []
-    mask = np.ones(1, dtype=bool)
-    for k in range(1, k_max + 1):
-        lengths = block_lengths[k - 1]
-        # last block digits of a level-nk index are its residue mod d^n
-        last_block = np.arange(lengths.size, dtype=np.int64) % (d**n)
-        mask = np.repeat(mask, d**n) & (last_block != widx)
-        rows.append(
-            TailSumRow(
-                k=k,
-                excluded_sum=float(np.sum(lengths[mask])),
-                bound_empirical=(1.0 - ratio_floor) ** k,
-                bound_bg_constant=(1.0 - bg_floor) ** k,
-                interval_count=int(np.count_nonzero(mask)),
-            )
+            mask = (mask[:, None] & avoids).reshape(-1)
+            sums.append((float(np.sum(lengths[mask])), int(np.count_nonzero(mask))))
+    return _tail_sum_report(word, ratio_floor, bg_worst**-n, sums, "enumeration")
+
+
+def _tail_sum_report(word: Word, ratio_floor: float, bg_floor: float, sums, method: str) -> TailSumReport:
+    """The report of the ``(excluded_sum, interval_count)`` pairs for k = 1, 2, ..."""
+    rows = tuple(
+        TailSumRow(
+            k=k,
+            excluded_sum=excluded,
+            bound_empirical=(1.0 - ratio_floor) ** k,
+            bound_bg_constant=(1.0 - bg_floor) ** k,
+            interval_count=count,
         )
+        for k, (excluded, count) in enumerate(sums, 1)
+    )
     return TailSumReport(
-        word=word,
-        block_level=n,
-        ratio_floor=ratio_floor,
-        bg_ratio_floor=bg_floor,
-        method="enumeration",
-        rows=tuple(rows),
+        word=word, block_level=word.level, ratio_floor=ratio_floor, bg_ratio_floor=bg_floor, method=method, rows=rows
     )

@@ -562,6 +562,14 @@ def _pl_ext(cuts: tuple[float, ...]) -> np.ndarray:
     return ext
 
 
+@lru_cache(maxsize=512)
+def _pl_widths(cuts: tuple[float, ...]) -> np.ndarray:
+    """Branch widths ``np.diff(_pl_ext(cuts))`` of a piecewise-linear map, built once (read-only)."""
+    widths = np.diff(_pl_ext(cuts))
+    widths.setflags(write=False)
+    return widths
+
+
 def _unit_lift(spec: CircleMapSpec, u: np.ndarray, tol: float) -> np.ndarray:
     """Lift values for ``u`` in [0,1); returns values in [0, degree)."""
     if spec.kind == "linear":
@@ -569,9 +577,7 @@ def _unit_lift(spec: CircleMapSpec, u: np.ndarray, tol: float) -> np.ndarray:
     if spec.kind == "piecewise_linear_full_branch":
         ext = _pl_ext(spec.cuts)
         idx = np.searchsorted(ext[1:-1], u, side="right")
-        left = ext[idx]
-        right = ext[idx + 1]
-        return idx + (u - left) / (right - left)
+        return idx + (u - ext[idx]) / _pl_widths(spec.cuts)[idx]
     if spec.kind == "smooth_sine":
         return _sine_family(spec.degree, spec.epsilon, u)
     hv = homeo_lift_values(spec.homeo, u)
@@ -623,7 +629,7 @@ def slope_bounds(spec: CircleMapSpec) -> tuple[float, float]:
     if spec.kind == "linear":
         return float(spec.degree), float(spec.degree)
     if spec.kind == "piecewise_linear_full_branch":
-        widths = np.diff(_pl_ext(spec.cuts))
+        widths = _pl_widths(spec.cuts)
         return 1.0 / float(np.max(widths)), 1.0 / float(np.min(widths))
     if spec.kind == "smooth_sine":
         return spec.degree - abs(spec.epsilon), spec.degree + abs(spec.epsilon)

@@ -43,6 +43,7 @@ from .symbolic_partition import (
     check_points,
     iter_levels,
     level_endpoints,
+    level_lengths,
     level_words,
     ragged_chain_values,
     refine_words,
@@ -113,7 +114,7 @@ class ConjugacyResidual:
 @lru_cache(maxsize=256)
 def _mesh_decay_probe(spec: CircleMapSpec) -> None:
     """Cheap bounded-geometry sanity check: the mesh must decay level by level."""
-    meshes = [float(np.max(np.diff(np.append(lefts, 1.0)))) for lefts in iter_levels(spec, defaults.PROBE_LEVEL)]
+    meshes = [float(np.max(level_lengths(lefts))) for lefts in iter_levels(spec, defaults.PROBE_LEVEL)]
     for a, b in zip(meshes, meshes[1:]):
         if not b < a:
             raise InvalidMapError(

@@ -39,6 +39,7 @@ from .symbolic_partition import (
     Word,
     bounded_geometry_constant,
     iter_levels,
+    level_lengths,
 )
 
 # regression constant: measure deviation of conjugated(linear d=2, sine_homeo c=0.5)
@@ -96,9 +97,9 @@ def criterion_2(config: ReproConfig = ReproConfig()) -> CriterionResult:
     worst_off = 0.0
     prev = np.asarray([1.0])
     for lefts in iter_levels(f, 12, cell_cap=config.cell_cap):
-        lengths = np.diff(np.append(lefts, 1.0))
-        ratios = np.repeat(prev, 2) / lengths
-        off = np.min(np.abs(ratios[:, None] - allowed[None, :]), axis=1)
+        lengths = level_lengths(lefts)
+        ratios = prev[:, None] / lengths.reshape(-1, 2)
+        off = np.min(np.abs(ratios[..., None] - allowed), axis=-1)
         worst_off = max(worst_off, float(np.max(off)))
         prev = lengths
     ok = abs(constant - 2.5) <= 1e-9 and worst_off <= 1e-9
@@ -264,14 +265,13 @@ def criterion_8(config: ReproConfig = ReproConfig()) -> CriterionResult:
         d = spec.degree
         level = 8
         *_, lefts_prev, lefts = iter_levels(spec, level, cell_cap=config.cell_cap)
-        ends_prev, ends = np.append(lefts_prev, 1.0), np.append(lefts, 1.0)
-        if not (ends[0] == 0.0 and ends[-1] == 1.0 and np.all(np.diff(ends) > 0)):
+        lengths = level_lengths(lefts)
+        if not (lefts[0] == 0.0 and np.all(lengths > 0)):
             structure_ok = False
-        worst_tiling = max(worst_tiling, abs(float(np.sum(np.diff(ends))) - 1.0))
-        # refinement: parent endpoints are a subset of child endpoints
-        worst_refine = max(
-            worst_refine, float(np.max(np.abs(ends[::d] - ends_prev)))
-        )
+        worst_tiling = max(worst_tiling, abs(float(np.sum(lengths)) - 1.0))
+        # refinement: parent endpoints are a subset of child endpoints (the
+        # right end 1, shared by both levels, is left out)
+        worst_refine = max(worst_refine, float(np.max(np.abs(lefts[::d] - lefts_prev))))
         # dynamics: the lift maps each left endpoint onto the shifted word's
         # endpoint; row s holds the words s w, whose shifted words w are the
         # parent level in order

@@ -28,6 +28,7 @@ import numpy as np
 from . import defaults
 from .circle_maps import (
     CircleMapSpec,
+    _SOLVER_BLOCK,
     branch_points,
     ensure_valid,
     inverse_branch_values,
@@ -587,6 +588,34 @@ def iter_levels(
         yield lefts
 
 
+def level_lengths(lefts: np.ndarray) -> np.ndarray:
+    """Cylinder lengths of a level from its left endpoints, in one allocation:
+    ``np.diff(np.append(lefts, 1.0))`` bit for bit."""
+    lengths = np.empty_like(lefts)
+    np.subtract(lefts[1:], lefts[:-1], out=lengths[:-1])
+    lengths[-1] = 1.0 - lefts[-1]
+    return lengths
+
+
+def descent_ratio(parents: np.ndarray, lengths: np.ndarray, floor: bool = False) -> float:
+    """The largest parent/child length quotient of a level, or with ``floor``
+    the smallest child/parent one; child j's parent is ``parents[j // m]``.
+
+    Reduced over chunks of at most ``_SOLVER_BLOCK`` quotients, each one
+    elementwise that of ``np.repeat(parents, m)``, so the value equals the
+    level-sized ``np.max``/``np.min``, NaN included, without its two copies.
+    """
+    m = lengths.size // parents.size
+    rows, grid = max(1, _SOLVER_BLOCK // m), lengths.reshape(parents.size, m)
+    extremes = []
+    for i in range(0, parents.size, rows):
+        p = parents[i : i + rows, None]
+        for j in range(0, m, _SOLVER_BLOCK):
+            c = grid[i : i + rows, j : j + _SOLVER_BLOCK]
+            extremes.append(np.min(c / p) if floor else np.max(p / c))
+    return float(np.min(extremes) if floor else np.max(extremes))
+
+
 def level_left_endpoints(
     spec: CircleMapSpec,
     n: int,
@@ -622,7 +651,7 @@ def cylinder_lengths(
     cell_cap: int = defaults.CELL_CAP,
 ) -> np.ndarray:
     """Lengths of all level-n cylinders in word order."""
-    return np.diff(level_endpoints(spec, n, tol=tol, cell_cap=cell_cap))
+    return level_lengths(level_left_endpoints(spec, n, tol=tol, cell_cap=cell_cap))
 
 
 def enumerate_level(
@@ -663,16 +692,15 @@ def bounded_geometry_constant(
     """Largest parent/child cylinder length ratio over levels 1..n_max.
 
     This sampled maximum is a lower bound for the true bounded-geometry
-    constant of the map.
+    constant of the map.  The walk holds the current level, its lengths and
+    the parent lengths: its peak, level solve included, is about 2.5
+    level-n_max arrays.
     """
-    d = spec.degree
     worst = 1.0
-    prev = np.asarray([1.0])
+    prev = np.ones(1)
     for lefts in iter_levels(spec, n_max, tol=tol, cell_cap=cell_cap):
-        lengths = np.diff(np.append(lefts, 1.0))
-        # the parent of word index j at this level is index j // d (drop last symbol)
-        ratios = np.repeat(prev, d) / lengths
-        worst = max(worst, float(np.max(ratios)))
+        lengths = level_lengths(lefts)
+        worst = max(worst, descent_ratio(prev, lengths))
         prev = lengths
     return worst
 

@@ -395,6 +395,73 @@ def reference_measure_profile(spec, intervals, tol: float):
     return np.abs(total - (b - a))
 
 
+# Tail sums and the bounded-geometry constant used to hold every block
+# level's lengths until the walk ended, and built each level's lengths from a
+# copy with 1 appended and its parent/child quotients from a repeated copy of
+# the parents.  These are those computations, the references the streaming
+# walks must reproduce bit for bit.
+
+def reference_tail_sum(spec, word, k_max: int, tol: float):
+    """``tail_sum``'s enumeration branch: all block levels kept, the avoiding
+    words masked by ``arange % d**n`` after the walk."""
+    import numpy as np
+    from circledyn.analysis import TailSumReport, TailSumRow
+    from circledyn.symbolic_partition import index_of_word, iter_levels
+
+    d, n = spec.degree, word.level
+    widx = index_of_word(word, d)
+    prev = parent = np.ones(1)
+    block_lengths = []
+    bg_worst = ratio_floor = 1.0
+    for level, lefts in enumerate(iter_levels(spec, n * k_max, tol=tol), 1):
+        lengths = np.diff(np.append(lefts, 1.0))
+        bg_worst = max(bg_worst, float(np.max(np.repeat(prev, d) / lengths)))
+        prev = lengths
+        if level % n == 0:
+            ratio_floor = min(ratio_floor, float(np.min(lengths / np.repeat(parent, d**n))))
+            parent = lengths
+            block_lengths.append(lengths)
+    bg_floor = bg_worst**-n
+    rows = []
+    mask = np.ones(1, dtype=bool)
+    for k in range(1, k_max + 1):
+        lengths = block_lengths[k - 1]
+        last_block = np.arange(lengths.size, dtype=np.int64) % (d**n)
+        mask = np.repeat(mask, d**n) & (last_block != widx)
+        rows.append(
+            TailSumRow(
+                k=k,
+                excluded_sum=float(np.sum(lengths[mask])),
+                bound_empirical=(1.0 - ratio_floor) ** k,
+                bound_bg_constant=(1.0 - bg_floor) ** k,
+                interval_count=int(np.count_nonzero(mask)),
+            )
+        )
+    return TailSumReport(
+        word=word,
+        block_level=n,
+        ratio_floor=ratio_floor,
+        bg_ratio_floor=bg_floor,
+        method="enumeration",
+        rows=tuple(rows),
+    )
+
+
+def reference_bounded_geometry_constant(spec, n_max: int, tol: float) -> float:
+    """Largest parent/child length ratio over levels 1..n_max, each level's
+    quotients taken against the repeated parents."""
+    import numpy as np
+    from circledyn.symbolic_partition import iter_levels
+
+    worst = 1.0
+    prev = np.asarray([1.0])
+    for lefts in iter_levels(spec, n_max, tol=tol):
+        lengths = np.diff(np.append(lefts, 1.0))
+        worst = max(worst, float(np.max(np.repeat(prev, spec.degree) / lengths)))
+        prev = lengths
+    return worst
+
+
 # Validation once sampled the lift as well: strict monotonicity on a grid of
 # 2048 intervals plus all breakpoints.  That check is kept here as the
 # reference that the formula check (the slope floor of a conjugated map) must

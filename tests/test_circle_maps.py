@@ -91,6 +91,28 @@ class TestEvalLift:
         assert eval_lift(f06, 0.0) == 0.0
         assert eval_lift(f06, 1.0) == 2.0
 
+    @pytest.mark.parametrize(
+        "cuts",
+        [[0.6], [0.2, 0.7], [1.5e-9, 0.5], [0.1, 0.35, 0.5, 0.9], [0.05, 0.3, 0.31, 0.6, 0.99]],
+    )
+    def test_pl_lift_equals_two_gather_formula_bitwise(self, cuts):
+        # the lift gathers one cached width per point; the values must be
+        # those of gathering both branch ends and subtracting per point
+        spec = piecewise_linear(cuts)
+        ext = np.concatenate(([0.0], cuts, [1.0]))
+        rng = np.random.default_rng(len(cuts))
+        xs = np.concatenate((rng.uniform(-3.0, 3.0, 4001), ext, ext - 1.0, np.nextafter(ext, 2.0)))
+        k = np.floor(xs)
+        u = xs - k
+        idx = np.searchsorted(ext[1:-1], u, side="right")
+        want = idx + (u - ext[idx]) / (ext[idx + 1] - ext[idx]) + k * spec.degree
+        got = circle_maps.lift_values(spec, xs)
+        assert got.tobytes() == want.tobytes()
+        assert [eval_lift(spec, float(x)) for x in xs[:50]] == want[:50].tolist()
+        widths = circle_maps._pl_widths(spec.cuts)
+        assert not widths.flags.writeable
+        assert widths is circle_maps._pl_widths(spec.cuts)
+
     def test_rejects_invalid_spec(self):
         bad = smooth_sine_map(2, 2.5)
         with pytest.raises(InvalidMapError):

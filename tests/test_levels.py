@@ -6,9 +6,15 @@ parents and solves only the other children.  Every level must equal the old
 loop (kept in ``_oracles``) bit for bit, and a level-n walk of a root-solved
 map may solve at most d^n endpoints, where the old loop solved
 d(d^n - 1)/(d - 1).
+
+The walks that consume levels (tail sums, the bounded-geometry constant)
+stream them: lengths in one allocation, parent/child quotients reduced in
+chunks.  They must equal the old whole-level computations, kept in
+``_oracles``, bit for bit, and stay within a memory budget.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -26,11 +32,17 @@ from circledyn import (
     sine_homeo,
     smooth_sine_map,
 )
-from circledyn import defaults, symbolic_partition
+from circledyn import analysis, defaults, symbolic_partition
 from circledyn.analysis import tail_sum
-from circledyn.circle_maps import chain_error_bound, compose_homeos
-from circledyn.symbolic_partition import level_left_endpoints
-from _oracles import MP_DIGITS, mp_level_left_endpoints, reference_levels
+from circledyn.circle_maps import chain_error_bound, compose_homeos, is_closed_form
+from circledyn.symbolic_partition import descent_ratio, level_left_endpoints, level_lengths
+from _oracles import (
+    MP_DIGITS,
+    mp_level_left_endpoints,
+    reference_bounded_geometry_constant,
+    reference_levels,
+    reference_tail_sum,
+)
 
 TOL = defaults.SOLVER_TOL
 
@@ -185,3 +197,138 @@ class TestMpmathOracle:
             errors = [abs(mpmath.mpf(float(a)) - b) for a, b in zip(got, want)]
         assert len(errors) == 2**n
         assert max(errors) <= bound
+
+
+# maps of every kind, each with the deepest level the walks below may reach
+WALK_SPECS = [
+    (linear_map(2), 12),
+    (linear_map(3), 8),
+    (piecewise_linear([0.6]), 12),
+    (piecewise_linear([1.5e-9, 0.5]), 8),  # zero lengths from level 3, then 0/0 quotients
+    (piecewise_linear([0.2, 0.45, 0.7]), 6),
+    (smooth_sine_map(2, 0.5), 12),
+    (smooth_sine_map(3, 1.2), 8),
+    (make_conjugated(linear_map(2), sine_homeo(0.5)), 10),
+    (make_conjugated(piecewise_linear([0.3, 0.6]), sine_homeo(-0.4)), 6),
+]
+
+
+def _same_value(a, b):
+    """``a == b``, with NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestStreamingWalks:
+    @pytest.mark.parametrize("spec, depth", WALK_SPECS)
+    def test_tail_sum_walk_equals_whole_level_reference(self, spec, depth):
+        # the enumeration runs for every kind here, closed forms included
+        d = spec.degree
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for n in (1, 2, 3):
+                words = {Word((0,) * n), Word(tuple(s % d for s in range(1, n + 1))), Word((d - 1,) * n)}
+                for word in sorted(words, key=str):
+                    for k_max in sorted({1, 2, depth // n}):
+                        got = analysis._enumerated_tail_sum(spec, word, k_max, TOL, defaults.CELL_CAP)
+                        want = reference_tail_sum(spec, word, k_max, TOL)
+                        # repr holds every float's exact value, NaN included
+                        assert repr(got) == repr(want), (spec, word, k_max)
+                        if not is_closed_form(spec):
+                            assert tail_sum(spec, word, k_max) == got
+
+    @pytest.mark.parametrize("spec, depth", WALK_SPECS)
+    def test_bounded_geometry_constant_equals_whole_level_reference(self, spec, depth):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for n_max in (1, 2, depth // 2, depth):
+                got = bounded_geometry_constant(spec, n_max)
+                assert _same_value(got, reference_bounded_geometry_constant(spec, n_max, TOL)), (spec, n_max)
+
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_chunk_size_changes_no_bit(self, block, monkeypatch):
+        # chunks far smaller than a level: every walk reduces over many of them
+        monkeypatch.setattr(symbolic_partition, "_SOLVER_BLOCK", block)
+        spec = smooth_sine_map(3, 1.2)
+        assert tail_sum(spec, Word((0, 2)), 3) == reference_tail_sum(spec, Word((0, 2)), 3, TOL)
+        assert bounded_geometry_constant(spec, 6) == reference_bounded_geometry_constant(spec, 6, TOL)
+
+
+def _whole_level_ratio(parents, lengths, floor):
+    m = lengths.size // parents.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if floor:
+            return float(np.min(lengths / np.repeat(parents, m)))
+        return float(np.max(np.repeat(parents, m) / lengths))
+
+
+class TestLevelKernel:
+    def test_lengths_equal_diff_of_appended_ends(self):
+        rng = np.random.default_rng(3)
+        levels = [
+            np.zeros(1),
+            np.sort(rng.uniform(0.0, 1.0, 1001)),
+            np.array([0.0, 0.5, 0.5, 0.25, np.nan, 0.9, 1.0]),  # zero, negative and NaN lengths
+            np.array([0.0, -0.0, 1.0 - 2**-53]),
+        ]
+        for lefts in levels:
+            want = np.diff(np.append(lefts, 1.0))
+            assert level_lengths(lefts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("floor", [False, True])
+    @pytest.mark.parametrize("block", [1, 2, 5, 2**15])
+    def test_descent_ratio_equals_whole_level_quotients(self, floor, block, monkeypatch):
+        monkeypatch.setattr(symbolic_partition, "_SOLVER_BLOCK", block)
+        rng = np.random.default_rng(block)
+        cases = []
+        for m in (2, 3, 7):
+            parents = rng.uniform(0.1, 1.0, 40)
+            lengths = rng.uniform(0.01, 1.0, 40 * m)
+            cases.append((parents, lengths))
+            for bad in (0.0, -0.0, -0.3, np.nan, np.inf):
+                for at in (0, 17, lengths.size - 1):  # first, middle and last chunk
+                    hand = lengths.copy()
+                    hand[at] = bad
+                    cases.append((parents, hand))
+            zero_parent = parents.copy()
+            zero_parent[[3, 39]] = 0.0
+            cases.append((zero_parent, lengths))
+            cases.append((zero_parent, np.where(np.arange(lengths.size) % 5 == 0, 0.0, lengths)))
+        cases.append((np.ones(1), np.array([0.5, -0.2, np.nan, 0.7])))
+        for parents, lengths in cases:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = descent_ratio(parents, lengths, floor=floor)
+            assert _same_value(got, _whole_level_ratio(parents, lengths, floor)), (parents, lengths)
+
+    @pytest.mark.parametrize("floor", [False, True])
+    def test_descent_ratio_splits_children_of_one_parent(self, floor):
+        # more children per parent than a chunk holds: chunks split the row
+        lengths = np.random.default_rng(7).uniform(0.01, 1.0, 2 * symbolic_partition._SOLVER_BLOCK + 5)
+        lengths[-1] = 1e-9 if not floor else 10.0
+        got = descent_ratio(np.ones(1), lengths, floor=floor)
+        assert got == _whole_level_ratio(np.ones(1), lengths, floor)
+        lengths[-2] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(descent_ratio(np.ones(1), lengths, floor=floor))
+
+
+class TestWalkMemory:
+    # a level-20 array of float64 is 8 MiB: the walks may peak at 3.25 of
+    # them, the level solve included (about 37 and 32 MiB while every block
+    # level was kept and each level's quotients were taken whole)
+    BUDGET = 26 * 2**20
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            lambda spec: tail_sum(spec, Word((0, 1)), 10),
+            lambda spec: bounded_geometry_constant(spec, 20),
+        ],
+        ids=["tail_sum", "bounded_geometry_constant"],
+    )
+    def test_level_20_walk_peak(self, walk, smooth05):
+        walk(smooth05)  # warm: caches and seed tables are built outside the measurement
+        tracemalloc.start()
+        try:
+            walk(smooth05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.BUDGET
