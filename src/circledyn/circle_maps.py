@@ -37,24 +37,18 @@ Closed forms are used for the linear and piecewise-linear kinds; every other
 inverse is a bracketed root solve to an absolute tolerance (default
 ``SOLVER_TOL``).  The root-solved lifts ``smooth_sine`` and ``sine_homeo``
 are one family, ``x -> D*x + a*sin(2*pi*x)/(2*pi)``, and
-:func:`_solve_sine_family` is the one root solver.  Each target gets its
-own starting bracket: a cached per-``(D, a)`` table of the inverse gives a
-guess, the slope floor ``D - |a|`` certifies a radius around it that holds
-the root whatever the guess (compute fast, then verify), and only elements
-whose radius is still above ``tol/2`` take Newton steps, usually one.  The
-bracket is then usually ``tol`` wide and its midpoint is the result, with no
-further evaluation of the lift: the family has ``f(0) = 0`` and ``f(1) = D``
-exactly, so the targets alone decide the range check and the exact end hits.
-Only the few brackets still wider than ``tol`` (near the flat spot of a
-near-degenerate map) take solver passes, which keep a bracket
-``f(lo) < target <= f(hi)`` around each root and narrow it with a
-false-position step followed by a probe that straddles the root, falling
-back to bisection whenever a pass fails to halve the bracket, so they never
-need more than about twice the evaluations of plain bisection.  Each
-element stops as soon as its own bracket is ``tol`` wide and returns the
-midpoint, within ``tol/2`` of the root; large inputs are solved in
-fixed-size blocks.  Specs are immutable and every evaluation is a pure
-function of (spec, inputs), so all operations are safe to call concurrently.
+:func:`_solve_sine_family` is the one root solver.  A cached per-``(D, a)``
+table of the inverse guesses each root, and one Newton step from the guess
+comes with an a-priori radius that holds the root (compute fast, then
+verify), so a typical root costs one sine and one cosine.  A bracket at
+most ``tol`` wide gives its midpoint, within ``tol/2`` of the root, with no
+further evaluation of the lift.  Only the few brackets still wider (near
+the flat spot of a near-degenerate map) take solver passes: false-position
+and straddling probes that fall back to bisection, so they never need more
+than about twice the evaluations of plain bisection.  Large inputs are
+solved in fixed-size blocks.  Specs are immutable and every evaluation is a
+pure function of (spec, inputs), so all operations are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -402,27 +396,51 @@ def _sine_family_inverse_table(D: int, a: float) -> np.ndarray:
 def _sine_family_bracket(
     D: int, a: float, target: np.ndarray, tol: float = defaults.SOLVER_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Certified brackets in [0, 1] for ``D*x + a*sin(2*pi*x)/(2*pi) = target``.
+    """Certified brackets in [0, 1] for ``f(x) = D*x + a*sin(2*pi*x)/(2*pi) = target``.
 
-    A lookup in the cached inverse table of :func:`_sine_family_inverse_table`
-    (a linear interpolation between two nodes, no search) gives a guess x.
-    The slope is at least ``D - |a| > 0`` everywhere, so the root lies within
-    ``(|f(x) - target| + pad)/(D - |a|)`` of x, where ``pad`` covers the
-    rounding of f at x, at the bracket ends and in the radius itself (a few
-    ulps of ``D + |a|`` each).  Elements whose radius still exceeds ``tol/2``
-    take a Newton step, clipped to [0, 1], and are certified again, up to
-    ``_NEWTON_STEPS`` times: one step settles a typical map, and only the
-    roots near the flat spot of a near-degenerate map take more.  The guess
-    affects speed only: the bracket holds whatever x is.  With the same
-    padding the computed f is below the target at an unclipped left end and
-    above it at an unclipped right end, so the ends need no evaluation.  A
-    typical root costs one sine to certify the guess and one cosine and one
-    sine for its Newton step.  Each bracket depends on its own target alone.
-    The targets must be finite and within the range slack of [0, D]
+    The cached inverse table of :func:`_sine_family_inverse_table` (a linear
+    interpolation between two nodes, no search) gives a guess x0, and one
+    sine its computed residual r0.  One Newton step x1, clipped to [0, 1],
+    is certified without evaluating f again by Kantorovich's a-priori bound:
+    with u the unit roundoff, the slope floor ``m = D - |a| > 0`` and
+    ``M = 2*pi*|a| >= |f''|``, the root x* lies within this r1 of x1:
+
+        ``r1 = (ds*e0 + (M/2)*e0**2 + pad)/(m - ds) + u*|r0|/(m - ds) + u``
+
+    * ``pad = 16*u*(D + |a|)`` is four times the rounding of a computed
+      residual (at most ``4*u*(D + |a|)``), so x0 is within
+      ``e0 = (|r0| + pad)/m`` of x*, and the rest keeps the computed f on
+      the right side of the target at the bracket ends (below);
+    * ``ds = u*(D + 24*|a|)`` bounds the error of the computed slope s: the
+      angle is within ``4*pi*u`` of ``2*pi*x0``, cos adds at most 4 ulps
+      (8u), and the product and the sum one rounding each;
+    * Taylor at x0 gives ``s*(x0 - r0/s - x*) = (s - f'(x0))*(x0 - x*) +
+      f''(xi)*(x0 - x*)**2/2 + (f(x0) - t - r0)``, and ``s >= m - ds``: the
+      first term;
+    * the computed quotient ``r0/s`` is off by at most ``u*|r0|/(m - ds)``,
+      and the computed difference, if within 1 of ``x* in [0, 1]``, lies in
+      [-1, 2] and is off by at most u; were it not, r1 > 1 and the bracket
+      is [0, 1].  Clipping only moves x1 toward x*.
+
+    ``|r0| <= m*e0`` folds the quotient term into the linear one, and every
+    coefficient is scaled by ``1 + 32*u``, more than the relative rounding of
+    the dozen operations that form r1, so r1 is rounded up.  Elements whose
+    r1 still exceeds ``tol/2`` (near the flat spot of a near-degenerate map)
+    are certified at x1 by ``(|f(x1) - target| + pad)/m`` instead and step
+    again, each step certified that way, up to ``_NEWTON_STEPS`` in all.
+    The guess affects speed only: the clipped bracket ``[x - r, x + r]``
+    holds the root whatever x is.  With the padding the computed f is below
+    the target at an unclipped left end and above it at an unclipped right
+    end, so the ends need no evaluation.  Each bracket depends on its own
+    target alone, which must be finite and within the range slack of [0, D]
     (:func:`_solve_sine_family` checks them).
     """
-    pad = 16.0 * _UNIT_ROUNDOFF * (D + abs(a))
+    u = _UNIT_ROUNDOFF
+    pad = 16.0 * u * (D + abs(a))
     floor = D - abs(a)
+    ds = u * (D + 24.0 * abs(a))
+    scale = (1.0 + 32.0 * u) / (floor - ds) if floor > ds else math.inf
+    c2, c1, c0 = math.pi * abs(a) * scale, (ds + u * floor) * scale, (pad + u * (floor - ds)) * scale
     table = _sine_family_inverse_table(D, a)
     pos = target * (_SEED_NODES / D)
     # minimum/maximum rather than clip: the arrays are often tiny
@@ -430,21 +448,19 @@ def _sine_family_bracket(
     left = table[node]
     x = np.minimum(np.maximum(left + (pos - node) * (table[node + 1] - left), 0.0), 1.0)
     residual = _sine_family(D, a, x) - target
-    radius = (np.abs(residual) + pad) / floor
-    for _ in range(_NEWTON_STEPS):
+    e0 = (np.abs(residual) + pad) / floor
+    x = np.minimum(np.maximum(x - residual / (D + a * np.cos(_TWO_PI * x)), 0.0), 1.0)
+    radius = (c2 * e0 + c1) * e0 + c0
+    for step in range(_NEWTON_STEPS):
+        # near-degenerate maps: certify by the residual, then step again
         todo = np.flatnonzero(radius > 0.5 * tol)
         if todo.size == 0:
             break
-        # the common first step takes every element: no gather or scatter
-        part = todo.size < x.size
-        xs, ts, rs = (x[todo], target[todo], residual[todo]) if part else (x, target, residual)
-        xs = np.minimum(np.maximum(xs - rs / (D + a * np.cos(_TWO_PI * xs)), 0.0), 1.0)
+        xs, ts = x[todo], target[todo]
+        if step:
+            xs = np.minimum(np.maximum(xs - residual[todo] / (D + a * np.cos(_TWO_PI * xs)), 0.0), 1.0)
         rs = _sine_family(D, a, xs) - ts
-        rad = (np.abs(rs) + pad) / floor
-        if part:
-            x[todo], residual[todo], radius[todo] = xs, rs, rad
-        else:
-            x, residual, radius = xs, rs, rad
+        x[todo], residual[todo], radius[todo] = xs, rs, (np.abs(rs) + pad) / floor
     return np.maximum(x - radius, 0.0), np.minimum(x + radius, 1.0)
 
 
@@ -453,9 +469,11 @@ def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
 
     ``smooth_sine`` (D = degree, a = epsilon) and ``sine_homeo`` (D = 1,
     a = c) are this family, and every root solve of the package is this one.
-    Each block of ``_SOLVER_BLOCK`` targets gets its brackets from
-    :func:`_sine_family_bracket`, so temporaries stay block-sized.
-    Non-finite targets, then targets outside [0, D] by more than 1e-9, raise
+    A ``tol`` that is not a finite number > 0 raises :class:`ValueError`
+    before any work.  Each block of ``_SOLVER_BLOCK`` targets gets its
+    brackets from :func:`_sine_family_bracket` (one sine and one cosine per
+    typical root), so temporaries stay block-sized.  Non-finite targets,
+    then targets outside [0, D] by more than 1e-9, raise
     :class:`SolverError`.  A bracket at most ``tol`` wide gives its midpoint
     with no evaluation of the family: it has ``f(0) = 0`` and ``f(1) = D``
     exactly (``|a*sin(2*pi)/(2*pi)|`` is below half an ulp of D), and the
@@ -463,10 +481,12 @@ def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
     reads the targets alone and the only exact end hits are ``t == 0`` (the
     left end) and ``t == D`` (the right end).  Returning those ends as they
     are keeps the endpoints that inverse-branch chains share bit for bit.
-    The other brackets still wider than ``tol``, near the flat spot of a
-    near-degenerate map, are finished by :func:`_solve_block`.  Results
-    equal bracket-then-solve on every target bit for bit.
+    The other brackets, near the flat spot of a near-degenerate map, are
+    finished by :func:`_solve_block`.  Results equal bracket-then-solve on
+    every target bit for bit.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     target = np.asarray(target, dtype=float)
     out = np.empty(target.shape)
     flat_target, flat_out = target.reshape(-1), out.reshape(-1)

@@ -10,13 +10,13 @@ read where they are used and take no parameter.
 name                 default       used by
 ===================  ============  ====================================================
 SOLVER_TOL           1e-13         bracket width at which every root solve stops
-                                   (certified start bracket from a cached inverse
-                                   table, Newton steps only where its radius
-                                   exceeds SOLVER_TOL/2; a bracket this narrow
-                                   gives its midpoint with no further lift
-                                   evaluation, a wider one takes false position,
-                                   straddle probe, bisection fallback); results
-                                   are within SOLVER_TOL/2
+                                   (a cached inverse table's guess and one Newton
+                                   step certified a priori, more steps only where
+                                   the radius exceeds SOLVER_TOL/2; a bracket
+                                   this narrow gives its midpoint with no further
+                                   lift evaluation, a wider one takes false
+                                   position, straddle probe, bisection fallback);
+                                   results are within SOLVER_TOL/2
 DEPTH_CAP            60            max word length / inverse-iteration depth
 CONJUGACY_DEPTH_CAP  48            max refinement depth for conjugacy enclosures
 CELL_CAP             2**20         max cylinder count for a fully enumerated level;

@@ -39,6 +39,7 @@ from _oracles import (
     bisect_root,
     conjugated_inverse_branch,
     grid_monotone_failure,
+    mp_sine_family_newton_root,
     mp_sine_family_root,
     pl_lift,
     reference_sine_family_solve,
@@ -356,12 +357,13 @@ class TestSeedBracket:
 
     @pytest.mark.parametrize(
         "spec, per_root",
-        [(smooth_sine_map(2, 0.5), 3), (make_conjugated(linear_map(2), sine_homeo(0.5)), 4)],
+        [(smooth_sine_map(2, 0.5), 2), (make_conjugated(linear_map(2), sine_homeo(0.5)), 3)],
         ids=lambda value: value.describe() if hasattr(value, "describe") else str(value),
     )
     def test_trig_evaluations_per_root(self, spec, per_root, monkeypatch):
-        # one sine certifies the table guess, a cosine and a sine make its
-        # Newton step; the conjugated map also evaluates H once per target
+        # one sine gives the table guess's residual and one cosine its
+        # certified Newton step; the conjugated map also evaluates H once
+        # per target
         ys = np.linspace(0.0, 1.0, 1001)
         inverse_branch_values(spec, 0, ys)  # the inverse table is built once per (D, a)
         counter = _count_numpy_points(monkeypatch, "sin", "cos")
@@ -370,13 +372,14 @@ class TestSeedBracket:
         assert counter["points"] <= per_root * 2 * ys.size
 
     @pytest.mark.parametrize("D, a", [(D, a) for D, a in SINE_FAMILY if abs(a) < 0.9 * D])
-    def test_seed_evaluates_the_family_at_most_twice_per_target(self, D, a, monkeypatch):
-        # the table guess is certified once and, after one Newton step, once more
+    def test_seed_evaluates_the_family_once_per_target(self, D, a, monkeypatch):
+        # the table guess's residual is the only sine: its Newton step is
+        # certified by the a-priori bound, not by a second residual
         targets = _sine_family_targets(D)
         circle_maps._sine_family_inverse_table(D, a)  # built once per (D, a), not per target
         counter = _count_numpy_points(monkeypatch, "sin")
         circle_maps._sine_family_bracket(D, a, targets)
-        assert counter["points"] <= 2 * targets.size
+        assert counter["points"] <= targets.size
 
     def test_table_cache_stays_bounded(self):
         bound = circle_maps._sine_family_inverse_table.cache_info().maxsize
@@ -408,6 +411,149 @@ class TestSeedBracket:
         else:
             homeo_inverse_values(sine_homeo(a), targets)
         assert counter["points"] <= evaluations * targets.size
+
+
+# the benchmark's parameter bands (perfbench/workloads.py) at both ends and
+# both signs: EPS_RANGE of smooth_sine for d = 2 and d = 3, then SINE_C and
+# COMPOSE_C of sine_homeo
+BENCH_BANDS = [
+    (D, sign * size)
+    for D, band in ((2, (0.25, 0.3)), (3, (0.8, 0.9)), (1, (0.35, 0.4)), (1, (0.2, 0.25)))
+    for size in band
+    for sign in (1.0, -1.0)
+]
+CERTIFIED_FAMILY = SINE_FAMILY + BENCH_BANDS
+NON_DEGENERATE = [(D, a) for D, a in CERTIFIED_FAMILY if abs(a) < 0.9 * D]
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _certificate_targets(D, a):
+    """Random targets, the integers, flat-spot targets, and targets whose
+    table guess is a table node (``pos`` an integer)."""
+    nodes = np.arange(0, circle_maps._SEED_NODES + 1, 256) * (D / circle_maps._SEED_NODES)
+    return np.concatenate([
+        np.random.default_rng(41 + D).random(40) * D,
+        np.arange(D + 1.0),
+        _flat_spot_targets(D, a)[::5],
+        nodes,
+    ])
+
+
+def _documented_radius(D, a, r0):
+    """The documented Newton radius r1 for the computed residual r0, from its
+    terms in 60-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        u, D, a, r0 = mpmath.mpf(UNIT_ROUNDOFF), mpmath.mpf(D), abs(mpmath.mpf(a)), abs(mpmath.mpf(r0))
+        m, M = D - a, 2 * mpmath.pi * a
+        pad, ds = 16 * u * (D + a), u * (D + 24 * a)
+        e0 = (r0 + pad) / m
+        return (ds * e0 + M / 2 * e0**2 + pad) / (m - ds) + u * r0 / (m - ds) + u
+
+
+class TestNewtonCertificate:
+    """One sine per root: the table guess's Newton step is certified a priori."""
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])
+    @pytest.mark.parametrize("D, a", CERTIFIED_FAMILY)
+    def test_brackets_contain_mp_root(self, D, a, tol):
+        targets = _certificate_targets(D, a)
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets, tol)
+        assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
+        # Newton at 60 digits from a start within 1e-13 of the root
+        starts = circle_maps._solve_sine_family(D, a, targets, 1e-13)
+        for t, left, right, start in zip(targets, lo, hi, starts):
+            root = mp_sine_family_newton_root(D, a, float(t), float(start))
+            assert left <= root <= right, (t, left, right)
+
+    def test_slope_floor_below_slope_error_falls_back(self):
+        # a valid spec whose floor D - |a| is below ds: no a-priori radius
+        # exists, so every element falls back to the residual radius
+        D, a = 2, 2.0 - 4e-16
+        assert validate(smooth_sine_map(D, a)).ok
+        targets = np.array([0.3, 1.0, 1.7])
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets)
+        for t, left, right in zip(targets, lo, hi):
+            assert 0.0 <= left <= float(mp_sine_family_root(D, a, float(t))) <= right <= 1.0
+
+    @pytest.mark.parametrize("D, a", NON_DEGENERATE)
+    def test_one_sine_and_one_cosine_per_root(self, D, a, monkeypatch):
+        targets = _certificate_targets(D, a)
+        circle_maps._sine_family_inverse_table(D, a)  # built once per (D, a), not per target
+        for name in ("sin", "cos"):
+            counter = _count_numpy_points(monkeypatch, name)
+            circle_maps._solve_sine_family(D, a, targets, TOL)
+            assert counter["points"] == targets.size, name
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("D, a", CERTIFIED_FAMILY)
+    def test_rounding_premises_hold(self, D, a):
+        # the residual's rounding is at most a quarter of pad, and the
+        # computed slope D + a*cos(2*pi*x) is within ds of f'(x)
+        import mpmath
+
+        rng = np.random.default_rng(43 + D)
+        xs = np.concatenate([rng.random(150), [0.0, 0.25, 0.5, 0.75, 1.0], np.nextafter([0.25, 0.5, 0.75, 1.0], 0.0)])
+        targets = np.clip(xs * D + rng.normal(0.0, 1e-6, xs.size), 0.0, D)
+        residual = circle_maps._sine_family(D, a, xs) - targets
+        slope = D + a * np.cos(2.0 * math.pi * xs)
+        u, size = UNIT_ROUNDOFF, D + abs(a)
+        with mpmath.workdps(60):
+            two_pi, p = 2 * mpmath.pi, mpmath.mpf(a)
+            for x, t, r, s in zip(xs, targets, residual, slope):
+                x = mpmath.mpf(float(x))
+                exact_r = D * x + p * mpmath.sin(two_pi * x) / two_pi - mpmath.mpf(float(t))
+                assert abs(mpmath.mpf(float(r)) - exact_r) <= 4 * u * size, (x, t)
+                exact_s = D + p * mpmath.cos(two_pi * x)
+                assert abs(mpmath.mpf(float(s)) - exact_s) <= u * (D + 24 * abs(a)), x
+
+    @pytest.mark.parametrize("D, a", CERTIFIED_FAMILY)
+    def test_radius_is_the_documented_bound_rounded_up(self, D, a, monkeypatch):
+        # a constant inverse table makes the guess x0 whatever the test
+        # chooses, from 1e-10 to 1e-2 off the root.  With tol/2 just below the
+        # documented r1 the step must not certify itself (the fallback adds a
+        # second sine); with tol/2 a few ulps above it, it must
+        rng = np.random.default_rng(47 + D)
+        targets = rng.random(6) * D
+        roots = circle_maps._solve_sine_family(D, a, targets, TOL)
+        offsets = np.concatenate([-np.logspace(-10, -2, 9), np.logspace(-10, -2, 9)])
+        nodes = circle_maps._SEED_NODES + 1
+        for t, root in zip(targets, roots):
+            for x0 in np.clip(root + offsets, 0.0, 1.0):
+                target = np.array([t])
+                r0 = float((circle_maps._sine_family(D, a, np.array([x0])) - target)[0])
+                bound = _documented_radius(D, a, r0)
+                below = float(bound)
+                below = below if below < bound else math.nextafter(below, 0.0)
+                for half_tol, certified in ((below, False), (float(bound * (1 + 64 * UNIT_ROUNDOFF)), True)):
+                    monkeypatch.setattr(circle_maps, "_sine_family_inverse_table", lambda *_: np.full(nodes, x0))
+                    counter = _count_numpy_points(monkeypatch, "sin")
+                    circle_maps._sine_family_bracket(D, a, target, 2.0 * half_tol)
+                    monkeypatch.undo()
+                    assert (counter["points"] == 1) == certified, (t, x0, half_tol)
+
+
+class TestSolverTol:
+    """A solver tol that is not a finite number > 0 fails before any work."""
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejected_at_every_entry(self, tol, smooth05, conj_smooth, monkeypatch):
+        def no_bracket(*args):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(circle_maps, "_sine_family_bracket", no_bracket)
+        entries = [
+            lambda: circle_maps._solve_sine_family(2, 0.5, [0.3, 1.1], tol),
+            lambda: inverse_branch_values(smooth05, 1, [0.1, 0.5], tol=tol),
+            lambda: inverse_branch_values(conj_smooth, 0, [0.1, 0.5], tol=tol),
+            lambda: circle_maps.lift_values(conj_smooth, [0.1, 0.7], tol=tol),
+            lambda: homeo_inverse_values(sine_homeo(0.5), [0.1, 1.5], tol=tol),
+            lambda: global_inverse_lift(smooth05, 0.4, 3, tol=tol),
+        ]
+        for entry in entries:
+            with pytest.raises(ValueError, match=re.escape(f"tol must be a finite number > 0, got {tol!r}")):
+                entry()
 
 
 def _family_fn(D, a):
