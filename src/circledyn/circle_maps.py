@@ -46,9 +46,10 @@ further evaluation of the lift.  Only the few brackets still wider (near
 the flat spot of a near-degenerate map) take solver passes: false-position
 and straddling probes that fall back to bisection, so they never need more
 than about twice the evaluations of plain bisection.  Large inputs are
-solved in fixed-size blocks.  Specs are immutable and every evaluation is a
-pure function of (spec, inputs), so all operations are safe to call
-concurrently.
+solved in fixed-size blocks, in place, each with one range check and a guard
+before the extra Newton steps, the end hits and the solver passes.  Specs
+are immutable and every evaluation is a pure function of (spec, inputs), so
+all operations are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -427,13 +428,14 @@ def _sine_family_bracket(
     the dozen operations that form r1, so r1 is rounded up.  Elements whose
     r1 still exceeds ``tol/2`` (near the flat spot of a near-degenerate map)
     are certified at x1 by ``(|f(x1) - target| + pad)/m`` instead and step
-    again, each step certified that way, up to ``_NEWTON_STEPS`` in all.
-    The guess affects speed only: the clipped bracket ``[x - r, x + r]``
-    holds the root whatever x is.  With the padding the computed f is below
-    the target at an unclipped left end and above it at an unclipped right
-    end, so the ends need no evaluation.  Each bracket depends on its own
-    target alone, which must be finite and within the range slack of [0, D]
-    (:func:`_solve_sine_family` checks them).
+    again, each step certified that way, up to ``_NEWTON_STEPS`` in all, if
+    the largest r1 calls for it.  The rest runs in place, each value by the
+    formulas' operations in their order.  The guess affects speed only: the
+    clipped bracket ``[x - r, x + r]`` holds the root whatever x is.  With
+    the padding the computed f is below the target at an unclipped left end
+    and above it at an unclipped right end, so the ends need no evaluation.
+    Each bracket depends on its own target alone, which must be finite and
+    within the range slack of [0, D] (:func:`_solve_sine_family` checks).
     """
     u = _UNIT_ROUNDOFF
     pad = 16.0 * u * (D + abs(a))
@@ -443,16 +445,21 @@ def _sine_family_bracket(
     c2, c1, c0 = math.pi * abs(a) * scale, (ds + u * floor) * scale, (pad + u * (floor - ds)) * scale
     table = _sine_family_inverse_table(D, a)
     pos = target * (_SEED_NODES / D)
-    # minimum/maximum rather than clip: the arrays are often tiny
-    node = np.minimum(np.maximum(pos, 0.0), _SEED_NODES - 1).astype(np.intp)
-    left = table[node]
-    x = np.minimum(np.maximum(left + (pos - node) * (table[node + 1] - left), 0.0), 1.0)
-    residual = _sine_family(D, a, x) - target
-    e0 = (np.abs(residual) + pad) / floor
-    x = np.minimum(np.maximum(x - residual / (D + a * np.cos(_TWO_PI * x)), 0.0), 1.0)
-    radius = (c2 * e0 + c1) * e0 + c0
-    for step in range(_NEWTON_STEPS):
-        # near-degenerate maps: certify by the residual, then step again
+    node = np.minimum(pos.astype(np.intp), _SEED_NODES - 1)  # truncation takes pos in (-1, 0) to 0
+    left, x = table[node], table[node + 1]
+    x = np.add(np.multiply(np.subtract(x, left, out=x), np.subtract(pos, node, out=pos), out=x), left, out=x)
+    np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)  # clip(left + (pos - node)*(table[node + 1] - left))
+    angle = np.multiply(x, _TWO_PI, out=pos)  # for the sine and the cosine alike
+    residual = np.multiply(x, D)
+    residual += np.divide(np.multiply(np.sin(angle, out=left), a, out=left), _TWO_PI, out=left)
+    residual -= target  # _sine_family(D, a, x) - target
+    e0 = np.divide(np.add(np.abs(residual, out=left), pad, out=left), floor, out=left)  # (|r0| + pad)/floor
+    slope = np.add(np.multiply(np.cos(angle, out=angle), a, out=angle), D, out=angle)  # D + a*cos(2*pi*x)
+    np.minimum(np.maximum(np.subtract(x, np.divide(residual, slope, out=slope), out=x), 0.0, out=x), 1.0, out=x)
+    radius = np.multiply(np.add(np.multiply(e0, c2, out=slope), c1, out=slope), e0, out=slope)
+    radius += c0  # (c2*e0 + c1)*e0 + c0
+    # near-degenerate maps: certify by the residual, then step again
+    for step in range(_NEWTON_STEPS if radius.max(initial=0.0) > 0.5 * tol else 0):  # initial: empty targets
         todo = np.flatnonzero(radius > 0.5 * tol)
         if todo.size == 0:
             break
@@ -461,7 +468,8 @@ def _sine_family_bracket(
             xs = np.minimum(np.maximum(xs - residual[todo] / (D + a * np.cos(_TWO_PI * xs)), 0.0), 1.0)
         rs = _sine_family(D, a, xs) - ts
         x[todo], residual[todo], radius[todo] = xs, rs, (np.abs(rs) + pad) / floor
-    return np.maximum(x - radius, 0.0), np.minimum(x + radius, 1.0)
+    lo = np.maximum(np.subtract(x, radius, out=e0), 0.0, out=e0)
+    return lo, np.minimum(np.add(x, radius, out=x), 1.0, out=x)
 
 
 def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
@@ -473,36 +481,39 @@ def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
     before any work.  Each block of ``_SOLVER_BLOCK`` targets gets its
     brackets from :func:`_sine_family_bracket` (one sine and one cosine per
     typical root), so temporaries stay block-sized.  Non-finite targets,
-    then targets outside [0, D] by more than 1e-9, raise
-    :class:`SolverError`.  A bracket at most ``tol`` wide gives its midpoint
-    with no evaluation of the family: it has ``f(0) = 0`` and ``f(1) = D``
-    exactly (``|a*sin(2*pi)/(2*pi)|`` is below half an ulp of D), and the
-    computed f straddles the target at unclipped ends, so the range check
-    reads the targets alone and the only exact end hits are ``t == 0`` (the
-    left end) and ``t == D`` (the right end).  Returning those ends as they
-    are keeps the endpoints that inverse-branch chains share bit for bit.
-    The other brackets, near the flat spot of a near-degenerate map, are
-    finished by :func:`_solve_block`.  Results equal bracket-then-solve on
-    every target bit for bit.
+    then targets outside [0, D] by more than 1e-9, raise :class:`SolverError`
+    block by block; one ``min`` and one ``max`` pass a block (a NaN fails
+    them).  A bracket at most ``tol`` wide gives its midpoint with no
+    evaluation of the family: it has ``f(0) = 0`` and ``f(1) = D`` exactly
+    (``|a*sin(2*pi)/(2*pi)|`` is below half an ulp of D), and the computed f
+    straddles the target at unclipped ends, so the range check reads the
+    targets alone and the only exact end hits, sought where ``min <= 0`` or
+    ``max >= D``, are ``t == 0`` (the left end) and ``t == D`` (the right
+    end).  Returning those ends keeps the endpoints that inverse-branch
+    chains share bit for bit.  Only a block whose widest bracket exceeds
+    ``tol`` (near the flat spot of a near-degenerate map) picks those out
+    for :func:`_solve_block`.  Results equal bracket-then-solve bit for bit.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     target = np.asarray(target, dtype=float)
     out = np.empty(target.shape)
     flat_target, flat_out = target.reshape(-1), out.reshape(-1)
-    family = partial(_sine_family, D, a)
     for start in range(0, target.size, _SOLVER_BLOCK):
         t = flat_target[start : start + _SOLVER_BLOCK]
-        if not np.all(np.isfinite(t)):
-            raise SolverError("non-finite solver target")
-        if np.any(t < -1e-9) or np.any(t > D + 1e-9):
+        low, high = t.min(), t.max()
+        if not (low >= -1e-9 and high <= D + 1e-9):  # false for a NaN too
+            if not np.all(np.isfinite(t)):
+                raise SolverError("non-finite solver target")
             raise SolverError("target outside monotone bracket (lift not monotone?)")
         lo, hi = _sine_family_bracket(D, a, t, tol)
-        root = np.where(t == 0.0, lo, np.where(t == D, hi, 0.5 * (lo + hi)))
-        wide = np.flatnonzero((hi - lo > tol) & (t != 0.0) & (t != D))
-        if wide.size:
-            root[wide] = _solve_block(family, lo[wide], hi[wide], t[wide], tol)
-        flat_out[start : start + _SOLVER_BLOCK] = root
+        root = flat_out[start : start + _SOLVER_BLOCK]
+        np.multiply(np.add(lo, hi, out=root), 0.5, out=root)
+        if low <= 0.0 or high >= D:
+            root[...] = np.where(t == 0.0, lo, np.where(t == D, hi, root))
+        if (hi - lo).max() > tol:
+            wide = np.flatnonzero((hi - lo > tol) & (t != 0.0) & (t != D))
+            root[wide] = _solve_block(partial(_sine_family, D, a), lo[wide], hi[wide], t[wide], tol)
     return out
 
 
@@ -731,7 +742,7 @@ def inverse_branch_values(
         x = _solve_sine_family(spec.degree, spec.epsilon, branch + y, tol)
     else:
         hv = homeo_lift_values(spec.homeo, y)
-        xb = inverse_branch_values(spec.base, branch, np.clip(hv, 0.0, 1.0), tol=tol)
+        xb = inverse_branch_values(spec.base, branch, np.minimum(np.maximum(hv, 0.0), 1.0), tol=tol)
         x = _homeo_inverse_unit(spec.homeo, xb, tol)
     if out is None:
         return x

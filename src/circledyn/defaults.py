@@ -11,11 +11,11 @@ name                 default       used by
 ===================  ============  ====================================================
 SOLVER_TOL           1e-13         bracket width at which every root solve stops
                                    (a cached inverse table's guess and one Newton
-                                   step certified a priori, more steps only where
-                                   the radius exceeds SOLVER_TOL/2; a bracket
-                                   this narrow gives its midpoint with no further
-                                   lift evaluation, a wider one takes false
-                                   position, straddle probe, bisection fallback);
+                                   step certified a priori; more steps only in a
+                                   block whose largest radius exceeds tol/2; a
+                                   bracket this narrow gives its midpoint with no
+                                   lift evaluation, and only a block with a wider
+                                   one takes false position, straddle, bisection);
                                    results are within SOLVER_TOL/2
 DEPTH_CAP            60            max word length / inverse-iteration depth
 CONJUGACY_DEPTH_CAP  48            max refinement depth for conjugacy enclosures

@@ -552,12 +552,14 @@ def iter_levels(
     """Left endpoints of levels 1..n in word order, one array per level.
 
     ``level[k+1][::d] == level[k]`` bit for bit: ``phi_0(0) = 0`` exactly and
-    solves are elementwise deterministic.  Root-solved kinds copy those
-    parents and solve only the other children, d^n solves for a level-n walk
-    instead of d(d^n - 1)/(d - 1); closed forms, cheaper to recompute than to
-    scatter, apply the d branches to every parent, each branch written
-    straight into its slice of the new level.  Every level equals the
-    concatenation of the d branch images of the level above bit for bit.
+    solves are elementwise deterministic.  Root-solved kinds solve level 1
+    in one call, then copy those parents and solve only the other children,
+    d^n solves for a level-n walk instead of d(d^n - 1)/(d - 1), one solver
+    block straight into its strided slots of the new level per call; closed
+    forms, cheaper to recompute than to scatter, apply the d branches to
+    every parent, each branch written straight into its slice.  Every level
+    equals the concatenation of the d branch images of the level above bit
+    for bit.
     The next level is built from the yielded array, so callers must not
     modify it.
 
@@ -572,19 +574,24 @@ def iter_levels(
         raise CellCapExceeded(f"{d}^{n} cylinders exceed cell cap {cell_cap}")
     solve_once = not is_closed_form(spec)
     branches = np.arange(d).reshape(d, 1, 1)
+    rows = max(1, _SOLVER_BLOCK // (d * (d - 1)))  # parent rows per solver block
     lefts = np.zeros(1)
     for _ in range(n):
+        level = np.empty(d * lefts.size)
         if solve_once and lefts.size > 1:
             # entry s*D + q*d + c of the new level (D parents) is phi_s(parents[q*d + c]);
             # for c = 0 that is parents[s*D/d + q], which is copied
-            children = inverse_branch_values(spec, branches, lefts.reshape(-1, d)[:, 1:], tol=tol)
-            lefts = np.concatenate((lefts.reshape(d, -1, 1), children), axis=2).reshape(-1)
-            del children  # hold no level across the yield
+            new, parents = level.reshape(d, -1, d), lefts.reshape(-1, d)
+            new[:, :, 0] = lefts.reshape(d, -1)
+            for q in range(0, len(parents), rows):
+                inverse_branch_values(spec, branches, parents[q : q + rows, 1:], tol=tol, out=new[:, q : q + rows, 1:])
+            del new, parents  # hold no level but this one across the yield
+        elif solve_once:
+            inverse_branch_values(spec, branches.reshape(-1), lefts, tol=tol, out=level)
         else:
-            level = np.empty(d * lefts.size)
             for s, part in enumerate(level.reshape(d, -1)):
                 inverse_branch_values(spec, s, lefts, tol=tol, out=part)
-            lefts = level
+        lefts = level
         yield lefts
 
 
@@ -601,18 +608,20 @@ def descent_ratio(parents: np.ndarray, lengths: np.ndarray, floor: bool = False)
     """The largest parent/child length quotient of a level, or with ``floor``
     the smallest child/parent one; child j's parent is ``parents[j // m]``.
 
-    Reduced over chunks of at most ``_SOLVER_BLOCK`` quotients, each one
-    elementwise that of ``np.repeat(parents, m)``, so the value equals the
-    level-sized ``np.max``/``np.min``, NaN included, without its two copies.
+    Reduced over chunks of at most ``_SOLVER_BLOCK`` quotients, divided into
+    one scratch array, each elementwise that of ``np.repeat(parents, m)``, so
+    the value equals the level-sized ``np.max``/``np.min``, NaN included.
     """
     m = lengths.size // parents.size
     rows, grid = max(1, _SOLVER_BLOCK // m), lengths.reshape(parents.size, m)
+    scratch = np.empty(min(rows, parents.size) * min(m, _SOLVER_BLOCK))
     extremes = []
     for i in range(0, parents.size, rows):
         p = parents[i : i + rows, None]
         for j in range(0, m, _SOLVER_BLOCK):
             c = grid[i : i + rows, j : j + _SOLVER_BLOCK]
-            extremes.append(np.min(c / p) if floor else np.max(p / c))
+            q = scratch[: c.size].reshape(c.shape)
+            extremes.append(np.min(np.divide(c, p, out=q)) if floor else np.max(np.divide(p, c, out=q)))
     return float(np.min(extremes) if floor else np.max(extremes))
 
 

@@ -4,8 +4,8 @@ Everything here is deliberately written from scratch against the defining
 formulas (plain bisection, direct branch formulas, brute-force enumeration,
 60-digit Newton solves in mpmath) and never calls into the package, so
 package results can be checked against a second, structurally different
-computation path.  The reference loops and the grid check at the end are the
-exceptions.
+computation path.  The reference loops, the grid check and the verbatim
+earlier sine-family kernel at the end are the exceptions.
 """
 
 from __future__ import annotations
@@ -541,3 +541,143 @@ def grid_monotone_failure(spec, grid: int = MONOTONE_GRID):
             location=at,
         )
     return None
+
+
+# ---------------------------------------------------------------------------
+# The sine-family kernel before its per-block guards
+# ---------------------------------------------------------------------------
+# ``_sine_family_bracket`` and ``_solve_sine_family`` as they were before
+# each solver block got one range check, one radius guard, one width guard
+# and in-place arithmetic, copied verbatim, so that the lean kernel can be
+# held to them bit for bit.  Their helpers are the package's own, which that
+# change left as they were.
+
+from functools import partial
+
+import numpy as np
+
+from circledyn import defaults
+from circledyn.circle_maps import (
+    _NEWTON_STEPS,
+    _SEED_NODES,
+    _SOLVER_BLOCK,
+    _TWO_PI,
+    _UNIT_ROUNDOFF,
+    _sine_family,
+    _sine_family_inverse_table,
+    _solve_block,
+)
+from circledyn.errors import SolverError
+
+
+def _sine_family_bracket(
+    D: int, a: float, target: np.ndarray, tol: float = defaults.SOLVER_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified brackets in [0, 1] for ``f(x) = D*x + a*sin(2*pi*x)/(2*pi) = target``.
+
+    The cached inverse table of :func:`_sine_family_inverse_table` (a linear
+    interpolation between two nodes, no search) gives a guess x0, and one
+    sine its computed residual r0.  One Newton step x1, clipped to [0, 1],
+    is certified without evaluating f again by Kantorovich's a-priori bound:
+    with u the unit roundoff, the slope floor ``m = D - |a| > 0`` and
+    ``M = 2*pi*|a| >= |f''|``, the root x* lies within this r1 of x1:
+
+        ``r1 = (ds*e0 + (M/2)*e0**2 + pad)/(m - ds) + u*|r0|/(m - ds) + u``
+
+    * ``pad = 16*u*(D + |a|)`` is four times the rounding of a computed
+      residual (at most ``4*u*(D + |a|)``), so x0 is within
+      ``e0 = (|r0| + pad)/m`` of x*, and the rest keeps the computed f on
+      the right side of the target at the bracket ends (below);
+    * ``ds = u*(D + 24*|a|)`` bounds the error of the computed slope s: the
+      angle is within ``4*pi*u`` of ``2*pi*x0``, cos adds at most 4 ulps
+      (8u), and the product and the sum one rounding each;
+    * Taylor at x0 gives ``s*(x0 - r0/s - x*) = (s - f'(x0))*(x0 - x*) +
+      f''(xi)*(x0 - x*)**2/2 + (f(x0) - t - r0)``, and ``s >= m - ds``: the
+      first term;
+    * the computed quotient ``r0/s`` is off by at most ``u*|r0|/(m - ds)``,
+      and the computed difference, if within 1 of ``x* in [0, 1]``, lies in
+      [-1, 2] and is off by at most u; were it not, r1 > 1 and the bracket
+      is [0, 1].  Clipping only moves x1 toward x*.
+
+    ``|r0| <= m*e0`` folds the quotient term into the linear one, and every
+    coefficient is scaled by ``1 + 32*u``, more than the relative rounding of
+    the dozen operations that form r1, so r1 is rounded up.  Elements whose
+    r1 still exceeds ``tol/2`` (near the flat spot of a near-degenerate map)
+    are certified at x1 by ``(|f(x1) - target| + pad)/m`` instead and step
+    again, each step certified that way, up to ``_NEWTON_STEPS`` in all.
+    The guess affects speed only: the clipped bracket ``[x - r, x + r]``
+    holds the root whatever x is.  With the padding the computed f is below
+    the target at an unclipped left end and above it at an unclipped right
+    end, so the ends need no evaluation.  Each bracket depends on its own
+    target alone, which must be finite and within the range slack of [0, D]
+    (:func:`_solve_sine_family` checks them).
+    """
+    u = _UNIT_ROUNDOFF
+    pad = 16.0 * u * (D + abs(a))
+    floor = D - abs(a)
+    ds = u * (D + 24.0 * abs(a))
+    scale = (1.0 + 32.0 * u) / (floor - ds) if floor > ds else math.inf
+    c2, c1, c0 = math.pi * abs(a) * scale, (ds + u * floor) * scale, (pad + u * (floor - ds)) * scale
+    table = _sine_family_inverse_table(D, a)
+    pos = target * (_SEED_NODES / D)
+    # minimum/maximum rather than clip: the arrays are often tiny
+    node = np.minimum(np.maximum(pos, 0.0), _SEED_NODES - 1).astype(np.intp)
+    left = table[node]
+    x = np.minimum(np.maximum(left + (pos - node) * (table[node + 1] - left), 0.0), 1.0)
+    residual = _sine_family(D, a, x) - target
+    e0 = (np.abs(residual) + pad) / floor
+    x = np.minimum(np.maximum(x - residual / (D + a * np.cos(_TWO_PI * x)), 0.0), 1.0)
+    radius = (c2 * e0 + c1) * e0 + c0
+    for step in range(_NEWTON_STEPS):
+        # near-degenerate maps: certify by the residual, then step again
+        todo = np.flatnonzero(radius > 0.5 * tol)
+        if todo.size == 0:
+            break
+        xs, ts = x[todo], target[todo]
+        if step:
+            xs = np.minimum(np.maximum(xs - residual[todo] / (D + a * np.cos(_TWO_PI * xs)), 0.0), 1.0)
+        rs = _sine_family(D, a, xs) - ts
+        x[todo], residual[todo], radius[todo] = xs, rs, (np.abs(rs) + pad) / floor
+    return np.maximum(x - radius, 0.0), np.minimum(x + radius, 1.0)
+
+
+def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
+    """Roots of ``_sine_family(D, a, x) = target`` on [0, 1], each within ``tol/2``.
+
+    ``smooth_sine`` (D = degree, a = epsilon) and ``sine_homeo`` (D = 1,
+    a = c) are this family, and every root solve of the package is this one.
+    A ``tol`` that is not a finite number > 0 raises :class:`ValueError`
+    before any work.  Each block of ``_SOLVER_BLOCK`` targets gets its
+    brackets from :func:`_sine_family_bracket` (one sine and one cosine per
+    typical root), so temporaries stay block-sized.  Non-finite targets,
+    then targets outside [0, D] by more than 1e-9, raise
+    :class:`SolverError`.  A bracket at most ``tol`` wide gives its midpoint
+    with no evaluation of the family: it has ``f(0) = 0`` and ``f(1) = D``
+    exactly (``|a*sin(2*pi)/(2*pi)|`` is below half an ulp of D), and the
+    computed f straddles the target at unclipped ends, so the range check
+    reads the targets alone and the only exact end hits are ``t == 0`` (the
+    left end) and ``t == D`` (the right end).  Returning those ends as they
+    are keeps the endpoints that inverse-branch chains share bit for bit.
+    The other brackets, near the flat spot of a near-degenerate map, are
+    finished by :func:`_solve_block`.  Results equal bracket-then-solve on
+    every target bit for bit.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    target = np.asarray(target, dtype=float)
+    out = np.empty(target.shape)
+    flat_target, flat_out = target.reshape(-1), out.reshape(-1)
+    family = partial(_sine_family, D, a)
+    for start in range(0, target.size, _SOLVER_BLOCK):
+        t = flat_target[start : start + _SOLVER_BLOCK]
+        if not np.all(np.isfinite(t)):
+            raise SolverError("non-finite solver target")
+        if np.any(t < -1e-9) or np.any(t > D + 1e-9):
+            raise SolverError("target outside monotone bracket (lift not monotone?)")
+        lo, hi = _sine_family_bracket(D, a, t, tol)
+        root = np.where(t == 0.0, lo, np.where(t == D, hi, 0.5 * (lo + hi)))
+        wide = np.flatnonzero((hi - lo > tol) & (t != 0.0) & (t != D))
+        if wide.size:
+            root[wide] = _solve_block(family, lo[wide], hi[wide], t[wide], tol)
+        flat_out[start : start + _SOLVER_BLOCK] = root
+    return out

@@ -36,6 +36,8 @@ from circledyn import (
 )
 from circledyn import circle_maps, defaults
 from _oracles import (
+    _sine_family_bracket as earlier_bracket,
+    _solve_sine_family as earlier_solve,
     bisect_root,
     conjugated_inverse_branch,
     grid_monotone_failure,
@@ -627,6 +629,106 @@ class TestCertifiedFinish:
             targets = _oracle_targets(D, a)
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 circle_maps._solve_sine_family(D, a, targets, TOL)
+
+
+BLOCK = circle_maps._SOLVER_BLOCK
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestLeanKernel:
+    """Per-block guards and in-place arithmetic change no bit: the kernel
+    equals the earlier one, kept verbatim in ``_oracles``, on every path."""
+
+    @pytest.mark.parametrize("D, a", SINE_FAMILY)
+    @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3])
+    def test_block_sizes(self, D, a, size):
+        targets = np.random.default_rng(size).random(size) * D
+        flat = _flat_spot_targets(D, a)[:size]
+        targets[: flat.size] = flat
+        assert _same_bits(circle_maps._solve_sine_family(D, a, targets, TOL), earlier_solve(D, a, targets, TOL))
+        for got, want in zip(circle_maps._sine_family_bracket(D, a, targets), earlier_bracket(D, a, targets)):
+            assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("D, a", SINE_FAMILY)
+    def test_scalar_and_strided_targets(self, D, a):
+        grid = np.random.default_rng(11).random((6, 4, 3)) * D
+        views = (grid[:, 1:, ::2], grid.T, grid[::-1, :, 0])
+        assert not any(view.flags.c_contiguous for view in views)
+        for targets in (np.float64(0.3 * D), *views):
+            assert _same_bits(circle_maps._solve_sine_family(D, a, targets, TOL), earlier_solve(D, a, targets, TOL))
+
+    @pytest.mark.parametrize("D, a", SINE_FAMILY)
+    def test_end_hits_beside_the_range_slack(self, D, a):
+        # the block's minimum is below 0 and its maximum above D: a guard
+        # that looked for end hits only where min == 0 or max == D would skip them
+        ends = [0.0, 1.0]  # the roots of t == 0 and t == D
+        targets = np.array([-1e-9, 0.0, -5e-10, -5e-324, 0.5 * D, D, D + 1e-9, np.nextafter(D, 3.0 * D), 0.0, D])
+        got = circle_maps._solve_sine_family(D, a, targets, TOL)
+        assert _same_bits(got, earlier_solve(D, a, targets, TOL))
+        assert got[[1, 5, 8, 9]].tolist() == ends + ends
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])
+    @pytest.mark.parametrize("D, a", [(D, a) for D, a in SINE_FAMILY if abs(a) > 0.9 * D])
+    def test_near_degenerate_blocks_mix_certified_and_wide(self, D, a, tol):
+        targets = np.concatenate([np.random.default_rng(3).random(100) * D, _flat_spot_targets(D, a), [0.0, D]])
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets, tol)
+        wide = hi - lo > tol
+        assert np.any(wide)
+        if tol > 1e-13:  # below pad/(D - |a|) no bracket is certified
+            assert not np.all(wide)
+        assert _same_bits(circle_maps._solve_sine_family(D, a, targets, tol), earlier_solve(D, a, targets, tol))
+        for got, want in zip((lo, hi), earlier_bracket(D, a, targets, tol)):
+            assert _same_bits(got, want)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            smooth_sine_map(2, 0.5),
+            smooth_sine_map(3, 1.2),
+            make_conjugated(linear_map(3), sine_homeo(-0.999)),
+            make_conjugated(smooth_sine_map(2, 1.998), compose_homeos([sine_homeo(0.999), sine_homeo(-0.4)])),
+        ],
+        ids=lambda spec: spec.describe(),
+    )
+    def test_walk_writes_strided_children(self, spec, monkeypatch):
+        # the level walk passes the non-copied parents, a strided view, and
+        # the strided child slots of the new level as ``out``
+        d = spec.degree
+        lefts = np.sort(np.random.default_rng(d).random(d * 40))
+        lefts[0] = 0.0
+        parents = lefts.reshape(-1, d)[:, 1:]
+        level = np.full(d * lefts.size, -1.0)
+        slots = level.reshape(d, -1, d)[:, :, 1:]
+        branches = np.arange(d).reshape(d, 1, 1)
+        assert inverse_branch_values(spec, branches, parents, out=slots) is slots
+        monkeypatch.setattr(circle_maps, "_solve_sine_family", earlier_solve)
+        want = inverse_branch_values(spec, branches, np.ascontiguousarray(parents))
+        assert _same_bits(np.ascontiguousarray(slots), want)
+        assert np.all(level.reshape(d, -1, d)[:, :, 0] == -1.0)  # the copied slots are left alone
+
+    @pytest.mark.parametrize("D, a", SINE_FAMILY)
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ((), (math.nan, -1.0), "non-finite"),
+            ((), (-1.0, math.nan), "non-finite"),
+            ((), (math.inf,), "non-finite"),
+            ((), ("D+",), "outside monotone bracket"),
+            ((-2e-9,), (math.nan,), "outside monotone bracket"),
+        ],
+    )
+    def test_second_block_rejects_like_the_earlier_kernel(self, D, a, first, second, message):
+        # each block checks its own targets, a NaN before a range failure,
+        # after the blocks before it were solved
+        targets = np.random.default_rng(13).random(BLOCK + 20) * D
+        for at, values in ((5, first), (BLOCK + 7, second)):
+            targets[at : at + len(values)] = [D + 2e-9 if v == "D+" else v for v in values]
+        for solve in (circle_maps._solve_sine_family, earlier_solve):
+            with pytest.raises(SolverError, match=message):
+                solve(D, a, targets, TOL)
 
 
 class TestGlobalInverseLift:

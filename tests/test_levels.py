@@ -165,7 +165,7 @@ class TestWorkCount:
         level_left_endpoints(spec, n)
         d = spec.degree
         assert counts["items"] <= d**n  # the old loop: d(d^n - 1)/(d - 1)
-        assert counts["calls"] == n + d - 1
+        assert counts["calls"] == n  # one call per level, level 1 included
 
     def test_closed_forms_apply_every_branch(self, f06, monkeypatch):
         counts = _count_solves(monkeypatch)
