@@ -43,13 +43,13 @@ comes with an a-priori radius that holds the root (compute fast, then
 verify), so a typical root costs one sine and one cosine.  A bracket at
 most ``tol`` wide gives its midpoint, within ``tol/2`` of the root, with no
 further evaluation of the lift.  Only the few brackets still wider (near
-the flat spot of a near-degenerate map) take solver passes: false-position
-and straddling probes that fall back to bisection, so they never need more
-than about twice the evaluations of plain bisection.  Large inputs are
-solved in fixed-size blocks, in place, each with one range check and a guard
-before the extra Newton steps, the end hits and the solver passes.  Specs
-are immutable and every evaluation is a pure function of (spec, inputs), so
-all operations are safe to call concurrently.
+the flat spot of a near-degenerate map) are finished by certified
+bisection; :func:`_root_error` is the one per-root bound, which
+:func:`chain_error_bound` builds on.  Large inputs are solved in blocks,
+in place, each with one range check and a guard before the extra Newton
+steps, the end hits and the bisection.  Specs are immutable and every
+evaluation is a pure function of (spec, inputs), so all operations are
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -67,7 +67,6 @@ from .errors import DepthCapExceeded, InvalidMapError, SolverError, SpecFormatEr
 
 _TWO_PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
-_MAX_SOLVER_STEPS = 200
 _SOLVER_BLOCK = 2**15
 _NEWTON_STEPS = 4
 _SEED_NODES = 2**12
@@ -394,6 +393,23 @@ def _sine_family_inverse_table(D: int, a: float) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=16)
+def _sine_family_constants(D: int, a: float) -> tuple[float, float, float, float, float]:
+    """``(pad, m, c2, c1, c0)`` of :func:`_sine_family_bracket`, derived there."""
+    u = _UNIT_ROUNDOFF
+    pad = 16.0 * u * (D + abs(a))
+    floor = D - abs(a)
+    ds = u * (D + 24.0 * abs(a))
+    scale = (1.0 + 32.0 * u) / (floor - ds) if floor > ds else math.inf
+    return pad, floor, math.pi * abs(a) * scale, (ds + u * floor) * scale, (pad + u * (floor - ds)) * scale
+
+
+def _root_error(D: int, a: float, tol: float) -> float:
+    """Error bound ``max(tol/2, (5/4)*pad/m)`` of a solved root, before its midpoint's rounding."""
+    pad, floor = _sine_family_constants(D, a)[:2]
+    return max(0.5 * tol, 1.25 * pad / floor)
+
+
 def _sine_family_bracket(
     D: int, a: float, target: np.ndarray, tol: float = defaults.SOLVER_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -437,12 +453,7 @@ def _sine_family_bracket(
     Each bracket depends on its own target alone, which must be finite and
     within the range slack of [0, D] (:func:`_solve_sine_family` checks).
     """
-    u = _UNIT_ROUNDOFF
-    pad = 16.0 * u * (D + abs(a))
-    floor = D - abs(a)
-    ds = u * (D + 24.0 * abs(a))
-    scale = (1.0 + 32.0 * u) / (floor - ds) if floor > ds else math.inf
-    c2, c1, c0 = math.pi * abs(a) * scale, (ds + u * floor) * scale, (pad + u * (floor - ds)) * scale
+    pad, floor, c2, c1, c0 = _sine_family_constants(D, a)
     table = _sine_family_inverse_table(D, a)
     pos = target * (_SEED_NODES / D)
     node = np.minimum(pos.astype(np.intp), _SEED_NODES - 1)  # truncation takes pos in (-1, 0) to 0
@@ -473,7 +484,8 @@ def _sine_family_bracket(
 
 
 def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
-    """Roots of ``_sine_family(D, a, x) = target`` on [0, 1], each within ``tol/2``.
+    """Roots of ``_sine_family(D, a, x) = target`` on [0, 1], each within
+    :func:`_root_error` plus the rounding u of a midpoint.
 
     ``smooth_sine`` (D = degree, a = epsilon) and ``sine_homeo`` (D = 1,
     a = c) are this family, and every root solve of the package is this one.
@@ -490,9 +502,17 @@ def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
     targets alone and the only exact end hits, sought where ``min <= 0`` or
     ``max >= D``, are ``t == 0`` (the left end) and ``t == D`` (the right
     end).  Returning those ends keeps the endpoints that inverse-branch
-    chains share bit for bit.  Only a block whose widest bracket exceeds
-    ``tol`` (near the flat spot of a near-degenerate map) picks those out
-    for :func:`_solve_block`.  Results equal bracket-then-solve bit for bit.
+    chains share bit for bit.  A block whose widest bracket exceeds ``tol``
+    (near the flat spot of a near-degenerate map, where the certificate
+    stays above ``pad/m``, pad and ``m = D - |a|`` as in the bracket)
+    bisects the wider ones at their midpoints.  A computed residual r is off
+    by at most ``q = pad/4``, so ``|r| > q`` moves the end on its side to the
+    midpoint, and the bracket is cut to ``midpoint +- (|r| + pad)/m`` (pad's
+    spare 3q covers the rounding).  An element stops with the midpoint of
+    its bracket at width ``<= tol``, at ``|r| <= q`` (the bracket then lies
+    within ``(5/4)*pad/m`` of the midpoint) or with no float strictly
+    inside; every other pass about halves it, so there is no cap and no
+    failure path.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
@@ -512,73 +532,19 @@ def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
         if low <= 0.0 or high >= D:
             root[...] = np.where(t == 0.0, lo, np.where(t == D, hi, root))
         if (hi - lo).max() > tol:
-            wide = np.flatnonzero((hi - lo > tol) & (t != 0.0) & (t != D))
-            root[wide] = _solve_block(partial(_sine_family, D, a), lo[wide], hi[wide], t[wide], tol)
+            pad, floor = _sine_family_constants(D, a)[:2]
+            todo = np.flatnonzero((hi - lo > tol) & (t != 0.0) & (t != D))
+            lo, hi, t, mid = lo[todo], hi[todo], t[todo], root[todo]
+            while todo.size:
+                r = _sine_family(D, a, mid) - t
+                reach = (np.abs(r) + pad) / floor
+                lo = np.where(r < -0.25 * pad, mid, np.maximum(lo, mid - reach))
+                hi = np.where(r > 0.25 * pad, mid, np.minimum(hi, mid + reach))
+                mid = 0.5 * (lo + hi)
+                done = (hi - lo <= tol) | (np.abs(r) <= 0.25 * pad) | (mid <= lo) | (mid >= hi)
+                root[todo[done]] = mid[done]
+                todo, lo, hi, t, mid = (v[~done] for v in (todo, lo, hi, t, mid))
     return out
-
-
-def _narrow(x, fx, t, a, b, fa, fb):
-    """Replace whichever bracket end ``x`` lies on the same side of the root as."""
-    below = fx < t
-    return (
-        np.where(below, x, a),
-        np.where(below, b, x),
-        np.where(below, fx, fa),
-        np.where(below, fb, fx),
-    )
-
-
-def _solve_block(fn, lo, hi, target, tol: float) -> np.ndarray:
-    """Solve ``fn(x) = target`` for an increasing ``fn``, elementwise on 1-D arrays.
-
-    Each bracket ``[lo, hi]`` must hold its root.  ``fn`` is evaluated at
-    both ends of every bracket wider than ``tol``, and each result is the
-    midpoint of a bracket at most ``tol`` wide, so it lies within ``tol/2``
-    of the root.
-
-    Every pass makes two probes per unconverged element.  The first is a
-    false-position step; the second "straddles" the root from the first
-    probe, stepping ``2*|f(x) - target|/slope + tol/4`` toward it, so that
-    both ends of the bracket close in rather than one end sticking.  Both
-    probes stay at least ``tol/4`` inside the bracket.  When a pass fails to
-    halve an element's bracket, that element's next pass makes two bisection
-    steps instead and so quarters it.  A pass therefore either halves the
-    bracket or is followed by one that quarters it, which bounds the work at
-    about twice the evaluations of plain bisection.  An element is frozen as
-    soon as its own bracket is at most ``tol`` wide; later passes evaluate
-    ``fn`` only on the elements left.
-    """
-    out = 0.5 * (lo + hi)
-    idx = np.flatnonzero(hi - lo > tol)
-    # invariant fn(a) < t <= fn(b), with the same ``<`` as plain bisection; at
-    # an end hit fn(a) == t every probe moves b, so the bracket closes on a
-    a, b, t = lo[idx], hi[idx], target[idx]
-    fa, fb = fn(a), fn(b)
-    bisect = np.zeros(idx.size, dtype=bool)
-    margin = 0.25 * tol
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_SOLVER_STEPS):
-            if idx.size == 0:
-                return out
-            width = b - a
-            slope = (fb - fa) / width
-            fast = ~bisect & (slope > 0)
-            secant = np.clip(a + (t - fa) / slope, a + margin, b - margin)
-            x = np.where(fast, secant, 0.5 * (a + b))
-            fx = fn(x)
-            a, b, fa, fb = _narrow(x, fx, t, a, b, fa, fb)
-            step = 2.0 * np.abs(fx - t) / slope + margin
-            straddle = np.clip(np.where(fx < t, x + step, x - step), a + margin, b - margin)
-            y = np.where(fast & (b - a > tol), straddle, 0.5 * (a + b))
-            a, b, fa, fb = _narrow(y, fn(y), t, a, b, fa, fb)
-            bisect = b - a > 0.5 * width
-            keep = b - a > tol
-            done = ~keep
-            out[idx[done]] = 0.5 * (a[done] + b[done])
-            idx, a, b, fa, fb, t, bisect = (
-                arr[keep] for arr in (idx, a, b, fa, fb, t, bisect)
-            )
-    raise SolverError("root solver failed to converge")
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +608,7 @@ def homeo_rounding(spec: CircleHomeoSpec) -> float:
     allows 8 per ``sine_homeo`` part, each carried to the result by at most
     ``max H'`` (every part's slope bound is at least 1).
     """
-    return 8.0 * _UNIT_ROUNDOFF * _homeo_solves(spec) * homeo_slope_bounds(spec)[1]
+    return 8.0 * _UNIT_ROUNDOFF * len(_homeo_leaves(spec)) * homeo_slope_bounds(spec)[1]
 
 
 def lift_slope_values(spec: CircleMapSpec, x: np.ndarray) -> np.ndarray:
@@ -678,24 +644,23 @@ def _chain_lipschitz(spec: CircleMapSpec) -> tuple[float, float]:
     return rho * h_hi / h_lo, lam
 
 
-def _homeo_solves(spec: CircleHomeoSpec) -> int:
-    """Root solves in one ``H^{-1}``: one per ``sine_homeo`` at any depth."""
+def _homeo_leaves(spec: CircleHomeoSpec) -> list[float]:
+    """The ``c`` of every ``sine_homeo`` at any depth, one root solve each in ``H^{-1}``."""
     if spec.kind == "sine_homeo":
-        return 1
-    return sum(_homeo_solves(part) for part in spec.parts)
+        return [spec.c]
+    return [c for part in spec.parts for c in _homeo_leaves(part)]
 
 
 def _step_error(spec: CircleMapSpec, tol: float) -> float:
-    """Error of one computed inverse branch: 4 ulps of 1 for a lerp, ``tol/2``
-    per root solve, carried through the inverse homeomorphism of a
-    conjugated map."""
+    """Error of one computed inverse branch: 4 ulps of 1 for a lerp, :func:`_root_error` per
+    root solve, carried through a conjugated map's ``H^{-1}`` (``tol/2`` if that solves nothing)."""
     if is_closed_form(spec):
         return 4.0 * _UNIT_ROUNDOFF
     if spec.kind == "smooth_sine":
-        return 0.5 * tol + 4.0 * _UNIT_ROUNDOFF
+        return _root_error(spec.degree, spec.epsilon, tol) + 4.0 * _UNIT_ROUNDOFF
     h_lo = homeo_slope_bounds(spec.homeo)[0]
-    solves = max(1, _homeo_solves(spec.homeo))
-    return (0.5 * tol * solves + _step_error(spec.base, tol)) / h_lo + 4.0 * _UNIT_ROUNDOFF
+    solves = [_root_error(1, c, tol) for c in _homeo_leaves(spec.homeo)] or [0.5 * tol]
+    return (math.fsum(solves) + _step_error(spec.base, tol)) / h_lo + 4.0 * _UNIT_ROUNDOFF
 
 
 def chain_error_bound(spec: CircleMapSpec, tol: float, depth_cap: int) -> np.ndarray:
@@ -704,7 +669,7 @@ def chain_error_bound(spec: CircleMapSpec, tol: float, depth_cap: int) -> np.nda
     Each step adds one inverse-branch error, which the outer steps carry to
     the result with their Lipschitz bound.  The bound is rigorous for the
     closed-form kinds; for root-solved kinds it rests on the solver's
-    ``tol/2`` and on the slope bounds of :func:`slope_bounds`.
+    :func:`_root_error` and on the slope bounds of :func:`slope_bounds`.
     """
     rho, lam = _chain_lipschitz(spec)
     with np.errstate(over="ignore"):  # lam > 1 for weakly expanding maps
@@ -798,7 +763,7 @@ def inverse_branch(
     Raises:
         InvalidMapError: spec fails validation.
         ValueError: branch index out of range or y outside [0,1].
-        SolverError: the lift could not be bracketed (non-monotone data).
+        SolverError: a root-solve target is not finite or outside its range.
     """
     ensure_valid(spec)
     if not 0 <= branch < spec.degree:

@@ -9,14 +9,9 @@ read where they are used and take no parameter.
 ===================  ============  ====================================================
 name                 default       used by
 ===================  ============  ====================================================
-SOLVER_TOL           1e-13         bracket width at which every root solve stops
-                                   (a cached inverse table's guess and one Newton
-                                   step certified a priori; more steps only in a
-                                   block whose largest radius exceeds tol/2; a
-                                   bracket this narrow gives its midpoint with no
-                                   lift evaluation, and only a block with a wider
-                                   one takes false position, straddle, bisection);
-                                   results are within SOLVER_TOL/2
+SOLVER_TOL           1e-13         bracket width at which every root solve stops;
+                                   a root is within max(SOLVER_TOL/2, 1.25*pad/m)
+                                   (circle_maps._root_error; m = D - |a|)
 DEPTH_CAP            60            max word length / inverse-iteration depth
 CONJUGACY_DEPTH_CAP  48            max refinement depth for conjugacy enclosures
 CELL_CAP             2**20         max cylinder count for a fully enumerated level;

@@ -17,7 +17,7 @@ class InvalidMapError(CircleDynError):
 
 
 class SolverError(CircleDynError):
-    """A root solve could not bracket or converge (non-monotone data)."""
+    """A root-solve target is not finite or lies outside the range of its branch."""
 
 
 class DepthCapExceeded(CircleDynError):

@@ -337,11 +337,14 @@ def reference_endpoint_radius(spec, level: int, tol: float) -> float:
 # uniform-quasisymmetry ratios ran three separate scalar inverse chains, one
 # solve per value and step; the measure profile made one inverse-branch call
 # per branch and interval end.  These are those computations, as references
-# the batched paths must reproduce bit for bit.
+# the batched paths must reproduce bit for bit (the sine-family solve where
+# its certified bracket is at most tol wide: the wider ones are now finished
+# by certified bisection, not by the general solver ``_solve_block``).
 
 def reference_sine_family_solve(D: int, a: float, target, tol: float):
     """Roots of ``D*x + a*sin(2*pi*x)/(2*pi) = target`` on [0, 1]: the
-    certified bracket, then f at both of its ends and the solver passes."""
+    certified bracket, then f at both of its ends and the passes of the
+    general solver ``_solve_block`` (below)."""
     import numpy as np
     from circledyn import circle_maps
     from circledyn.errors import SolverError
@@ -360,9 +363,34 @@ def reference_sine_family_solve(D: int, a: float, target, tol: float):
         f_lo, f_hi = f(lo), f(hi)
         if np.any(t < f_lo - 1e-9) or np.any(t > f_hi + 1e-9):
             raise SolverError("target outside monotone bracket (lift not monotone?)")
-        mid = circle_maps._solve_block(f, lo, hi, t, tol)
+        mid = _solve_block(f, lo, hi, t, tol)
         out[start : start + block_size] = np.where(f_lo == t, lo, np.where(f_hi == t, hi, mid))
     return out
+
+
+def reference_chain_error_bound(spec, tol: float, depth_cap: int):
+    """``chain_error_bound`` as it was with ``tol/2`` for every root solve,
+    whatever the slope floor, and ``tol/2`` for an ``H^{-1}`` that solves
+    nothing; the per-root bound must equal it bit for bit wherever every
+    solve has ``(5/4)*pad/(D - |a|) <= tol/2``."""
+    import numpy as np
+    from circledyn.circle_maps import _UNIT_ROUNDOFF, _chain_lipschitz, homeo_slope_bounds, is_closed_form
+
+    def solves(homeo):
+        return 1 if homeo.kind == "sine_homeo" else sum(solves(part) for part in homeo.parts)
+
+    def step(s):
+        if is_closed_form(s):
+            return 4.0 * _UNIT_ROUNDOFF
+        if s.kind == "smooth_sine":
+            return 0.5 * tol + 4.0 * _UNIT_ROUNDOFF
+        h_lo = homeo_slope_bounds(s.homeo)[0]
+        return (0.5 * tol * max(1, solves(s.homeo)) + step(s.base)) / h_lo + 4.0 * _UNIT_ROUNDOFF
+
+    rho, lam = _chain_lipschitz(spec)
+    with np.errstate(over="ignore"):
+        reach = rho * lam ** np.arange(depth_cap)
+    return step(spec) * np.concatenate(([0.0], np.cumsum(reach)))
 
 
 def reference_inverse_lift(spec, y: float, n: int, tol: float) -> float:
@@ -549,8 +577,11 @@ def grid_monotone_failure(spec, grid: int = MONOTONE_GRID):
 # ``_sine_family_bracket`` and ``_solve_sine_family`` as they were before
 # each solver block got one range check, one radius guard, one width guard
 # and in-place arithmetic, copied verbatim, so that the lean kernel can be
-# held to them bit for bit.  Their helpers are the package's own, which that
-# change left as they were.
+# held to them bit for bit where a bracket is at most tol wide.  Their
+# helpers are the package's own, which that change left as they were, but
+# for the general solver ``_solve_block`` (with ``_narrow`` and
+# ``_MAX_SOLVER_STEPS``) that finished the wider brackets then, copied
+# verbatim too: the package now finishes those by certified bisection.
 
 from functools import partial
 
@@ -565,9 +596,75 @@ from circledyn.circle_maps import (
     _UNIT_ROUNDOFF,
     _sine_family,
     _sine_family_inverse_table,
-    _solve_block,
 )
 from circledyn.errors import SolverError
+
+_MAX_SOLVER_STEPS = 200
+
+
+def _narrow(x, fx, t, a, b, fa, fb):
+    """Replace whichever bracket end ``x`` lies on the same side of the root as."""
+    below = fx < t
+    return (
+        np.where(below, x, a),
+        np.where(below, b, x),
+        np.where(below, fx, fa),
+        np.where(below, fb, fx),
+    )
+
+
+def _solve_block(fn, lo, hi, target, tol: float) -> np.ndarray:
+    """Solve ``fn(x) = target`` for an increasing ``fn``, elementwise on 1-D arrays.
+
+    Each bracket ``[lo, hi]`` must hold its root.  ``fn`` is evaluated at
+    both ends of every bracket wider than ``tol``, and each result is the
+    midpoint of a bracket at most ``tol`` wide, so it lies within ``tol/2``
+    of the root.
+
+    Every pass makes two probes per unconverged element.  The first is a
+    false-position step; the second "straddles" the root from the first
+    probe, stepping ``2*|f(x) - target|/slope + tol/4`` toward it, so that
+    both ends of the bracket close in rather than one end sticking.  Both
+    probes stay at least ``tol/4`` inside the bracket.  When a pass fails to
+    halve an element's bracket, that element's next pass makes two bisection
+    steps instead and so quarters it.  A pass therefore either halves the
+    bracket or is followed by one that quarters it, which bounds the work at
+    about twice the evaluations of plain bisection.  An element is frozen as
+    soon as its own bracket is at most ``tol`` wide; later passes evaluate
+    ``fn`` only on the elements left.
+    """
+    out = 0.5 * (lo + hi)
+    idx = np.flatnonzero(hi - lo > tol)
+    # invariant fn(a) < t <= fn(b), with the same ``<`` as plain bisection; at
+    # an end hit fn(a) == t every probe moves b, so the bracket closes on a
+    a, b, t = lo[idx], hi[idx], target[idx]
+    fa, fb = fn(a), fn(b)
+    bisect = np.zeros(idx.size, dtype=bool)
+    margin = 0.25 * tol
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_SOLVER_STEPS):
+            if idx.size == 0:
+                return out
+            width = b - a
+            slope = (fb - fa) / width
+            fast = ~bisect & (slope > 0)
+            secant = np.clip(a + (t - fa) / slope, a + margin, b - margin)
+            x = np.where(fast, secant, 0.5 * (a + b))
+            fx = fn(x)
+            a, b, fa, fb = _narrow(x, fx, t, a, b, fa, fb)
+            step = 2.0 * np.abs(fx - t) / slope + margin
+            straddle = np.clip(np.where(fx < t, x + step, x - step), a + margin, b - margin)
+            y = np.where(fast & (b - a > tol), straddle, 0.5 * (a + b))
+            a, b, fa, fb = _narrow(y, fn(y), t, a, b, fa, fb)
+            bisect = b - a > 0.5 * width
+            keep = b - a > tol
+            done = ~keep
+            out[idx[done]] = 0.5 * (a[done] + b[done])
+            idx, a, b, fa, fb, t, bisect = (
+                arr[keep] for arr in (idx, a, b, fa, fb, t, bisect)
+            )
+    raise SolverError("root solver failed to converge")
+
 
 
 def _sine_family_bracket(
