@@ -201,7 +201,6 @@ def uqs_ratio_endo(
     x: float,
     t: float,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     depth_cap: int = defaults.DEPTH_CAP,
 ) -> float:
     """Distortion ratio of the n-fold inverse lift,
@@ -215,7 +214,7 @@ def uqs_ratio_endo(
         ResolutionExhausted: the denominator fell below ``QS_DENOM_FLOOR``.
     """
     _check_uqs_request(spec, x, t)
-    *_, last = inverse_orbit(spec, (x + t, x, x - t), n, tol=tol, depth_cap=depth_cap)
+    *_, last = inverse_orbit(spec, (x + t, x, x - t), n, depth_cap=depth_cap)
     return _uqs_ratio(last, x, t, n)
 
 
@@ -224,7 +223,6 @@ def iter_uqs_ratios(
     x: float,
     t: float,
     n_max: int,
-    tol: float = defaults.SOLVER_TOL,
     depth_cap: int = defaults.DEPTH_CAP,
 ) -> Iterator[float]:
     """``uqs_ratio_endo(spec, x, t, n)`` for n = 1..n_max, from one inverse orbit.
@@ -242,7 +240,7 @@ def iter_uqs_ratios(
     _check_uqs_request(spec, x, t)
     reach = min(n_max, depth_cap)
     if reach >= 1:
-        orbit = inverse_orbit(spec, (x + t, x, x - t), reach, tol=tol, depth_cap=depth_cap)
+        orbit = inverse_orbit(spec, (x + t, x, x - t), reach, depth_cap=depth_cap)
         for n, values in enumerate(orbit, 1):
             yield _uqs_ratio(values, x, t, n)
     if n_max > depth_cap:
@@ -261,7 +259,6 @@ def dyadic_intervals(count: int) -> list[tuple[float, float]]:
 def measure_profile(
     spec: CircleMapSpec,
     intervals: Sequence[tuple[float, float]],
-    tol: float = defaults.SOLVER_TOL,
 ) -> np.ndarray:
     """Per-interval deviation ``| |f^{-1}([a,b])| - (b-a) |``.
 
@@ -282,7 +279,7 @@ def measure_profile(
     if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):
         raise ValueError("intervals must be nondegenerate subintervals of [0,1]")
     branches = np.arange(spec.degree)[:, None, None]
-    ends = inverse_branch_values(spec, branches, np.stack([b, a]), tol=tol)
+    ends = inverse_branch_values(spec, branches, np.stack([b, a]))
     total = np.zeros_like(a)
     for s in range(spec.degree):
         total += ends[s, 0]
@@ -290,13 +287,9 @@ def measure_profile(
     return np.abs(total - (b - a))
 
 
-def measure_deviation(
-    spec: CircleMapSpec,
-    intervals: Sequence[tuple[float, float]],
-    tol: float = defaults.SOLVER_TOL,
-) -> float:
+def measure_deviation(spec: CircleMapSpec, intervals: Sequence[tuple[float, float]]) -> float:
     """Worst deviation from Lebesgue-measure preservation over the intervals."""
-    return float(np.max(measure_profile(spec, intervals, tol=tol)))
+    return float(np.max(measure_profile(spec, intervals)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +391,6 @@ def dilatation_report(
     g: CircleMapSpec,
     n: int,
     coarse_level: int = 0,
-    tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> DilatationReport:
     """Ratios ``|I_w(g)| / |I_w(f)|`` over all level-n words.
@@ -413,9 +405,9 @@ def dilatation_report(
     _check_pair(f, g)
     if not 0 <= coarse_level < n:
         raise ValueError("need 0 <= coarse_level < n")
-    len_f = cylinder_lengths(f, n, tol=tol, cell_cap=cell_cap)
-    len_g = cylinder_lengths(g, n, tol=tol, cell_cap=cell_cap)
-    err_f, err_g = (chain_error_bound(spec, tol, n)[n] for spec in (f, g))
+    len_f = cylinder_lengths(f, n, cell_cap=cell_cap)
+    len_g = cylinder_lengths(g, n, cell_cap=cell_cap)
+    err_f, err_g = (chain_error_bound(spec, n)[n] for spec in (f, g))
     return _dilatation(len_f, len_g, n, coarse_level, f.degree, err_f, err_g)
 
 
@@ -423,7 +415,6 @@ def iter_dilatation_reports(
     f: CircleMapSpec,
     g: CircleMapSpec,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> Iterator[DilatationReport]:
     """``dilatation_report(f, g, k)`` for k = 1..n, from one level walk per map.
@@ -438,8 +429,8 @@ def iter_dilatation_reports(
         f-cylinder computes as zero length.
     """
     _check_pair(f, g)
-    walks = (iter_levels(spec, n, tol=tol, cell_cap=cell_cap) for spec in (f, g))
-    err_f, err_g = (chain_error_bound(spec, tol, n) for spec in (f, g))
+    walks = (iter_levels(spec, n, cell_cap=cell_cap) for spec in (f, g))
+    err_f, err_g = (chain_error_bound(spec, n) for spec in (f, g))
     for k, (lefts_f, lefts_g) in enumerate(zip(*walks), 1):
         yield _dilatation(level_lengths(lefts_f), level_lengths(lefts_g), k, 0, f.degree, err_f[k], err_g[k])
 
@@ -480,7 +471,6 @@ def tail_sum(
     spec: CircleMapSpec,
     word: Word,
     k_max: int,
-    tol: float = defaults.SOLVER_TOL,
     work_cap: int = defaults.WORK_CAP,
     cell_cap: int = defaults.CELL_CAP,
 ) -> TailSumReport:
@@ -510,15 +500,15 @@ def tail_sum(
             f"({d}^{n} - 1)^{k_max} = {tuples_capped} excluded tuples exceed work cap {work_cap}"
         )
     if not is_closed_form(spec):
-        return _enumerated_tail_sum(spec, word, k_max, tol, cell_cap)
-    lengths1 = cylinder_lengths(spec, 1, tol=tol, cell_cap=cell_cap)
+        return _enumerated_tail_sum(spec, word, k_max, cell_cap)
+    lengths1 = cylinder_lengths(spec, 1, cell_cap=cell_cap)
     base_len = float(np.prod([lengths1[s] for s in word.symbols]))
     floor = float(np.min(lengths1)) ** n  # also C^-n: C = 1/min branch length for these maps
     sums = [((1.0 - base_len) ** k, (d**n - 1) ** k) for k in range(1, k_max + 1)]
     return _tail_sum_report(word, floor, floor, sums, "closed_form")
 
 
-def _enumerated_tail_sum(spec: CircleMapSpec, word: Word, k_max: int, tol: float, cell_cap: int) -> TailSumReport:
+def _enumerated_tail_sum(spec: CircleMapSpec, word: Word, k_max: int, cell_cap: int) -> TailSumReport:
     """:func:`tail_sum` by enumeration, for any map kind: one level walk gives
     the parent/child ratios at every level and, at each block level, the
     n-level descent ratios and the sum over the words avoiding the block."""
@@ -529,7 +519,7 @@ def _enumerated_tail_sum(spec: CircleMapSpec, word: Word, k_max: int, tol: float
     mask = np.ones(1, dtype=bool)
     sums = []
     bg_worst = ratio_floor = 1.0
-    for level, lefts in enumerate(iter_levels(spec, n * k_max, tol=tol, cell_cap=cell_cap), 1):
+    for level, lefts in enumerate(iter_levels(spec, n * k_max, cell_cap=cell_cap), 1):
         lengths = level_lengths(lefts)
         bg_worst = max(bg_worst, descent_ratio(prev, lengths))
         prev = lengths

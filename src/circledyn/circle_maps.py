@@ -34,15 +34,16 @@ kind's checks give a valid lift the slope floor
 ``MIN_CUT_GAP`` is refused as well, since its computed lift can go flat.
 
 Closed forms are used for the linear and piecewise-linear kinds; every other
-inverse is a bracketed root solve to an absolute tolerance (default
-``SOLVER_TOL``).  The root-solved lifts ``smooth_sine`` and ``sine_homeo``
-are one family, ``x -> D*x + a*sin(2*pi*x)/(2*pi)``, and
-:func:`_solve_sine_family` is the one root solver.  A cached per-``(D, a)``
-table of the inverse guesses each root, and one Newton step from the guess
-comes with an a-priori radius that holds the root (compute fast, then
-verify), so a typical root costs one sine and one cosine.  A bracket at
-most ``tol`` wide gives its midpoint, within ``tol/2`` of the root, with no
-further evaluation of the lift.  Only the few brackets still wider (near
+inverse is a bracketed root solve to the absolute tolerance
+``defaults.SOLVER_TOL``, read where a solve or an error bound needs it; no
+public function takes a solver tolerance.  The root-solved lifts
+``smooth_sine`` and ``sine_homeo`` are one family,
+``x -> D*x + a*sin(2*pi*x)/(2*pi)``, and :func:`_solve_sine_family` is the
+one root solver.  A cached per-``(D, a)`` table of the inverse guesses each
+root, and one Newton step from the guess comes with an a-priori radius that
+holds the root (compute fast, then verify), so a typical root costs one sine
+and one cosine.  A bracket at most ``tol`` wide gives its midpoint, within
+``tol/2`` of the root, with no further evaluation of the lift.  Only the few brackets still wider (near
 the flat spot of a near-degenerate map) are finished by certified
 bisection; :func:`_root_error` is the one per-root bound, which
 :func:`chain_error_bound` builds on.  Large inputs are solved in blocks,
@@ -346,25 +347,24 @@ def homeo_lift_values(spec: CircleHomeoSpec, x) -> np.ndarray:
     return out
 
 
-def _homeo_inverse_unit(spec: CircleHomeoSpec, y: np.ndarray, tol: float) -> np.ndarray:
+def _homeo_inverse_unit(spec: CircleHomeoSpec, y: np.ndarray) -> np.ndarray:
     """Inverse of ``H`` restricted to [0,1] -> [0,1] (``y`` must lie in [0,1])."""
     if spec.kind == "identity":
         return np.asarray(y, dtype=float).copy()
     if spec.kind == "sine_homeo":
-        return _solve_sine_family(1, spec.c, y, tol)
+        return _solve_sine_family(1, spec.c, y, defaults.SOLVER_TOL)
     out = np.asarray(y, dtype=float)
     for part in spec.parts:
-        out = _homeo_inverse_unit(part, out, tol)
+        out = _homeo_inverse_unit(part, out)
     return out
 
 
-def homeo_inverse_values(
-    spec: CircleHomeoSpec, y, tol: float = defaults.SOLVER_TOL
-) -> np.ndarray:
+def homeo_inverse_values(spec: CircleHomeoSpec, y) -> np.ndarray:
     """Vectorized ``H^{-1}(y)``, solved on the bracket ``[floor(y), floor(y)+1]``."""
     y = np.asarray(y, dtype=float)
     k = np.floor(y)
-    return k + _homeo_inverse_unit(spec, np.clip(y - k, 0.0, 1.0), tol)
+    # a finite y - floor(y) is exact, in [0, 1] and never -0.0
+    return k + _homeo_inverse_unit(spec, y - k)
 
 
 def homeo_eval(spec: CircleHomeoSpec, x: float) -> float:
@@ -410,9 +410,7 @@ def _root_error(D: int, a: float, tol: float) -> float:
     return max(0.5 * tol, 1.25 * pad / floor)
 
 
-def _sine_family_bracket(
-    D: int, a: float, target: np.ndarray, tol: float = defaults.SOLVER_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def _sine_family_bracket(D: int, a: float, target: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Certified brackets in [0, 1] for ``f(x) = D*x + a*sin(2*pi*x)/(2*pi) = target``.
 
     The cached inverse table of :func:`_sine_family_inverse_table` (a linear
@@ -567,7 +565,7 @@ def _pl_widths(cuts: tuple[float, ...]) -> np.ndarray:
     return widths
 
 
-def _unit_lift(spec: CircleMapSpec, u: np.ndarray, tol: float) -> np.ndarray:
+def _unit_lift(spec: CircleMapSpec, u: np.ndarray) -> np.ndarray:
     """Lift values for ``u`` in [0,1); returns values in [0, degree)."""
     if spec.kind == "linear":
         return spec.degree * u
@@ -578,16 +576,15 @@ def _unit_lift(spec: CircleMapSpec, u: np.ndarray, tol: float) -> np.ndarray:
     if spec.kind == "smooth_sine":
         return _sine_family(spec.degree, spec.epsilon, u)
     hv = homeo_lift_values(spec.homeo, u)
-    gv = lift_values(spec.base, hv, tol=tol)
-    return homeo_inverse_values(spec.homeo, gv, tol=tol)
+    return homeo_inverse_values(spec.homeo, lift_values(spec.base, hv))
 
 
-def lift_values(spec: CircleMapSpec, x, tol: float = defaults.SOLVER_TOL) -> np.ndarray:
+def lift_values(spec: CircleMapSpec, x) -> np.ndarray:
     """Vectorized lift ``F(x)`` for any real ``x`` (periodic extension is exact)."""
     x = np.asarray(x, dtype=float)
     k = np.floor(x)
     u = x - k
-    return _unit_lift(spec, u, tol) + k * spec.degree
+    return _unit_lift(spec, u) + k * spec.degree
 
 
 def homeo_slope_bounds(spec: CircleHomeoSpec) -> tuple[float, float]:
@@ -651,19 +648,20 @@ def _homeo_leaves(spec: CircleHomeoSpec) -> list[float]:
     return [c for part in spec.parts for c in _homeo_leaves(part)]
 
 
-def _step_error(spec: CircleMapSpec, tol: float) -> float:
+def _step_error(spec: CircleMapSpec) -> float:
     """Error of one computed inverse branch: 4 ulps of 1 for a lerp, :func:`_root_error` per
-    root solve, carried through a conjugated map's ``H^{-1}`` (``tol/2`` if that solves nothing)."""
+    root solve, carried through a conjugated map's ``H^{-1}`` (``SOLVER_TOL/2`` if that solves nothing)."""
     if is_closed_form(spec):
         return 4.0 * _UNIT_ROUNDOFF
+    tol = defaults.SOLVER_TOL
     if spec.kind == "smooth_sine":
         return _root_error(spec.degree, spec.epsilon, tol) + 4.0 * _UNIT_ROUNDOFF
     h_lo = homeo_slope_bounds(spec.homeo)[0]
     solves = [_root_error(1, c, tol) for c in _homeo_leaves(spec.homeo)] or [0.5 * tol]
-    return (math.fsum(solves) + _step_error(spec.base, tol)) / h_lo + 4.0 * _UNIT_ROUNDOFF
+    return (math.fsum(solves) + _step_error(spec.base)) / h_lo + 4.0 * _UNIT_ROUNDOFF
 
 
-def chain_error_bound(spec: CircleMapSpec, tol: float, depth_cap: int) -> np.ndarray:
+def chain_error_bound(spec: CircleMapSpec, depth_cap: int) -> np.ndarray:
     """``out[k]`` bounds the error of a value computed by a depth-k backward chain.
 
     Each step adds one inverse-branch error, which the outer steps carry to
@@ -674,22 +672,20 @@ def chain_error_bound(spec: CircleMapSpec, tol: float, depth_cap: int) -> np.nda
     rho, lam = _chain_lipschitz(spec)
     with np.errstate(over="ignore"):  # lam > 1 for weakly expanding maps
         reach = rho * lam ** np.arange(depth_cap)
-    return _step_error(spec, tol) * np.concatenate(([0.0], np.cumsum(reach)))
+    return _step_error(spec) * np.concatenate(([0.0], np.cumsum(reach)))
 
 
-def eval_lift(spec: CircleMapSpec, x: float, tol: float = defaults.SOLVER_TOL) -> float:
+def eval_lift(spec: CircleMapSpec, x: float) -> float:
     """Evaluate the lift ``F`` at a single point.
 
     Raises:
         InvalidMapError: if the spec fails validation.
     """
     ensure_valid(spec)
-    return float(lift_values(spec, np.float64(x), tol=tol))
+    return float(lift_values(spec, np.float64(x)))
 
 
-def inverse_branch_values(
-    spec: CircleMapSpec, branch, y, tol: float = defaults.SOLVER_TOL, out: np.ndarray | None = None
-) -> np.ndarray:
+def inverse_branch_values(spec: CircleMapSpec, branch, y, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized inverse branch: the x in branch ``b`` with ``F(x) = y + b``.
 
     ``branch`` is an integer array (or scalar) that broadcasts against ``y``,
@@ -704,11 +700,11 @@ def inverse_branch_values(
     if is_closed_form(spec):
         return closed_form_inverse(spec, _pl_ext(spec.cuts), branch, y, out=out)
     if spec.kind == "smooth_sine":
-        x = _solve_sine_family(spec.degree, spec.epsilon, branch + y, tol)
+        x = _solve_sine_family(spec.degree, spec.epsilon, branch + y, defaults.SOLVER_TOL)
     else:
         hv = homeo_lift_values(spec.homeo, y)
-        xb = inverse_branch_values(spec.base, branch, np.minimum(np.maximum(hv, 0.0), 1.0), tol=tol)
-        x = _homeo_inverse_unit(spec.homeo, xb, tol)
+        xb = inverse_branch_values(spec.base, branch, np.minimum(np.maximum(hv, 0.0), 1.0))
+        x = _homeo_inverse_unit(spec.homeo, xb)
     if out is None:
         return x
     out[...] = x
@@ -752,9 +748,7 @@ def closed_form_cylinder(spec: CircleMapSpec, symbols: tuple[int, ...]) -> tuple
     return left, right
 
 
-def inverse_branch(
-    spec: CircleMapSpec, branch: int, y: float, tol: float = defaults.SOLVER_TOL
-) -> float:
+def inverse_branch(spec: CircleMapSpec, branch: int, y: float) -> float:
     """The unique x in ``[c_branch, c_{branch+1}]`` with ``F(x) = y + branch``.
 
     A point equal to a cut belongs to both adjacent branches; the explicit
@@ -770,10 +764,10 @@ def inverse_branch(
         raise ValueError(f"branch {branch} out of range for degree {spec.degree}")
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"y={y!r} outside [0,1]")
-    return float(inverse_branch_values(spec, branch, np.float64(y), tol=tol))
+    return float(inverse_branch_values(spec, branch, np.float64(y)))
 
 
-def _inverse_steps(spec: CircleMapSpec, values: list[float], tol: float) -> list[float]:
+def _inverse_steps(spec: CircleMapSpec, values: list[float]) -> list[float]:
     """One inverse step of the lift, ``F^{-1}(v)``, for each real ``v`` in ``values``.
 
     The branch offset is taken from whichever integer endpoint ``v`` is nearer
@@ -798,7 +792,7 @@ def _inverse_steps(spec: CircleMapSpec, values: list[float], tol: float) -> list
     # solved kinds: accuracy is bounded by the solver tolerance anyway
     branches = np.array([branch for _, branch, _, _ in splits], dtype=np.int64)
     ys = np.array([min(frac, 1.0) for _, _, frac, _ in splits])
-    xs = inverse_branch_values(spec, branches, ys, tol=tol)
+    xs = inverse_branch_values(spec, branches, ys)
     return [m + x for (m, _, _, _), x in zip(splits, xs.tolist())]
 
 
@@ -822,7 +816,6 @@ def inverse_orbit(
     spec: CircleMapSpec,
     ys: Iterable[float],
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     depth_cap: int = defaults.DEPTH_CAP,
 ) -> Iterator[list[float]]:
     """``[F^{-k}(y) for y in ys]`` for k = 1..n: the orbits of several points, stepped together.
@@ -848,7 +841,7 @@ def inverse_orbit(
             raise DepthCapExceeded(f"inverse depth {n} exceeds cap {depth_cap}")
         values.append(value)
     for _ in range(n):
-        values = _inverse_steps(spec, values, tol)
+        values = _inverse_steps(spec, values)
         yield values
 
 
@@ -856,7 +849,6 @@ def global_inverse_lift(
     spec: CircleMapSpec,
     y: float,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     depth_cap: int = defaults.DEPTH_CAP,
 ) -> float:
     """n-fold inverse ``F^{-n}(y)`` of the lift as a real-line homeomorphism.
@@ -868,7 +860,7 @@ def global_inverse_lift(
         ValueError: ``y`` is not finite, or ``n < 1``.
         DepthCapExceeded: if ``n`` exceeds ``depth_cap``.
     """
-    *_, last = inverse_orbit(spec, (y,), n, tol=tol, depth_cap=depth_cap)
+    *_, last = inverse_orbit(spec, (y,), n, depth_cap=depth_cap)
     return last[0]
 
 

@@ -150,12 +150,11 @@ class _WidthStop:
     where that bound reaches ``tol`` on.
     """
 
-    def __init__(self, g: CircleMapSpec, m: int, tol: float, solver_tol: float, depth_cap: int):
+    def __init__(self, g: CircleMapSpec, m: int, tol: float, depth_cap: int):
         self.g = g
         self.tol = tol
-        self.solver_tol = solver_tol
         self.cuts = np.asarray(branch_points(g), dtype=float)
-        self.err = 2.0 * chain_error_bound(g, solver_tol, depth_cap)
+        self.err = 2.0 * chain_error_bound(g, depth_cap)
         if is_closed_form(g):
             self.factors = np.diff(self.cuts)
             self.slack = (np.finfo(float).eps, np.finfo(float).eps)
@@ -171,9 +170,7 @@ class _WidthStop:
         lower = self.width - self.err[k] - self.slack[0] * spread
         unsure = np.flatnonzero((lower <= self.tol) & ~finished & ~done)
         if unsure.size:
-            ends = chain_values(
-                self.g, words[rows[unsure], :k], self.cuts[[sel[unsure], sel[unsure] + 1]], self.solver_tol
-            )
+            ends = chain_values(self.g, words[rows[unsure], :k], self.cuts[[sel[unsure], sel[unsure] + 1]])
             finished[unsure] = ends[1] - ends[0] <= self.tol
         return finished
 
@@ -187,7 +184,6 @@ def conjugacy_enclosures(
     xs: np.ndarray,
     tol: float = 1e-8,
     depth_cap: int = defaults.CONJUGACY_DEPTH_CAP,
-    solver_tol: float = defaults.SOLVER_TOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conjugacy enclosures for points of [0,1].
 
@@ -231,14 +227,14 @@ def conjugacy_enclosures(
     # working set (a depth_cap-wide word row per point)
     for start in range(0, live.size, _ENCLOSURE_BLOCK):
         rows = live[start : start + _ENCLOSURE_BLOCK]
-        stop = _WidthStop(g, rows.size, tol, solver_tol, depth_cap)
-        words, k, snapped = refine_words(f, xs[rows], depth_cap, solver_tol, defaults.ENDPOINT_SNAP, stop)
+        stop = _WidthStop(g, rows.size, tol, depth_cap)
+        words, k, snapped = refine_words(f, xs[rows], depth_cap, defaults.ENDPOINT_SNAP, stop)
         deep = k > 0
         rows, words, k, snapped = rows[deep], words[deep], k[deep], snapped[deep]
         last = words[np.arange(rows.size), k - 1]
         # the g-cylinder of the word: the chain of all but the last symbol,
         # applied to the last symbol's branch ends
-        ends = ragged_chain_values(g, words, k - 1, stop.cuts[[last, last + 1]], solver_tol)
+        ends = ragged_chain_values(g, words, k - 1, stop.cuts[[last, last + 1]])
         lo[rows] = ends[0]
         hi[rows] = np.where(snapped, ends[0], ends[1])
         depth[rows] = k
@@ -252,7 +248,6 @@ def conjugacy_eval(
     x: float,
     tol: float = 1e-8,
     depth_cap: int = defaults.CONJUGACY_DEPTH_CAP,
-    solver_tol: float = defaults.SOLVER_TOL,
 ) -> ConjugacyEnclosure:
     """Enclosure of h(x) for the conjugacy h with ``h o f = g o h`` (see :class:`ConjugacyEnclosure`).
 
@@ -265,9 +260,7 @@ def conjugacy_eval(
         DegreeMismatchError: maps of different degree.
         InvalidMapError: validation or mesh-decay probe failure.
     """
-    lo, hi, depth, tol_met = conjugacy_enclosures(
-        f, g, np.asarray([x], dtype=float), tol=tol, depth_cap=depth_cap, solver_tol=solver_tol
-    )
+    lo, hi, depth, tol_met = conjugacy_enclosures(f, g, np.asarray([x], dtype=float), tol=tol, depth_cap=depth_cap)
     return ConjugacyEnclosure(
         x=float(x), lo=float(lo[0]), hi=float(hi[0]),
         depth=int(depth[0]), tol_met=bool(tol_met[0]),
@@ -323,7 +316,6 @@ def endpoint_table(
     f: CircleMapSpec,
     g: CircleMapSpec,
     n: int,
-    solver_tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> EndpointTable:
     """Pair the ordered level-n endpoints of f with those of g (same word order).
@@ -337,8 +329,8 @@ def endpoint_table(
     _check_pair(f, g)
     return EndpointTable(
         level=n,
-        f_points=level_endpoints(f, n, tol=solver_tol, cell_cap=cell_cap),
-        g_points=level_endpoints(g, n, tol=solver_tol, cell_cap=cell_cap),
+        f_points=level_endpoints(f, n, cell_cap=cell_cap),
+        g_points=level_endpoints(g, n, cell_cap=cell_cap),
     )
 
 

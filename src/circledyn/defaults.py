@@ -1,10 +1,10 @@
 """Central table of numeric defaults.
 
 Every tolerance, cap, and grid size used by the workbench is defined here.
-The solver tolerance, the depth, cell and work caps and the grid and ladder
-(MODULUS_GRID, SCALE_LADDER) are defaults of explicit parameters;
-DEGREE_CAP, MIN_CUT_GAP, ENDPOINT_SNAP, QS_DENOM_FLOOR and PROBE_LEVEL are
-read where they are used and take no parameter.
+The depth, cell and work caps and the grid and ladder (MODULUS_GRID,
+SCALE_LADDER) are defaults of explicit parameters; SOLVER_TOL, DEGREE_CAP,
+MIN_CUT_GAP, ENDPOINT_SNAP, QS_DENOM_FLOOR and PROBE_LEVEL are read where
+they are used and take no parameter.
 
 ===================  ============  ====================================================
 name                 default       used by

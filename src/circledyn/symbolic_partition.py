@@ -29,6 +29,7 @@ from . import defaults
 from .circle_maps import (
     CircleMapSpec,
     _SOLVER_BLOCK,
+    _UNIT_ROUNDOFF,
     branch_points,
     ensure_valid,
     inverse_branch_values,
@@ -173,19 +174,18 @@ def _error_expansion(spec: CircleMapSpec) -> float:
     return max(1.0, 1.0 / min_slope) if min_slope > 0 else float("inf")
 
 
-def _endpoint_radius(spec: CircleMapSpec, level: int, tol: float) -> float:
+def _endpoint_radius(spec: CircleMapSpec, level: int) -> float:
     """Estimated error of computed level-``level`` endpoints: (number of
     solves) x (per-solve error) x :func:`_error_expansion`.  Sampling and
     the per-lerp guess make it an estimate, not a bound (ROADMAP item 1)."""
     # closed forms are accurate to a few ulps; root solves to their tolerance
-    per_solve = 1e-15 if is_closed_form(spec) else tol
+    per_solve = 1e-15 if is_closed_form(spec) else defaults.SOLVER_TOL
     return level * per_solve * _error_expansion(spec)
 
 
 def interval_of_word(
     spec: CircleMapSpec,
     word: Word,
-    tol: float = defaults.SOLVER_TOL,
     depth_cap: int = defaults.DEPTH_CAP,
 ) -> CylinderInterval:
     """The cylinder ``I_w``, by iterated inverse branches (last symbol first).
@@ -194,7 +194,8 @@ def interval_of_word(
     floats (:func:`circle_maps.closed_form_cylinder`) that runs the vector
     path's exact operations, so its ends equal the per-symbol
     :func:`inverse_branch_values` chain bit for bit without its numpy call
-    per symbol.  Root-solved kinds solve both ends in one call per symbol.
+    per symbol.  Root-solved kinds solve both ends in one call per symbol
+    (:func:`chain_values`).
 
     Raises:
         DepthCapExceeded: word longer than ``depth_cap``.
@@ -207,16 +208,13 @@ def interval_of_word(
     if is_closed_form(spec):
         left, right = closed_form_cylinder(spec, word.symbols)
     else:
-        ab = np.array([0.0, 1.0])
-        for s in reversed(word.symbols):
-            ab = inverse_branch_values(spec, s, ab, tol=tol)
-        left, right = ab.tolist()
+        left, right = chain_values(spec, np.array([word.symbols]), np.array([[0.0], [1.0]])).ravel().tolist()
     return CylinderInterval(
         word=word,
         left=left,
         right=right,
         level=word.level,
-        endpoint_radius=_endpoint_radius(spec, word.level, tol),
+        endpoint_radius=_endpoint_radius(spec, word.level),
     )
 
 
@@ -234,20 +232,18 @@ def check_points(xs, what: str) -> np.ndarray:
     return xs
 
 
-def chain_values(spec: CircleMapSpec, words: np.ndarray, values: np.ndarray, tol: float) -> np.ndarray:
+def chain_values(spec: CircleMapSpec, words: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The backward chain ``phi_{w_0} o ... o phi_{w_{k-1}}`` of each row's word.
 
     ``words`` is an (n, k) symbol matrix and ``values`` has shape (..., n):
     every value in column i goes through the chain of row i.  Costs k calls.
     """
     for j in range(words.shape[1] - 1, -1, -1):
-        values = inverse_branch_values(spec, words[:, j], values, tol=tol)
+        values = inverse_branch_values(spec, words[:, j], values)
     return values
 
 
-def ragged_chain_values(
-    spec: CircleMapSpec, words: np.ndarray, lengths: np.ndarray, values: np.ndarray, tol: float
-) -> np.ndarray:
+def ragged_chain_values(spec: CircleMapSpec, words: np.ndarray, lengths: np.ndarray, values: np.ndarray) -> np.ndarray:
     """:func:`chain_values` where row i uses only its first ``lengths[i]`` symbols.
 
     Rows are sorted by length, so each step is one call on a prefix of them:
@@ -259,13 +255,10 @@ def ragged_chain_values(
     rows = words[order]
     for j in range(int(-steps[0]) - 1 if steps.size else -1, -1, -1):
         n = int(np.searchsorted(steps, -j, side="left"))
-        out[..., :n] = inverse_branch_values(spec, rows[:n, j], out[..., :n], tol=tol)
+        out[..., :n] = inverse_branch_values(spec, rows[:n, j], out[..., :n])
     result = np.empty_like(out)
     result[..., order] = out
     return result
-
-
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class _AffineWords:
@@ -278,14 +271,14 @@ class _AffineWords:
     and two relative ulps per level for the scale.
     """
 
-    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int, tol: float):
+    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.widths = np.diff(self.cuts)
         self.off = np.zeros(x.size)
         self.scale = np.ones(x.size)
         j = np.arange(depth_cap + 1)
         drift = 2.0 * _UNIT_ROUNDOFF * np.cumsum((1 + j) * float(np.max(self.widths)) ** j)
-        self.bound = chain_error_bound(spec, tol, depth_cap) + 2.0 * _UNIT_ROUNDOFF * (j + 1) + drift
+        self.bound = chain_error_bound(spec, depth_cap) + 2.0 * _UNIT_ROUNDOFF * (j + 1) + drift
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         divisions = self.off + self.scale * self.cuts[1:-1, None]
@@ -316,13 +309,12 @@ class _OrbitWords:
     within twice the bound of x counts as unsettled.
     """
 
-    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int, tol: float):
+    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
         self.spec = spec
-        self.tol = tol
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.u = x.copy()
         self.slope = np.ones(x.size)
-        self.bound = 2.0 * chain_error_bound(spec, tol, depth_cap + 1)[1:]
+        self.bound = 2.0 * chain_error_bound(spec, depth_cap + 1)[1:]
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         gaps = self.u - self.cuts[1:-1, None]
@@ -331,9 +323,11 @@ class _OrbitWords:
         return sel, unsure
 
     def advance(self, sel: np.ndarray) -> None:
-        fu = lift_values(self.spec, self.u, tol=self.tol)
+        fu = lift_values(self.spec, self.u)
         self.slope = self.slope * lift_slope_values(self.spec, self.u)
-        self.u = np.clip(fu - sel, 0.0, 1.0)
+        # a -0.0 comes out as +0.0 here: u is only compared and lifted, and
+        # both zeros give the same floor, u and comparisons
+        self.u = np.minimum(np.maximum(fu - sel, 0.0), 1.0)
 
     def may_snap(self, k: int, x: np.ndarray, near: float, wide: float) -> np.ndarray:
         # 1/slope estimates the cylinder's width only up to its distortion,
@@ -360,15 +354,15 @@ class _ConjugatedWords:
     than ``h_lo*(wide - 2*err[k])``.
     """
 
-    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int, tol: float):
+    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
         base, homeo = conjugation(spec)
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.h_lo, self.h_hi = homeo_slope_bounds(homeo)
         self.delta = homeo_rounding(homeo)
-        self.err = chain_error_bound(spec, tol, depth_cap + 1)[1:]
+        self.err = chain_error_bound(spec, depth_cap + 1)[1:]
         # the exact H(x) lies in [0, 1], so clipping only moves v toward it
         self.v = np.clip(homeo_lift_values(homeo, x), 0.0, 1.0)
-        self.base = _word_model(base, self.v, depth_cap, tol)
+        self.base = _word_model(base, self.v, depth_cap)
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         return self.base.propose(k, self.v, self.h_hi * (pad + self.err[k]) + self.delta)
@@ -385,7 +379,7 @@ class _ConjugatedWords:
         self.base.keep(mask)
 
 
-def _word_model(spec: CircleMapSpec, x: np.ndarray, depth_cap: int, tol: float):
+def _word_model(spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
     """The word model of ``spec`` for the points ``x`` (see :func:`refine_words`).
 
     Every model has ``cuts``, the map's branch points, and four methods:
@@ -396,15 +390,14 @@ def _word_model(spec: CircleMapSpec, x: np.ndarray, depth_cap: int, tol: float):
     ``wide``; ``keep(mask)`` drops the stopped points.
     """
     if conjugation(spec) is not None:
-        return _ConjugatedWords(spec, x, depth_cap, tol)
-    return (_AffineWords if is_closed_form(spec) else _OrbitWords)(spec, x, depth_cap, tol)
+        return _ConjugatedWords(spec, x, depth_cap)
+    return (_AffineWords if is_closed_form(spec) else _OrbitWords)(spec, x, depth_cap)
 
 
 def refine_words(
     spec: CircleMapSpec,
     xs: np.ndarray,
     depth_cap: int,
-    tol: float = defaults.SOLVER_TOL,
     snap: float | None = None,
     stop=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -435,7 +428,7 @@ def refine_words(
     words = np.zeros((m, depth_cap), dtype=np.int64)
     depth = np.full(m, depth_cap, dtype=np.int64)
     snapped = np.zeros(m, dtype=bool)
-    model = _word_model(spec, xs, depth_cap, tol)
+    model = _word_model(spec, xs, depth_cap)
     cuts = model.cuts
     rows = np.arange(m)
     x = xs
@@ -449,7 +442,7 @@ def refine_words(
         if unsure.any():
             sub = np.flatnonzero(unsure)
             start = np.broadcast_to(cuts[1:-1, None], (cuts.size - 2, sub.size))
-            divisions = chain_values(spec, words[rows[sub], :k], start, tol)
+            divisions = chain_values(spec, words[rows[sub], :k], start)
             sel[sub] = np.sum(divisions <= x[sub], axis=0)
         words[rows, k] = sel
         model.advance(sel)
@@ -458,7 +451,7 @@ def refine_words(
             measured &= sel == 0
             near = np.flatnonzero(model.may_snap(k, x, snap, 1e3 * snap) & ~measured)
             if near.size:
-                ends = chain_values(spec, words[rows[near], :k], cuts[[sel[near], sel[near] + 1]], tol)
+                ends = chain_values(spec, words[rows[near], :k], cuts[[sel[near], sel[near] + 1]])
                 hit = near[(np.abs(x[near] - ends[0]) <= snap) & (ends[1] - ends[0] > 1e3 * snap)]
                 done[hit] = True
                 snapped[rows[hit]] = True
@@ -479,7 +472,6 @@ def itinerary_batch(
     spec: CircleMapSpec,
     xs: np.ndarray,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
 ) -> np.ndarray:
     """Level-n words for each x in ``xs`` (shape (len(xs), n) symbol matrix).
 
@@ -495,11 +487,10 @@ def itinerary_batch(
 
     Below the rounding floor a symbol says nothing about x.  Past the depth
     k where the cylinder of x is narrower than ``chain_error_bound(spec,
-    tol, k)[k]`` (at the default tol, depth 26 for ``linear(4)`` and 32 for
-    ``linear(3)``), the computed division points may sit on either side of
-    the exact ones, so the symbols there are settled by the chain's
-    rounding: reproducible for the same inputs, but not the exact word
-    (ROADMAP item 1).
+    k)[k]`` (depth 26 for ``linear(4)`` and 32 for ``linear(3)``), the
+    computed division points may sit on either side of the exact ones, so
+    the symbols there are settled by the chain's rounding: reproducible for
+    the same inputs, but not the exact word (ROADMAP item 1).
 
     Raises:
         ValueError: a point is not a finite number in [0,1], or n < 0.
@@ -511,14 +502,13 @@ def itinerary_batch(
         raise ValueError("n must be >= 0")
     if n > defaults.DEPTH_CAP:
         raise DepthCapExceeded(f"level {n} exceeds cap {defaults.DEPTH_CAP}")
-    return refine_words(spec, xs, n, tol)[0]
+    return refine_words(spec, xs, n)[0]
 
 
 def word_of_point(
     spec: CircleMapSpec,
     x: float,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     depth_cap: int = defaults.DEPTH_CAP,
 ) -> Word:
     """The word of the level-n cylinder containing x (ties go right).
@@ -535,7 +525,7 @@ def word_of_point(
         raise DepthCapExceeded(f"level {n} exceeds cap {depth_cap}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    symbols = itinerary_batch(spec, np.asarray([x], dtype=float), n, tol=tol)
+    symbols = itinerary_batch(spec, np.asarray([x], dtype=float), n)
     return Word(tuple(int(s) for s in symbols[0]))
 
 
@@ -546,7 +536,6 @@ def word_of_point(
 def iter_levels(
     spec: CircleMapSpec,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> Iterator[np.ndarray]:
     """Left endpoints of levels 1..n in word order, one array per level.
@@ -584,13 +573,13 @@ def iter_levels(
             new, parents = level.reshape(d, -1, d), lefts.reshape(-1, d)
             new[:, :, 0] = lefts.reshape(d, -1)
             for q in range(0, len(parents), rows):
-                inverse_branch_values(spec, branches, parents[q : q + rows, 1:], tol=tol, out=new[:, q : q + rows, 1:])
+                inverse_branch_values(spec, branches, parents[q : q + rows, 1:], out=new[:, q : q + rows, 1:])
             del new, parents  # hold no level but this one across the yield
         elif solve_once:
-            inverse_branch_values(spec, branches.reshape(-1), lefts, tol=tol, out=level)
+            inverse_branch_values(spec, branches.reshape(-1), lefts, out=level)
         else:
             for s, part in enumerate(level.reshape(d, -1)):
-                inverse_branch_values(spec, s, lefts, tol=tol, out=part)
+                inverse_branch_values(spec, s, lefts, out=part)
         lefts = level
         yield lefts
 
@@ -628,7 +617,6 @@ def descent_ratio(parents: np.ndarray, lengths: np.ndarray, floor: bool = False)
 def level_left_endpoints(
     spec: CircleMapSpec,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> np.ndarray:
     """Left endpoints of all level-n cylinders in word order (d^n values).
@@ -638,7 +626,7 @@ def level_left_endpoints(
     level tiles [0,1] exactly.
     """
     lefts = np.zeros(1)
-    for lefts in iter_levels(spec, n, tol=tol, cell_cap=cell_cap):
+    for lefts in iter_levels(spec, n, cell_cap=cell_cap):
         pass
     return lefts
 
@@ -646,27 +634,24 @@ def level_left_endpoints(
 def level_endpoints(
     spec: CircleMapSpec,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> np.ndarray:
     """All d^n + 1 level-n endpoints, ``0 = e_0 < e_1 < ... < e_{d^n} = 1``."""
-    return np.append(level_left_endpoints(spec, n, tol=tol, cell_cap=cell_cap), 1.0)
+    return np.append(level_left_endpoints(spec, n, cell_cap=cell_cap), 1.0)
 
 
 def cylinder_lengths(
     spec: CircleMapSpec,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> np.ndarray:
     """Lengths of all level-n cylinders in word order."""
-    return level_lengths(level_left_endpoints(spec, n, tol=tol, cell_cap=cell_cap))
+    return level_lengths(level_left_endpoints(spec, n, cell_cap=cell_cap))
 
 
 def enumerate_level(
     spec: CircleMapSpec,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> list[CylinderInterval]:
     """All d^n level-n cylinders, left to right; neighbors share endpoints.
@@ -674,8 +659,8 @@ def enumerate_level(
     Raises:
         CellCapExceeded: if d^n exceeds ``cell_cap``.
     """
-    ends = level_endpoints(spec, n, tol=tol, cell_cap=cell_cap).tolist()
-    radius = _endpoint_radius(spec, n, tol)
+    ends = level_endpoints(spec, n, cell_cap=cell_cap).tolist()
+    radius = _endpoint_radius(spec, n)
     return [
         CylinderInterval(word=word, left=left, right=right, level=n, endpoint_radius=radius)
         for word, left, right in zip(level_words(n, spec.degree), ends, ends[1:])
@@ -685,17 +670,15 @@ def enumerate_level(
 def mesh(
     spec: CircleMapSpec,
     n: int,
-    tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> float:
     """The largest level-n cylinder length."""
-    return float(np.max(cylinder_lengths(spec, n, tol=tol, cell_cap=cell_cap)))
+    return float(np.max(cylinder_lengths(spec, n, cell_cap=cell_cap)))
 
 
 def bounded_geometry_constant(
     spec: CircleMapSpec,
     n_max: int,
-    tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> float:
     """Largest parent/child cylinder length ratio over levels 1..n_max.
@@ -707,7 +690,7 @@ def bounded_geometry_constant(
     """
     worst = 1.0
     prev = np.ones(1)
-    for lefts in iter_levels(spec, n_max, tol=tol, cell_cap=cell_cap):
+    for lefts in iter_levels(spec, n_max, cell_cap=cell_cap):
         lengths = level_lengths(lefts)
         worst = max(worst, descent_ratio(prev, lengths))
         prev = lengths
@@ -751,7 +734,6 @@ def verify_markov(
     spec: CircleMapSpec,
     n: int,
     tol: float = 1e-9,
-    solver_tol: float = defaults.SOLVER_TOL,
     cell_cap: int = defaults.CELL_CAP,
 ) -> MarkovReport:
     """Check tiling, ordering, and that f^n maps cylinder endpoints to {0,1}.
@@ -760,7 +742,7 @@ def verify_markov(
         InvalidMapError: the spec fails validation (checked before anything).
     """
     ensure_valid(spec)
-    ends = level_endpoints(spec, n, tol=solver_tol, cell_cap=cell_cap)
+    ends = level_endpoints(spec, n, cell_cap=cell_cap)
     d = spec.degree
     count = d**n
     increasing = bool(np.all(np.diff(ends) > 0))
@@ -772,8 +754,8 @@ def verify_markov(
     # must land on 0 and the right family on 1
     for k in range(n):
         sym = (idx // d ** (n - 1 - k)) % d
-        lefts = lift_values(spec, lefts, tol=solver_tol) - sym
-        rights = lift_values(spec, rights, tol=solver_tol) - sym
+        lefts = lift_values(spec, lefts) - sym
+        rights = lift_values(spec, rights) - sym
     err = max(float(np.max(np.abs(lefts))), float(np.max(np.abs(rights - 1.0))))
     sum_err = float(np.sum(np.diff(ends)) - 1.0)
     return MarkovReport(

@@ -212,7 +212,7 @@ def pl_tail_sum_bruteforce(cuts: list[float], word: tuple[int, ...], k: int) -> 
 # rest of this file they call the package's inverse branches, since
 # bit-identical results are the point of the comparison.
 
-def reference_levels(spec, n: int, tol: float) -> list:
+def reference_levels(spec, n: int) -> list:
     """Left endpoints of levels 1..n, each level the concatenation of the d
     inverse branches applied to all of the level above."""
     import numpy as np
@@ -222,13 +222,13 @@ def reference_levels(spec, n: int, tol: float) -> list:
     levels = []
     for _ in range(n):
         lefts = np.concatenate(
-            [inverse_branch_values(spec, s, lefts, tol=tol) for s in range(spec.degree)]
+            [inverse_branch_values(spec, s, lefts) for s in range(spec.degree)]
         )
         levels.append(lefts)
     return levels
 
 
-def reference_itinerary(spec, xs, n: int, tol: float):
+def reference_itinerary(spec, xs, n: int):
     """Level-n symbol matrix by a full backward chain per depth and cut."""
     import numpy as np
     from circledyn.circle_maps import branch_points, inverse_branch_values
@@ -242,13 +242,13 @@ def reference_itinerary(spec, xs, n: int, tol: float):
         for s in range(1, d):
             division = np.full(xs.size, cuts[s])
             for j in range(k - 1, -1, -1):
-                division = inverse_branch_values(spec, symbols[:, j], division, tol=tol)
+                division = inverse_branch_values(spec, symbols[:, j], division)
             sel += division <= xs
         symbols[:, k] = sel
     return symbols
 
 
-def reference_enclosures(f, g, xs, tol: float, depth_cap: int, solver_tol: float, snap: float):
+def reference_enclosures(f, g, xs, tol: float, depth_cap: int, snap: float):
     """(lo, hi, depth, tol_met) by refining all points in lockstep, one full
     backward chain per depth for every division point and g-endpoint."""
     import numpy as np
@@ -278,7 +278,7 @@ def reference_enclosures(f, g, xs, tol: float, depth_cap: int, solver_tol: float
         def chain(spec, start):
             v = start
             for j in range(k - 1, -1, -1):
-                v = inverse_branch_values(spec, sub[:, j], v, tol=solver_tol)
+                v = inverse_branch_values(spec, sub[:, j], v)
             return v
 
         divisions = np.empty((d + 1, act.size))
@@ -308,7 +308,7 @@ def reference_enclosures(f, g, xs, tol: float, depth_cap: int, solver_tol: float
 # every call.  These are those computations, as references for the scalar
 # closed-form chain and the per-spec cached radius factor.
 
-def reference_cylinder(spec, symbols, tol: float) -> tuple[float, float]:
+def reference_cylinder(spec, symbols) -> tuple[float, float]:
     """Ends of the cylinder of ``symbols``: one inverse-branch call per symbol
     on the array ``[0, 1]``, last symbol first."""
     import numpy as np
@@ -316,7 +316,7 @@ def reference_cylinder(spec, symbols, tol: float) -> tuple[float, float]:
 
     ab = np.array([0.0, 1.0])
     for s in reversed(symbols):
-        ab = inverse_branch_values(spec, s, ab, tol=tol)
+        ab = inverse_branch_values(spec, s, ab)
     return float(ab[0]), float(ab[1])
 
 
@@ -393,7 +393,7 @@ def reference_chain_error_bound(spec, tol: float, depth_cap: int):
     return step(spec) * np.concatenate(([0.0], np.cumsum(reach)))
 
 
-def reference_inverse_lift(spec, y: float, n: int, tol: float) -> float:
+def reference_inverse_lift(spec, y: float, n: int) -> float:
     """``F^{-n}(y)`` by n scalar steps, each solving for its one value."""
     import numpy as np
     from circledyn.circle_maps import branch_points, inverse_branch_values
@@ -421,17 +421,17 @@ def reference_inverse_lift(spec, y: float, n: int, tol: float) -> float:
             gap = right - left
             v = (m + right) - cofrac * gap if cofrac <= frac else (m + left) + frac * gap
         else:
-            v = m + float(inverse_branch_values(spec, branch, np.float64(min(frac, 1.0)), tol=tol))
+            v = m + float(inverse_branch_values(spec, branch, np.float64(min(frac, 1.0))))
     return v
 
 
-def reference_uqs_ratio(spec, x: float, t: float, n: int, tol: float) -> float:
+def reference_uqs_ratio(spec, x: float, t: float, n: int) -> float:
     """The n-fold inverse distortion ratio from three separate chains."""
-    plus, mid, minus = (reference_inverse_lift(spec, y, n, tol) for y in (x + t, x, x - t))
+    plus, mid, minus = (reference_inverse_lift(spec, y, n) for y in (x + t, x, x - t))
     return (plus - mid) / (mid - minus)
 
 
-def reference_measure_profile(spec, intervals, tol: float):
+def reference_measure_profile(spec, intervals):
     """Measure deviations with one inverse-branch call per branch and end."""
     import numpy as np
     from circledyn.circle_maps import inverse_branch_values
@@ -440,8 +440,8 @@ def reference_measure_profile(spec, intervals, tol: float):
     b = np.asarray([iv[1] for iv in intervals], dtype=float)
     total = np.zeros_like(a)
     for s in range(spec.degree):
-        total += inverse_branch_values(spec, s, b, tol=tol)
-        total -= inverse_branch_values(spec, s, a, tol=tol)
+        total += inverse_branch_values(spec, s, b)
+        total -= inverse_branch_values(spec, s, a)
     return np.abs(total - (b - a))
 
 
@@ -451,7 +451,7 @@ def reference_measure_profile(spec, intervals, tol: float):
 # the parents.  These are those computations, the references the streaming
 # walks must reproduce bit for bit.
 
-def reference_tail_sum(spec, word, k_max: int, tol: float):
+def reference_tail_sum(spec, word, k_max: int):
     """``tail_sum``'s enumeration branch: all block levels kept, the avoiding
     words masked by ``arange % d**n`` after the walk."""
     import numpy as np
@@ -463,7 +463,7 @@ def reference_tail_sum(spec, word, k_max: int, tol: float):
     prev = parent = np.ones(1)
     block_lengths = []
     bg_worst = ratio_floor = 1.0
-    for level, lefts in enumerate(iter_levels(spec, n * k_max, tol=tol), 1):
+    for level, lefts in enumerate(iter_levels(spec, n * k_max), 1):
         lengths = np.diff(np.append(lefts, 1.0))
         bg_worst = max(bg_worst, float(np.max(np.repeat(prev, d) / lengths)))
         prev = lengths
@@ -497,7 +497,7 @@ def reference_tail_sum(spec, word, k_max: int, tol: float):
     )
 
 
-def reference_bounded_geometry_constant(spec, n_max: int, tol: float) -> float:
+def reference_bounded_geometry_constant(spec, n_max: int) -> float:
     """Largest parent/child length ratio over levels 1..n_max, each level's
     quotients taken against the repeated parents."""
     import numpy as np
@@ -505,7 +505,7 @@ def reference_bounded_geometry_constant(spec, n_max: int, tol: float) -> float:
 
     worst = 1.0
     prev = np.asarray([1.0])
-    for lefts in iter_levels(spec, n_max, tol=tol):
+    for lefts in iter_levels(spec, n_max):
         lengths = np.diff(np.append(lefts, 1.0))
         worst = max(worst, float(np.max(np.repeat(prev, spec.degree) / lengths)))
         prev = lengths
@@ -524,7 +524,6 @@ MONOTONE_GRID = 2048
 def structural_cuts(spec):
     """Breakpoints worth adding to the validation grid (known cuts only)."""
     import numpy as np
-    from circledyn import defaults
     from circledyn.circle_maps import _homeo_inverse_unit
 
     if spec.kind == "piecewise_linear_full_branch":
@@ -532,7 +531,7 @@ def structural_cuts(spec):
     if spec.kind == "conjugated" and spec.base is not None and spec.homeo is not None:
         inner = structural_cuts(spec.base)
         if inner.size:
-            return _homeo_inverse_unit(spec.homeo, inner, defaults.SOLVER_TOL)
+            return _homeo_inverse_unit(spec.homeo, inner)
     return np.asarray([], dtype=float)
 
 

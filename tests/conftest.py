@@ -1,11 +1,15 @@
 import pytest
 
 from circledyn import (
+    circle_maps,
+    conjugacy,
+    defaults,
     linear_map,
     make_conjugated,
     piecewise_linear,
     sine_homeo,
     smooth_sine_map,
+    symbolic_partition,
 )
 
 
@@ -32,3 +36,28 @@ def smooth05():
 @pytest.fixture(scope="session")
 def conj_smooth():
     return make_conjugated(linear_map(2), sine_homeo(0.5))
+
+
+def _clear_solved_caches():
+    circle_maps.branch_points.cache_clear()
+    symbolic_partition._error_expansion.cache_clear()
+    conjugacy._mesh_decay_probe.cache_clear()
+
+
+@pytest.fixture
+def solver_tol(monkeypatch):
+    """``solver_tol(value)`` runs the rest of the test with ``defaults.SOLVER_TOL = value``.
+
+    The package reads the constant where it solves, so the whole stack
+    follows.  The per-spec caches of solved values (branch points, the
+    endpoint-radius slope factor, the mesh-decay probe) are emptied at each
+    call and after the test, so no value solved at one tolerance is served
+    at another.
+    """
+
+    def set_tol(value: float) -> None:
+        _clear_solved_caches()
+        monkeypatch.setattr(defaults, "SOLVER_TOL", value)
+
+    yield set_tol
+    _clear_solved_caches()

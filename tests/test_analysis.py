@@ -268,19 +268,18 @@ class TestUqsOneOrbit:
     @pytest.mark.parametrize("spec", BATCHED_SPECS, ids=lambda spec: spec.describe())
     @pytest.mark.parametrize("x, t", [(0.0, 0.2), (0.3, 0.05), (-1.7, 0.4), (2.05, 0.01)])
     def test_equal_scalar_chains_bitwise(self, spec, x, t):
-        tol = 1e-13
         n_max = 12
-        want = [reference_uqs_ratio(spec, x, t, n, tol) for n in range(1, n_max + 1)]
-        assert _bits(list(iter_uqs_ratios(spec, x, t, n_max, tol=tol))) == _bits(want)
+        want = [reference_uqs_ratio(spec, x, t, n) for n in range(1, n_max + 1)]
+        assert _bits(list(iter_uqs_ratios(spec, x, t, n_max))) == _bits(want)
         for n in (1, 5, n_max):
-            assert _bits([uqs_ratio_endo(spec, x, t, n, tol=tol)]) == _bits([want[n - 1]])
+            assert _bits([uqs_ratio_endo(spec, x, t, n)]) == _bits([want[n - 1]])
 
     @pytest.mark.parametrize("spec", BATCHED_SPECS, ids=lambda spec: spec.describe())
     def test_orbit_points_equal_single_orbits(self, spec):
         ys = (2.3, 0.0, -0.45, 1.0)
         for n, values in enumerate(inverse_orbit(spec, ys, 7), 1):
             assert _bits(values) == _bits([global_inverse_lift(spec, y, n) for y in ys])
-            assert _bits(values) == _bits([reference_inverse_lift(spec, y, n, 1e-13) for y in ys])
+            assert _bits(values) == _bits([reference_inverse_lift(spec, y, n) for y in ys])
 
     def test_walk_stops_where_the_per_n_loop_raises(self, f06):
         # the f_0.6 orbit of 0 - 0.2 lands on 0 - 0 (denominator 0) at n = 40
@@ -359,8 +358,8 @@ class TestMeasureDeviation:
     @pytest.mark.parametrize("spec", BATCHED_SPECS, ids=lambda spec: spec.describe())
     def test_profile_equals_per_branch_calls_bitwise(self, spec):
         intervals = dyadic_intervals(64) + [(0.0, 1.0), (0.1, 0.37), (0.5, 0.5000001), (1e-300, 1e-12)]
-        want = reference_measure_profile(spec, intervals, 1e-13)
-        assert _bits(measure_profile(spec, intervals, tol=1e-13)) == _bits(want)
+        want = reference_measure_profile(spec, intervals)
+        assert _bits(measure_profile(spec, intervals)) == _bits(want)
 
     def test_empty_interval_list(self, smooth05):
         with pytest.raises(ValueError, match="interval list is empty"):

@@ -1,5 +1,6 @@
 """Lift evaluation, branch inversion, validation, and spec ingestion."""
 
+import inspect
 import math
 import re
 import tracemalloc
@@ -257,7 +258,7 @@ class TestSeedBracket:
     @pytest.mark.parametrize("D, a", SINE_FAMILY)
     def test_bracket_contains_mp_root(self, D, a):
         targets = _sine_family_targets(D)
-        lo, hi = circle_maps._sine_family_bracket(D, a, targets)
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets, TOL)
         assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
         for t, left, right in zip(targets, lo, hi):
             root = mp_sine_family_root(D, a, float(t))
@@ -268,7 +269,7 @@ class TestSeedBracket:
         # computed f is below the target at an unclipped left end and above it
         # at an unclipped right end, so the solver starts from a true bracket
         targets = _sine_family_targets(D)
-        lo, hi = circle_maps._sine_family_bracket(D, a, targets)
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets, TOL)
         f_lo, f_hi = (D * x + a * np.sin(2 * np.pi * x) / (2 * np.pi) for x in (lo, hi))
         assert np.all((f_lo < targets) | (lo == 0.0))
         assert np.all((f_hi > targets) | (hi == 1.0))
@@ -349,14 +350,14 @@ class TestSeedBracket:
         targets = _sine_family_targets(D)
         circle_maps._sine_family_inverse_table(D, a)  # built once per (D, a), not per target
         counter = _count_numpy_points(monkeypatch, "sin")
-        circle_maps._sine_family_bracket(D, a, targets)
+        circle_maps._sine_family_bracket(D, a, targets, TOL)
         assert counter["points"] <= targets.size
 
     def test_table_cache_stays_bounded(self):
         bound = circle_maps._sine_family_inverse_table.cache_info().maxsize
         assert bound <= 16
         for k in range(100):
-            circle_maps._sine_family_bracket(2, 0.5 + k * 1e-3, np.array([1.0]))
+            circle_maps._sine_family_bracket(2, 0.5 + k * 1e-3, np.array([1.0]), TOL)
         assert circle_maps._sine_family_inverse_table.cache_info().currsize <= bound
 
     @pytest.mark.parametrize(
@@ -378,7 +379,7 @@ class TestSeedBracket:
         # 7.5, 7.5, 8.4, 7.5 and 15.8, counted the same way
         rng = np.random.default_rng(5)
         targets = np.concatenate([np.linspace(0.0, D, 201), rng.random(100) * D, _flat_spot_targets(D, a)])
-        lo, hi = circle_maps._sine_family_bracket(D, a, targets)
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets, TOL)
         assert np.max(hi - lo) <= widest
         counter = _count_solver_evaluations(monkeypatch)
         if D > 1:
@@ -448,7 +449,7 @@ class TestNewtonCertificate:
         D, a = 2, 2.0 - 4e-16
         assert validate(smooth_sine_map(D, a)).ok
         targets = np.array([0.3, 1.0, 1.7])
-        lo, hi = circle_maps._sine_family_bracket(D, a, targets)
+        lo, hi = circle_maps._sine_family_bracket(D, a, targets, TOL)
         for t, left, right in zip(targets, lo, hi):
             assert 0.0 <= left <= float(mp_sine_family_root(D, a, float(t))) <= right <= 1.0
 
@@ -513,29 +514,38 @@ class TestSolverTol:
     """A solver tol that is not a finite number > 0 fails before any work."""
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_rejected_at_every_entry(self, tol, smooth05, conj_smooth, monkeypatch):
+    def test_rejected_at_every_entry(self, tol, monkeypatch):
+        # every root solve enters here, and no public function takes a tol
         def no_bracket(*args):
             raise AssertionError("the solver ran")
 
         monkeypatch.setattr(circle_maps, "_sine_family_bracket", no_bracket)
-        entries = [
-            lambda: circle_maps._solve_sine_family(2, 0.5, [0.3, 1.1], tol),
-            lambda: inverse_branch_values(smooth05, 1, [0.1, 0.5], tol=tol),
-            lambda: inverse_branch_values(conj_smooth, 0, [0.1, 0.5], tol=tol),
-            lambda: circle_maps.lift_values(conj_smooth, [0.1, 0.7], tol=tol),
-            lambda: homeo_inverse_values(sine_homeo(0.5), [0.1, 1.5], tol=tol),
-            lambda: global_inverse_lift(smooth05, 0.4, 3, tol=tol),
-        ]
-        for entry in entries:
-            with pytest.raises(ValueError, match=re.escape(f"tol must be a finite number > 0, got {tol!r}")):
-                entry()
+        with pytest.raises(ValueError, match=re.escape(f"tol must be a finite number > 0, got {tol!r}")):
+            circle_maps._solve_sine_family(2, 0.5, [0.3, 1.1], tol)
+
+    def test_no_public_function_takes_one(self):
+        # SOLVER_TOL is the solver's constant, read where a solve needs it
+        import circledyn
+        from circledyn import symbolic_partition as sp
+
+        public = [getattr(circledyn, name) for name in circledyn.__all__]
+        checked = [
+            fn for fn in public if callable(fn) and not (isinstance(fn, type) and issubclass(fn, BaseException))
+        ] + [sp.chain_values, sp.ragged_chain_values, sp.refine_words, sp.itinerary_batch, sp.level_left_endpoints,
+             circle_maps.chain_error_bound]
+        assert len(checked) > 60
+        for fn in checked:
+            for param in inspect.signature(fn).parameters.values():
+                assert param.name != "solver_tol", fn
+                default = param.default
+                assert not (isinstance(default, float) and default == defaults.SOLVER_TOL), (fn, param.name)
 
 
 def _family_fn(D, a):
     """The lift of the family member (D, a), as its map kind evaluates it."""
     if D > 1:
         spec = smooth_sine_map(D, a)
-        return lambda u: circle_maps._unit_lift(spec, u, TOL)
+        return lambda u: circle_maps._unit_lift(spec, u)
     return lambda u: homeo_lift_values(sine_homeo(a), u)
 
 
@@ -673,7 +683,7 @@ class TestCertifiedBisection:
         # no bracket gets 1e-17 wide: the general solver raised "root solver
         # failed to converge" here, and the bisection stops at an uncertain sign
         ys = np.linspace(0.0, 1.0, 1001)
-        got = inverse_branch_values(smooth_sine_map(2, 0.5), 0, ys, tol=1e-17)
+        got = circle_maps._solve_sine_family(2, 0.5, ys, 1e-17)
         _assert_within_bound(2, 0.5, ys, got, 1e-17)
 
     @pytest.mark.parametrize(
@@ -690,7 +700,7 @@ class TestCertifiedBisection:
         near = np.logspace(-14, -1, 30)
         ys = np.concatenate([np.random.default_rng(7).random(30), near, 1.0 - near, 0.5 - near, 0.5 + near])
         ys = np.round(ys * 2.0**50) / 2.0**50  # so branch + y is exact
-        bound = mpmath.mpf(float(circle_maps.chain_error_bound(spec, TOL, 1)[1]))
+        bound = mpmath.mpf(float(circle_maps.chain_error_bound(spec, 1)[1]))
         with mpmath.workdps(60):
             two_pi = 2 * mpmath.pi
             if spec.kind == "smooth_sine":
@@ -724,7 +734,7 @@ class TestLeanKernel:
         targets[: flat.size] = flat
         got = circle_maps._solve_sine_family(D, a, targets, TOL)
         _assert_earlier_bits_or_bound(D, a, targets, TOL, got, earlier_solve(D, a, targets, TOL), sample=200)
-        for got, want in zip(circle_maps._sine_family_bracket(D, a, targets), earlier_bracket(D, a, targets)):
+        for got, want in zip(circle_maps._sine_family_bracket(D, a, targets, TOL), earlier_bracket(D, a, targets)):
             assert _same_bits(got, want)
 
     @pytest.mark.parametrize("D, a", SINE_FAMILY)
@@ -1023,6 +1033,24 @@ class TestHomeos:
         y = homeo_eval(h, x)
         assert float(homeo_inverse_values(h, y)) == pytest.approx(x, abs=1e-11)
 
+    def test_inverse_equals_the_clipped_form_bitwise(self):
+        # a finite y - floor(y) is exact, in [0, 1] and never -0.0, so the
+        # clip to [0, 1] that the inverse once applied changed no bit
+        h = sine_homeo(0.5)
+        powers = 10.0 ** -np.arange(0, 321)  # 1 down to 1e-320
+        ints = np.arange(-50.0, 51.0)
+        ys = np.concatenate([
+            np.random.default_rng(5).uniform(-50.0, 50.0, 10**6),
+            powers, -powers, [0.0, -0.0, 1e300, -1e300],
+            ints, np.nextafter(ints, np.inf), np.nextafter(ints, -np.inf),
+        ])
+        k = np.floor(ys)
+        want = k + circle_maps._homeo_inverse_unit(h, np.clip(ys - k, 0.0, 1.0))
+        assert homeo_inverse_values(h, ys).tobytes() == want.tobytes()
+        for bad in (np.inf, -np.inf, np.nan):
+            with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="non-finite solver target"):
+                homeo_inverse_values(h, [0.3, bad])
+
     @pytest.mark.parametrize("h", [
         identity_homeo(),
         sine_homeo(0.9),
@@ -1131,7 +1159,7 @@ class TestChainErrorBound:
         flat = make_conjugated(linear_map(2), compose_homeos([a, b, c]))
         nested = make_conjugated(linear_map(2), compose_homeos([compose_homeos([a, b]), c]))
         assert np.array_equal(
-            circle_maps.chain_error_bound(nested, TOL, 8), circle_maps.chain_error_bound(flat, TOL, 8)
+            circle_maps.chain_error_bound(nested, 8), circle_maps.chain_error_bound(flat, 8)
         )
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])
@@ -1149,17 +1177,18 @@ class TestChainErrorBound:
         ],
         ids=lambda spec: spec.describe(),
     )
-    def test_tol_over_two_per_solve_where_the_floor_allows(self, spec, tol):
+    def test_tol_over_two_per_solve_where_the_floor_allows(self, spec, tol, solver_tol):
         # every solve has (5/4)*pad/(D - |a|) <= tol/2: the per-root bound is
         # tol/2, and the sums of the conjugated step round as its multiple did
-        assert circle_maps.chain_error_bound(spec, tol, 12).tobytes() == reference_chain_error_bound(spec, tol, 12).tobytes()
+        solver_tol(tol)
+        assert circle_maps.chain_error_bound(spec, 12).tobytes() == reference_chain_error_bound(spec, tol, 12).tobytes()
 
     def test_near_degenerate_solves_count_their_floor(self):
         u = UNIT_ROUNDOFF
         floor_term = 1.25 * 16.0 * u * (2 + 1.998) / (2 - 1.998)
-        assert circle_maps.chain_error_bound(smooth_sine_map(2, 1.998), TOL, 1)[1] == floor_term + 4.0 * u
+        assert circle_maps.chain_error_bound(smooth_sine_map(2, 1.998), 1)[1] == floor_term + 4.0 * u
         homeo = compose_homeos([sine_homeo(0.999), sine_homeo(0.3)])
         h_lo, h_hi = circle_maps.homeo_slope_bounds(homeo)
         step = (1.25 * 16.0 * u * 1.999 / (1 - 0.999) + 0.5 * TOL + 4.0 * u) / h_lo + 4.0 * u
-        bound = circle_maps.chain_error_bound(make_conjugated(linear_map(2), homeo), TOL, 1)[1]
+        bound = circle_maps.chain_error_bound(make_conjugated(linear_map(2), homeo), 1)[1]
         assert bound == pytest.approx(step * h_hi / h_lo, rel=1e-15)  # the outer H carries it by h_hi/h_lo

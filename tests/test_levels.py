@@ -19,7 +19,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from circledyn import (
     CellCapExceeded,
@@ -90,12 +90,14 @@ def _same_bits(a, b):
 
 
 class TestAgainstReferenceLoop:
-    @settings(max_examples=60, deadline=None)
+    # the tol is set anew for each example, so the fixture may span them
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(specs_with_level(), st.sampled_from([TOL, 1e-10]))
-    def test_every_level_bit_identical(self, spec_level, tol):
+    def test_every_level_bit_identical(self, solver_tol, spec_level, tol):
         spec, n = spec_level
-        got = list(iter_levels(spec, n, tol=tol))
-        want = reference_levels(spec, n, tol)
+        solver_tol(tol)
+        got = list(iter_levels(spec, n))
+        want = reference_levels(spec, n)
         assert len(got) == n
         for k, (a, b) in enumerate(zip(got, want), 1):
             assert np.array_equal(a, b), (spec, k)
@@ -118,7 +120,7 @@ class TestAgainstReferenceLoop:
             spec = piecewise_linear(cuts[: d - 1])
         n = int(math.log(2**12, d) + 1e-9)
         got = list(iter_levels(spec, n))
-        want = reference_levels(spec, n, TOL)
+        want = reference_levels(spec, n)
         assert len(got) == n
         for k, (a, b) in enumerate(zip(got, want), 1):
             assert _same_bits(a, b), (spec, k)
@@ -192,7 +194,7 @@ class TestMpmathOracle:
     def test_endpoints_within_chain_error_bound(self, spec, kind, n):
         got = level_left_endpoints(spec, n)
         want = mp_level_left_endpoints(kind, 2, 0.5, n)
-        bound = chain_error_bound(spec, TOL, n)[n]
+        bound = chain_error_bound(spec, n)[n]
         with mpmath.workdps(MP_DIGITS):
             errors = [abs(mpmath.mpf(float(a)) - b) for a, b in zip(got, want)]
         assert len(errors) == 2**n
@@ -228,8 +230,8 @@ class TestStreamingWalks:
                 words = {Word((0,) * n), Word(tuple(s % d for s in range(1, n + 1))), Word((d - 1,) * n)}
                 for word in sorted(words, key=str):
                     for k_max in sorted({1, 2, depth // n}):
-                        got = analysis._enumerated_tail_sum(spec, word, k_max, TOL, defaults.CELL_CAP)
-                        want = reference_tail_sum(spec, word, k_max, TOL)
+                        got = analysis._enumerated_tail_sum(spec, word, k_max, defaults.CELL_CAP)
+                        want = reference_tail_sum(spec, word, k_max)
                         # repr holds every float's exact value, NaN included
                         assert repr(got) == repr(want), (spec, word, k_max)
                         if not is_closed_form(spec):
@@ -240,15 +242,15 @@ class TestStreamingWalks:
         with np.errstate(divide="ignore", invalid="ignore"):
             for n_max in (1, 2, depth // 2, depth):
                 got = bounded_geometry_constant(spec, n_max)
-                assert _same_value(got, reference_bounded_geometry_constant(spec, n_max, TOL)), (spec, n_max)
+                assert _same_value(got, reference_bounded_geometry_constant(spec, n_max)), (spec, n_max)
 
     @pytest.mark.parametrize("block", [1, 3, 8])
     def test_chunk_size_changes_no_bit(self, block, monkeypatch):
         # chunks far smaller than a level: every walk reduces over many of them
         monkeypatch.setattr(symbolic_partition, "_SOLVER_BLOCK", block)
         spec = smooth_sine_map(3, 1.2)
-        assert tail_sum(spec, Word((0, 2)), 3) == reference_tail_sum(spec, Word((0, 2)), 3, TOL)
-        assert bounded_geometry_constant(spec, 6) == reference_bounded_geometry_constant(spec, 6, TOL)
+        assert tail_sum(spec, Word((0, 2)), 3) == reference_tail_sum(spec, Word((0, 2)), 3)
+        assert bounded_geometry_constant(spec, 6) == reference_bounded_geometry_constant(spec, 6)
 
 
 def _whole_level_ratio(parents, lengths, floor):

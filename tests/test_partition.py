@@ -138,7 +138,7 @@ class TestClosedFormCylinder:
         ]
         for symbols in words:
             cyl = interval_of_word(spec, Word(symbols))
-            ref = reference_cylinder(spec, symbols, defaults.SOLVER_TOL)
+            ref = reference_cylinder(spec, symbols)
             assert _bits(cyl.left, cyl.right) == _bits(*ref), symbols
             assert type(cyl.left) is float and type(cyl.right) is float
 
@@ -174,6 +174,10 @@ class TestClosedFormCylinder:
         cyl = interval_of_word(spec, word)
         assert branch_calls["partition"] == word.level
         assert 0.0 < cyl.left < cyl.right < 1.0
+        # one chain on both ends gives the per-symbol chain's bits
+        for symbols in ((), (0,), word.symbols, (1,) * 30):
+            cyl = interval_of_word(spec, Word(symbols))
+            assert _bits(cyl.left, cyl.right) == _bits(*reference_cylinder(spec, symbols)), symbols
 
 
 class TestEndpointRadius:

@@ -82,7 +82,7 @@ class TestAffineBitIdentical:
         tol = data.draw(st.sampled_from([1e-4, 1e-8, 1e-10, 1e-12, 1e-14]))
         cap = data.draw(st.sampled_from([defaults.CONJUGACY_DEPTH_CAP, 7]))
         got = conjugacy_enclosures(f, g, xs, tol=tol, depth_cap=cap)
-        want = reference_enclosures(f, g, xs, tol, cap, defaults.SOLVER_TOL, SNAP)
+        want = reference_enclosures(f, g, xs, tol, cap, SNAP)
         _assert_same(got, want)
 
     @settings(max_examples=40, deadline=None)
@@ -92,7 +92,7 @@ class TestAffineBitIdentical:
         xs = data.draw(endpoint_points(f))
         n = data.draw(st.integers(0, 40))
         got = itinerary_batch(f, xs, n)
-        assert np.array_equal(got, reference_itinerary(f, xs, n, defaults.SOLVER_TOL))
+        assert np.array_equal(got, reference_itinerary(f, xs, n))
 
     @pytest.mark.parametrize("cuts", [[0.6], [0.37, 0.81], [2e-9, 0.5]])
     def test_points_a_few_ulps_from_the_snap_distance(self, cuts):
@@ -113,14 +113,14 @@ class TestAffineBitIdentical:
         xs = np.clip(np.concatenate(xs), 0.0, 1.0)
         for g in (f, linear_map(f.degree)):
             got = conjugacy_enclosures(f, g, xs, tol=1e-10)
-            _assert_same(got, reference_enclosures(f, g, xs, 1e-10, 48, defaults.SOLVER_TOL, SNAP))
+            _assert_same(got, reference_enclosures(f, g, xs, 1e-10, 48, SNAP))
 
     def test_criterion_6_grid_and_shifts(self, f06):
         grid = np.arange(1024) / 1024
         for shift in (0.0, 2.0**-1, -(2.0**-1), 2.0**-5, -(2.0**-5), 2.0**-10, -(2.0**-10)):
             xs = np.clip(grid + shift, 0.0, 1.0)
             got = conjugacy_enclosures(f06, f06, xs, tol=1e-10)
-            want = reference_enclosures(f06, f06, xs, 1e-10, 48, defaults.SOLVER_TOL, SNAP)
+            want = reference_enclosures(f06, f06, xs, 1e-10, 48, SNAP)
             _assert_same(got, want)
 
 
@@ -128,7 +128,7 @@ def _margins(spec, x, word):
     """Distance from x to the nearer end of its cylinder at each depth."""
     out = []
     for k in range(1, len(word) + 1):
-        lo, hi = chain_values(spec, np.asarray([word[:k]]), np.asarray([[0.0], [1.0]]), defaults.SOLVER_TOL)
+        lo, hi = chain_values(spec, np.asarray([word[:k]]), np.asarray([[0.0], [1.0]]))
         out.append(min(abs(x - lo[0]), abs(hi[0] - x)))
     return out
 
@@ -158,7 +158,7 @@ class TestSolvedKinds:
     def test_itineraries(self, spec, points):
         xs = np.asarray(points)
         got = itinerary_batch(spec, xs, 14)
-        want = reference_itinerary(spec, xs, 14, defaults.SOLVER_TOL)
+        want = reference_itinerary(spec, xs, 14)
         for i, x in enumerate(xs):
             assert _words_agree(spec, x, got[i], want[i]), (x, got[i], want[i])
 
@@ -168,7 +168,7 @@ class TestSolvedKinds:
         xs = np.asarray(points)
         g = linear_map(spec.degree)
         got = conjugacy_enclosures(spec, g, xs, tol=1e-6)
-        want = reference_enclosures(spec, g, xs, 1e-6, 48, defaults.SOLVER_TOL, SNAP)
+        want = reference_enclosures(spec, g, xs, 1e-6, 48, SNAP)
         for i, x in enumerate(xs):
             if all(a[i] == b[i] for a, b in zip(got, want)):
                 continue
@@ -179,7 +179,7 @@ class TestSolvedKinds:
     def test_solved_target_matches_reference(self, f06, smooth05):
         xs = np.arange(64) / 64
         got = conjugacy_enclosures(f06, smooth05, xs, tol=1e-8)
-        _assert_same(got, reference_enclosures(f06, smooth05, xs, 1e-8, 48, defaults.SOLVER_TOL, SNAP))
+        _assert_same(got, reference_enclosures(f06, smooth05, xs, 1e-8, 48, SNAP))
 
 
 @st.composite
@@ -231,26 +231,27 @@ class TestConjugatedModel:
 
     @pytest.mark.parametrize("tol", [defaults.SOLVER_TOL, 1e-6])
     @pytest.mark.parametrize("spec", CONJUGATES, ids=lambda s: s.describe())
-    def test_every_chain_snap_is_a_candidate(self, spec, tol):
+    def test_every_chain_snap_is_a_candidate(self, spec, tol, solver_tol):
         # points within ENDPOINT_SNAP of the level-3 or -4 endpoints and of
         # the left ends of ten level-30 cylinders (about 1e-9 wide for degree
         # 2, the snap rule's width threshold): wherever the F-chain's snap
         # rule holds, the model must name the point
+        solver_tol(tol)
         depth = 30
-        deep = itinerary_batch(spec, np.linspace(0.05, 0.95, 10), depth, tol)
+        deep = itinerary_batch(spec, np.linspace(0.05, 0.95, 10), depth)
         level = 4 if spec.degree == 2 else 3
-        starts = np.append(level_endpoints(spec, level, tol=tol), chain_values(spec, deep, np.zeros(10), tol))
+        starts = np.append(level_endpoints(spec, level), chain_values(spec, deep, np.zeros(10)))
         offsets = (0.0, SNAP, -SNAP, 0.5 * SNAP, -0.5 * SNAP, 1e-15, -1e-15)
         xs = np.clip(np.concatenate([starts + t for t in offsets]), 0.0, 1.0)
-        words = reference_itinerary(spec, xs, depth, tol)
-        model = _word_model(spec, xs, depth, tol)
+        words = reference_itinerary(spec, xs, depth)
+        model = _word_model(spec, xs, depth)
         cuts = np.asarray(branch_points(spec))
         hits = 0
         for k in range(depth):
             sel = words[:, k]
             model.propose(k, xs)
             model.advance(sel)
-            lo, hi = chain_values(spec, words[:, :k], cuts[[sel, sel + 1]], tol)
+            lo, hi = chain_values(spec, words[:, :k], cuts[[sel, sel + 1]])
             snaps = (np.abs(xs - lo) <= SNAP) & (hi - lo > 1e3 * SNAP)
             assert np.all(model.may_snap(k, xs, SNAP, 1e3 * SNAP)[snaps]), k
             hits += int(snaps.sum())
@@ -266,19 +267,19 @@ class TestConjugatedModel:
         assert calls[0] == 0
 
     @pytest.mark.parametrize("spec", AFFINE_CONJUGATES, ids=lambda s: s.describe())
-    def test_sure_decisions_equal_the_chain_at_a_coarse_solver_tol(self, spec):
+    def test_sure_decisions_equal_the_chain_at_a_coarse_solver_tol(self, spec, solver_tol):
         # a solver tol of 1e-6 leaves the F-chain's divisions off by far more
         # than the rounding of H(x), so only a model whose certainty radius
         # carries the chain error (h_hi * err_F) agrees with the chain at its
-        # own endpoints
-        tol = 1e-6
+        # own endpoints (taken at the default solver tol)
         ends = level_endpoints(spec, 5 if spec.degree == 2 else 3)
         xs = np.clip(np.concatenate([ends + t for t in (0.0, 2e-9, -2e-9, 2e-8, -2e-8)]), 0.0, 1.0)
-        got = itinerary_batch(spec, xs, 12, tol=tol)
-        assert np.array_equal(got, reference_itinerary(spec, xs, 12, tol))
+        solver_tol(1e-6)
+        got = itinerary_batch(spec, xs, 12)
+        assert np.array_equal(got, reference_itinerary(spec, xs, 12))
         g = linear_map(spec.degree)
-        got = conjugacy_enclosures(spec, g, xs, tol=1e-5, solver_tol=tol)
-        _assert_same(got, reference_enclosures(spec, g, xs, 1e-5, 48, tol, SNAP))
+        got = conjugacy_enclosures(spec, g, xs, tol=1e-5)
+        _assert_same(got, reference_enclosures(spec, g, xs, 1e-5, 48, SNAP))
 
 
 class TestBranchEnds:
