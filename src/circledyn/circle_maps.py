@@ -623,8 +623,8 @@ def slope_bounds(spec: CircleMapSpec) -> tuple[float, float]:
     if spec.kind == "linear":
         return float(spec.degree), float(spec.degree)
     if spec.kind == "piecewise_linear_full_branch":
-        widths = _pl_widths(spec.cuts)
-        return 1.0 / float(np.max(widths)), 1.0 / float(np.min(widths))
+        widths = _pl_widths(spec.cuts).tolist()  # d floats: Python's max and min beat numpy's
+        return 1.0 / max(widths), 1.0 / min(widths)
     if spec.kind == "smooth_sine":
         return spec.degree - abs(spec.epsilon), spec.degree + abs(spec.epsilon)
     g_lo, g_hi = slope_bounds(spec.base)
@@ -672,7 +672,8 @@ def chain_error_bound(spec: CircleMapSpec, depth_cap: int) -> np.ndarray:
     rho, lam = _chain_lipschitz(spec)
     with np.errstate(over="ignore"):  # lam > 1 for weakly expanding maps
         reach = rho * lam ** np.arange(depth_cap)
-    return _step_error(spec) * np.concatenate(([0.0], np.cumsum(reach)))
+    # np.cumsum's dispatch costs more than the sum itself at these depths
+    return _step_error(spec) * np.concatenate(([0.0], np.add.accumulate(reach)))
 
 
 def eval_lift(spec: CircleMapSpec, x: float) -> float:

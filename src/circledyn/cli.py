@@ -45,6 +45,9 @@ from .analysis import (
     tail_sum,
 )
 from .circle_maps import (
+    _load_json,
+    _want_list,
+    _want_number,
     homeo_spec_from_json,
     map_spec_from_json,
     validate,
@@ -285,8 +288,14 @@ def _parse_intervals(text: str):
             )
         return dyadic_intervals(count)
     with open(text) as fh:
-        data = json.load(fh)
-    return [(float(a), float(b)) for a, b in data]
+        data = _load_json(fh.read())
+    return _want_list(_want_interval)(data, "--intervals")
+
+
+def _want_interval(obj, path: str) -> tuple[float, float]:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise SpecFormatError(f"{path}: expected a pair [a, b]")
+    return _want_number(obj[0], f"{path}[0]"), _want_number(obj[1], f"{path}[1]")
 
 
 def _cmd_analyze_measure(args, caps) -> int:
@@ -309,6 +318,8 @@ def _cmd_analyze_phi(args, caps) -> int:
     f = _load_map(args.from_map)
     g = _load_map(args.to_map)
     cell_cap = caps.get("cell_cap", defaults.CELL_CAP)
+    if args.level < 1:
+        raise ValueError(f"--level must be >= 1, got {args.level}")
     config = {"command": "analyze-phi", "from": args.from_map, "to": args.to_map, "solver_tol": defaults.SOLVER_TOL}
     if args.coarse is not None:
         report = dilatation_report(f, g, args.level, coarse_level=args.coarse, cell_cap=cell_cap)

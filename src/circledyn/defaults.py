@@ -2,9 +2,10 @@
 
 Every tolerance, cap, and grid size used by the workbench is defined here.
 The depth, cell and work caps and the grid and ladder (MODULUS_GRID,
-SCALE_LADDER) are defaults of explicit parameters; SOLVER_TOL, DEGREE_CAP,
-MIN_CUT_GAP, ENDPOINT_SNAP, QS_DENOM_FLOOR and PROBE_LEVEL are read where
-they are used and take no parameter.
+SCALE_LADDER) are defaults of explicit parameters, but ``interval_of_word``,
+``word_of_point`` and ``itinerary_batch`` read DEPTH_CAP where they use it;
+SOLVER_TOL, DEGREE_CAP, MIN_CUT_GAP, ENDPOINT_SNAP, QS_DENOM_FLOOR and
+PROBE_LEVEL are read where they are used and take no parameter.
 
 ===================  ============  ====================================================
 name                 default       used by

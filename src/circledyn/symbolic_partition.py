@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -146,10 +145,10 @@ def index_of_word(word: Word, degree: int) -> int:
 class CylinderInterval:
     """One partition interval ``[left, right]`` with its word and level.
 
-    ``endpoint_radius`` estimates the error of the computed endpoints:
-    (number of solves) x (per-solve error) x (max per-step error expansion,
-    from the slopes sampled at 257 points).  It is an estimate, not a bound;
-    ROADMAP item 1 replaces it with ``chain_error_bound``.
+    ``endpoint_radius`` bounds the error of each computed end, both of which
+    come from a depth-``level`` backward chain: it is
+    ``chain_error_bound(spec, level)[level]``, rigorous for the closed-form
+    kinds and, for root-solved kinds, resting on the solver's ``_root_error``.
     """
 
     word: Word
@@ -166,28 +165,7 @@ class CylinderInterval:
         return self.left <= x <= self.right
 
 
-@lru_cache(maxsize=512)
-def _error_expansion(spec: CircleMapSpec) -> float:
-    """Max per-step error expansion of a spec, ``max(1, 1/min F')`` over the
-    slopes sampled at 257 points (1 for expanding maps); computed once per spec."""
-    min_slope = float(np.min(np.diff(lift_values(spec, np.linspace(0.0, 1.0, 257))))) * 256
-    return max(1.0, 1.0 / min_slope) if min_slope > 0 else float("inf")
-
-
-def _endpoint_radius(spec: CircleMapSpec, level: int) -> float:
-    """Estimated error of computed level-``level`` endpoints: (number of
-    solves) x (per-solve error) x :func:`_error_expansion`.  Sampling and
-    the per-lerp guess make it an estimate, not a bound (ROADMAP item 1)."""
-    # closed forms are accurate to a few ulps; root solves to their tolerance
-    per_solve = 1e-15 if is_closed_form(spec) else defaults.SOLVER_TOL
-    return level * per_solve * _error_expansion(spec)
-
-
-def interval_of_word(
-    spec: CircleMapSpec,
-    word: Word,
-    depth_cap: int = defaults.DEPTH_CAP,
-) -> CylinderInterval:
+def interval_of_word(spec: CircleMapSpec, word: Word) -> CylinderInterval:
     """The cylinder ``I_w``, by iterated inverse branches (last symbol first).
 
     A linear or piecewise-linear cylinder comes from a chain on two Python
@@ -198,13 +176,13 @@ def interval_of_word(
     (:func:`chain_values`).
 
     Raises:
-        DepthCapExceeded: word longer than ``depth_cap``.
+        DepthCapExceeded: word longer than ``defaults.DEPTH_CAP``.
         ValueError: word symbol out of range.
     """
     ensure_valid(spec)
     check_word(spec, word)
-    if word.level > depth_cap:
-        raise DepthCapExceeded(f"word level {word.level} exceeds cap {depth_cap}")
+    if word.level > defaults.DEPTH_CAP:
+        raise DepthCapExceeded(f"word level {word.level} exceeds cap {defaults.DEPTH_CAP}")
     if is_closed_form(spec):
         left, right = closed_form_cylinder(spec, word.symbols)
     else:
@@ -214,7 +192,7 @@ def interval_of_word(
         left=left,
         right=right,
         level=word.level,
-        endpoint_radius=_endpoint_radius(spec, word.level),
+        endpoint_radius=float(chain_error_bound(spec, word.level)[word.level]),
     )
 
 
@@ -505,26 +483,17 @@ def itinerary_batch(
     return refine_words(spec, xs, n)[0]
 
 
-def word_of_point(
-    spec: CircleMapSpec,
-    x: float,
-    n: int,
-    depth_cap: int = defaults.DEPTH_CAP,
-) -> Word:
+def word_of_point(spec: CircleMapSpec, x: float, n: int) -> Word:
     """The word of the level-n cylinder containing x (ties go right).
 
     Raises:
-        ValueError: x outside [0,1).
-        DepthCapExceeded: n beyond the depth cap, or beyond
-            ``defaults.DEPTH_CAP`` (the cap of :func:`itinerary_batch`).
+        ValueError: x outside [0,1), or n < 0.
+        DepthCapExceeded: n beyond ``defaults.DEPTH_CAP``.
     """
     ensure_valid(spec)
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x={x!r} outside [0,1)")
-    if n > depth_cap:
-        raise DepthCapExceeded(f"level {n} exceeds cap {depth_cap}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    # itinerary_batch checks n: "n must be >= 0", then the depth cap
     symbols = itinerary_batch(spec, np.asarray([x], dtype=float), n)
     return Word(tuple(int(s) for s in symbols[0]))
 
@@ -660,7 +629,7 @@ def enumerate_level(
         CellCapExceeded: if d^n exceeds ``cell_cap``.
     """
     ends = level_endpoints(spec, n, cell_cap=cell_cap).tolist()
-    radius = _endpoint_radius(spec, n)
+    radius = float(chain_error_bound(spec, n)[n])
     return [
         CylinderInterval(word=word, left=left, right=right, level=n, endpoint_radius=radius)
         for word, left, right in zip(level_words(n, spec.degree), ends, ends[1:])

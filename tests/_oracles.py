@@ -166,6 +166,48 @@ def mp_level_left_endpoints(kind: str, degree: int, param: float, n: int) -> lis
     return lefts
 
 
+def mp_conjugated_pl_left_endpoints(cuts: list[float], c: float, n: int) -> list:
+    """Level-n left endpoints in word order at MP_DIGITS digits of
+    ``H^-1 o G o H``, G the piecewise-linear map with ``cuts`` and H the sine
+    homeo of amplitude ``c``: each branch is ``H^-1(c_s + (c_{s+1} - c_s)*H(y))``."""
+    import mpmath
+
+    with mpmath.workdps(MP_DIGITS):
+        two_pi = 2 * mpmath.pi
+        p = mpmath.mpf(c)
+        ext = [mpmath.mpf(0)] + [mpmath.mpf(x) for x in cuts] + [mpmath.mpf(1)]
+
+        def branch(s, y):
+            hy = y + p * mpmath.sin(two_pi * y) / two_pi
+            return _mp_sine_homeo_inverse(p, ext[s] + (ext[s + 1] - ext[s]) * hy)
+
+        lefts = [mpmath.mpf(0)]
+        for _ in range(n):
+            lefts = [branch(s, y) for s in range(len(ext) - 1) for y in lefts]
+    return lefts
+
+
+def exact_cylinder(spec, word: tuple[int, ...]) -> tuple:
+    """Exact ``fractions.Fraction`` ends of a linear or piecewise-linear
+    cylinder: branch s maps y to ``(s + y)/d``, or to ``c_s + y*(c_{s+1} - c_s)``
+    with the float cuts converted exactly, last symbol first."""
+    from fractions import Fraction
+
+    if spec.kind == "linear":
+        def branch(s, y):
+            return (s + y) / spec.degree
+    else:
+        ext = [Fraction(0)] + [Fraction(x) for x in spec.cuts] + [Fraction(1)]
+
+        def branch(s, y):
+            return ext[s] + y * (ext[s + 1] - ext[s])
+
+    a, b = Fraction(0), Fraction(1)
+    for s in reversed(word):
+        a, b = branch(s, a), branch(s, b)
+    return a, b
+
+
 def pl_cylinder(cuts: list[float], word: tuple[int, ...]) -> tuple[float, float]:
     """Cylinder endpoints by composing exact branch formulas right-to-left."""
     ext = [0.0] + list(cuts) + [1.0]
@@ -304,9 +346,8 @@ def reference_enclosures(f, g, xs, tol: float, depth_cap: int, snap: float):
 
 
 # Before the scalar chain, a cylinder was one vector call per symbol on both
-# ends, and its endpoint radius sampled the lift's slopes at 257 points on
-# every call.  These are those computations, as references for the scalar
-# closed-form chain and the per-spec cached radius factor.
+# ends.  This is that computation, as the reference for the scalar
+# closed-form chain.
 
 def reference_cylinder(spec, symbols) -> tuple[float, float]:
     """Ends of the cylinder of ``symbols``: one inverse-branch call per symbol
@@ -318,17 +359,6 @@ def reference_cylinder(spec, symbols) -> tuple[float, float]:
     for s in reversed(symbols):
         ab = inverse_branch_values(spec, s, ab)
     return float(ab[0]), float(ab[1])
-
-
-def reference_endpoint_radius(spec, level: int, tol: float) -> float:
-    """Endpoint radius estimate, with the slope samples taken afresh."""
-    import numpy as np
-    from circledyn.circle_maps import is_closed_form, lift_values
-
-    per_solve = 1e-15 if is_closed_form(spec) else tol
-    min_slope = float(np.min(np.diff(lift_values(spec, np.linspace(0.0, 1.0, 257))))) * 256
-    expansion = max(1.0, 1.0 / min_slope) if min_slope > 0 else float("inf")
-    return level * per_solve * expansion
 
 
 # Before certified brackets were finished from the targets alone, every

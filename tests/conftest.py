@@ -9,7 +9,6 @@ from circledyn import (
     piecewise_linear,
     sine_homeo,
     smooth_sine_map,
-    symbolic_partition,
 )
 
 
@@ -40,7 +39,6 @@ def conj_smooth():
 
 def _clear_solved_caches():
     circle_maps.branch_points.cache_clear()
-    symbolic_partition._error_expansion.cache_clear()
     conjugacy._mesh_decay_probe.cache_clear()
 
 
@@ -48,11 +46,11 @@ def _clear_solved_caches():
 def solver_tol(monkeypatch):
     """``solver_tol(value)`` runs the rest of the test with ``defaults.SOLVER_TOL = value``.
 
-    The package reads the constant where it solves, so the whole stack
-    follows.  The per-spec caches of solved values (branch points, the
-    endpoint-radius slope factor, the mesh-decay probe) are emptied at each
-    call and after the test, so no value solved at one tolerance is served
-    at another.
+    The package reads the constant where it solves and where it bounds the
+    solves' error (``chain_error_bound``, so the endpoint radii too), so the
+    whole stack follows.  The per-spec caches of solved values (branch
+    points, the mesh-decay probe) are emptied at each call and after the
+    test, so no value solved at one tolerance is served at another.
     """
 
     def set_tol(value: float) -> None:

@@ -290,7 +290,33 @@ class TestAnalyzeCommands:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: intervals must be nondegenerate subintervals of [0,1]\n"
+        assert captured.err == "error: --intervals[0][0]: not a finite number (got nan)\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5", "--intervals: expected a nonempty list"),
+            ("[[null, 0.5]]", "--intervals[0][0]: not a number (got NoneType)"),
+            ('[["0.1", 0.2]]', "--intervals[0][0]: not a number (got str)"),
+            ("[[0.1, 0.2, 0.3]]", "--intervals[0]: expected a pair [a, b]"),
+        ],
+    )
+    def test_measure_malformed_intervals_file_exits_1(self, specs, capsys, text, message):
+        intervals = specs["dir"] / "intervals.json"
+        intervals.write_text(text)
+        code = main(["analyze", "measure", "--map", specs["f06"], "--intervals", str(intervals)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_measure_intervals_file(self, specs, capsys):
+        intervals = specs["dir"] / "intervals.json"
+        intervals.write_text("[[0, 0.25], [0.25, 1]]")
+        code = main(["analyze", "measure", "--map", specs["f06"], "--intervals", str(intervals)])
+        assert code == 0
+        _, rows = _data_rows(capsys.readouterr().out)
+        assert [(float(r[0]), float(r[1])) for r in rows] == [(0.0, 0.25), (0.25, 1.0)]
 
     def test_measure_empty_intervals_exits_1(self, specs, capsys):
         code = main(["analyze", "measure", "--map", specs["conj"], "--intervals", "dyadic:0"])
@@ -311,7 +337,14 @@ class TestAnalyzeCommands:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "level must be >= 0" in captured.err
+        assert captured.err == "error: --level must be >= 1, got -1\n"
+
+    def test_phi_zero_level_exits_1(self, specs, capsys):
+        code = main(["analyze", "phi", "--from", specs["f06"], "--to", specs["lin2"], "--level", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --level must be >= 1, got 0\n"
 
     def test_phi_growth(self, specs, capsys):
         code = main(

@@ -1,5 +1,9 @@
 """Cylinder intervals, itineraries, level enumeration, and geometric constants."""
 
+import inspect
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,8 +29,16 @@ from circledyn import (
     word_of_point,
 )
 from circledyn import circle_maps, defaults, symbolic_partition
+from circledyn.circle_maps import chain_error_bound
 from circledyn.symbolic_partition import index_of_word, level_words, word_of_index
-from _oracles import pl_cylinder, pl_word_by_scan, reference_cylinder, reference_endpoint_radius
+from _oracles import (
+    MP_DIGITS,
+    exact_cylinder,
+    mp_level_left_endpoints,
+    pl_cylinder,
+    pl_word_by_scan,
+    reference_cylinder,
+)
 
 
 class TestWord:
@@ -89,6 +101,25 @@ class TestIntervalOfWord:
     def test_depth_cap(self, f06):
         with pytest.raises(DepthCapExceeded):
             interval_of_word(f06, Word((0,) * 61))
+
+    def test_depth_cap_is_the_package_constant(self, f06, monkeypatch):
+        for fn in (interval_of_word, word_of_point):
+            assert "depth_cap" not in inspect.signature(fn).parameters
+        with pytest.raises(DepthCapExceeded, match="^word level 61 exceeds cap 60$"):
+            interval_of_word(f06, Word((1,) * 61))
+        with pytest.raises(DepthCapExceeded, match="^level 61 exceeds cap 60$"):
+            word_of_point(f06, 0.5, 61)
+        # x is checked before n
+        with pytest.raises(ValueError, match="outside"):
+            word_of_point(f06, 1.0, 61)
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            word_of_point(f06, 0.5, -1)
+        # read at call time
+        monkeypatch.setattr(defaults, "DEPTH_CAP", 5)
+        with pytest.raises(DepthCapExceeded, match="^word level 6 exceeds cap 5$"):
+            interval_of_word(f06, Word((1,) * 6))
+        with pytest.raises(DepthCapExceeded, match="^level 6 exceeds cap 5$"):
+            word_of_point(f06, 0.5, 6)
 
     def test_deep_word_stays_accurate(self, f06):
         cyl = interval_of_word(f06, Word((0,) * 40))
@@ -180,24 +211,75 @@ class TestClosedFormCylinder:
             assert _bits(cyl.left, cyl.right) == _bits(*reference_cylinder(spec, symbols)), symbols
 
 
+# degree 2, so a level-12 enumeration stays at 4096 cells
+RADIUS_SPECS = [
+    linear_map(2),
+    piecewise_linear([0.6]),
+    smooth_sine_map(2, -1.2),
+    make_conjugated(piecewise_linear([0.7]), sine_homeo(-0.7)),
+]
+
+
+def _within(value: float, exact, radius: float) -> bool:
+    """``|value - exact| <= radius`` exactly: ``exact`` a Fraction or an mpmath number."""
+    if isinstance(exact, Fraction):
+        return abs(Fraction(value) - exact) <= Fraction(radius)
+    with mpmath.workdps(MP_DIGITS):
+        return abs(mpmath.mpf(value) - exact) <= mpmath.mpf(radius)
+
+
 class TestEndpointRadius:
+    """Every cylinder's radius is the one error rule, ``chain_error_bound``,
+    and it contains the exact ends."""
+
+    @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=_describe)
+    def test_radius_is_the_chain_error_bound(self, spec):
+        for n in (0, 1, 5, 12):
+            want = float(chain_error_bound(spec, n)[n])
+            assert interval_of_word(spec, Word((spec.degree - 1,) * n)).endpoint_radius == want
+            assert {c.endpoint_radius for c in enumerate_level(spec, n)} == {want}
+        assert interval_of_word(spec, Word(())).endpoint_radius == 0.0
+
     @pytest.mark.parametrize(
         "spec",
-        [linear_map(2), piecewise_linear([0.6]), smooth_sine_map(3, -1.2),
-         make_conjugated(piecewise_linear([0.3, 0.55]), sine_homeo(-0.7))],
+        [linear_map(2), linear_map(3), piecewise_linear([0.6]), piecewise_linear([0.05, 0.5]),
+         _near_gap_pl(np.random.default_rng(7), 3)],
         ids=_describe,
     )
-    def test_cached_factor_equals_uncached_formula(self, spec):
-        symbolic_partition._error_expansion.cache_clear()
-        tol = defaults.SOLVER_TOL
-        for n in (0, 1, 5, 12):
-            cyl = interval_of_word(spec, Word((0,) * n))
-            assert cyl.endpoint_radius == reference_endpoint_radius(spec, n, tol)
-        for n in (0, 1, 3):
-            radii = {c.endpoint_radius for c in enumerate_level(spec, n)}
-            assert radii == {reference_endpoint_radius(spec, n, tol)}
-        info = symbolic_partition._error_expansion.cache_info()
-        assert (info.misses, info.hits) == (1, 6)
+    def test_closed_form_words_contain_the_exact_ends(self, spec):
+        rng = np.random.default_rng(spec.degree)
+        words = [(0,) * 60, (spec.degree - 1,) * 60]
+        words += [tuple(int(s) for s in rng.integers(spec.degree, size=rng.integers(1, 61))) for _ in range(40)]
+        for symbols in words:
+            cyl = interval_of_word(spec, Word(symbols))
+            a, b = exact_cylinder(spec, symbols)
+            assert _within(cyl.left, a, cyl.endpoint_radius), symbols
+            assert _within(cyl.right, b, cyl.endpoint_radius), symbols
+
+    @pytest.mark.parametrize("spec", [linear_map(3), piecewise_linear([0.6]), piecewise_linear([0.3, 0.55])], ids=_describe)
+    def test_closed_form_levels_contain_the_exact_ends(self, spec):
+        n = 5
+        for cyl in enumerate_level(spec, n):
+            a, b = exact_cylinder(spec, cyl.word.symbols)
+            assert _within(cyl.left, a, cyl.endpoint_radius) and _within(cyl.right, b, cyl.endpoint_radius)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [smooth_sine_map(2, 0.5), smooth_sine_map(3, -1.2), make_conjugated(linear_map(2), sine_homeo(0.5))],
+        ids=_describe,
+    )
+    def test_root_solved_cylinders_contain_the_mpmath_ends(self, spec):
+        if spec.kind == "smooth_sine":
+            kind, param = "smooth_sine", spec.epsilon
+        else:
+            kind, param = "conjugated_linear", spec.homeo.c
+        n = 6 if spec.degree == 2 else 4
+        exact = mp_level_left_endpoints(kind, spec.degree, param, n) + [mpmath.mpf(1)]
+        for j, cyl in enumerate(enumerate_level(spec, n)):
+            direct = interval_of_word(spec, cyl.word)
+            for got in (cyl, direct):
+                assert _within(got.left, exact[j], got.endpoint_radius), cyl.word
+                assert _within(got.right, exact[j + 1], got.endpoint_radius), cyl.word
 
 
 class TestWordOfPoint:

@@ -9,6 +9,7 @@ ulp off them and one snap distance off them.  For root-solved maps the
 words may differ only where x lies within 1e-12 of a cylinder boundary.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +32,8 @@ from circledyn import circle_maps, conjugacy, defaults
 from circledyn.analysis import symmetry_modulus
 from circledyn.conjugacy import ConjugacyMap
 from circledyn.circle_maps import branch_points, inverse_branch_values
-from circledyn.symbolic_partition import _word_model, chain_values, itinerary_batch, refine_words
-from _oracles import reference_enclosures, reference_itinerary
+from circledyn.symbolic_partition import _word_model, chain_values, itinerary_batch, level_left_endpoints, refine_words
+from _oracles import MP_DIGITS, mp_conjugated_pl_left_endpoints, reference_enclosures, reference_itinerary
 
 TIE = 1e-12
 SNAP = defaults.ENDPOINT_SNAP
@@ -268,10 +269,10 @@ class TestConjugatedModel:
 
     @pytest.mark.parametrize("spec", AFFINE_CONJUGATES, ids=lambda s: s.describe())
     def test_sure_decisions_equal_the_chain_at_a_coarse_solver_tol(self, spec, solver_tol):
-        # a solver tol of 1e-6 leaves the F-chain's divisions off by far more
-        # than the rounding of H(x), so only a model whose certainty radius
-        # carries the chain error (h_hi * err_F) agrees with the chain at its
-        # own endpoints (taken at the default solver tol)
+        # at a solver tol of 1e-6 the model must still agree with the chain
+        # at and beside its endpoints (taken at the default solver tol); the
+        # solves of these maps barely move at that tol, so the test below
+        # pins the h_hi * err_F radius
         ends = level_endpoints(spec, 5 if spec.degree == 2 else 3)
         xs = np.clip(np.concatenate([ends + t for t in (0.0, 2e-9, -2e-9, 2e-8, -2e-8)]), 0.0, 1.0)
         solver_tol(1e-6)
@@ -280,6 +281,25 @@ class TestConjugatedModel:
         g = linear_map(spec.degree)
         got = conjugacy_enclosures(spec, g, xs, tol=1e-5)
         _assert_same(got, reference_enclosures(spec, g, xs, 1e-5, 48, SNAP))
+
+    def test_points_between_a_computed_and_the_exact_division_go_to_the_chain(self, solver_tol):
+        # at a solver tol of 1e-6 the sine-homeo solves of the F-chain stop
+        # short near H's flat spot, so some computed F-divisions sit 1e-12 to
+        # 1e-10 from the exact ones.  A point between the two lies on one side
+        # for G's model at H(x), which follows the exact division, and on the
+        # other for the chain: only a certainty radius that carries the chain
+        # error (h_hi * err_F) leaves it to the chain.
+        cuts, c, n = [0.6], 0.9, 5
+        spec = make_conjugated(piecewise_linear(cuts), sine_homeo(c))
+        solver_tol(1e-6)
+        computed = level_left_endpoints(spec, n)
+        exact = mp_conjugated_pl_left_endpoints(cuts, c, n)
+        with mpmath.workdps(MP_DIGITS):
+            gaps = np.array([float(mpmath.mpf(a) - b) for a, b in zip(computed, exact)])
+        off = np.abs(gaps) > 1e-12
+        assert off.sum() >= 5
+        xs = computed[off] - 0.5 * gaps[off]
+        assert np.array_equal(itinerary_batch(spec, xs, n + 2), reference_itinerary(spec, xs, n + 2))
 
 
 class TestBranchEnds:
