@@ -27,9 +27,8 @@ from .circle_maps import (
     inverse_orbit,
     is_closed_form,
 )
-from .conjugacy import ConjugacyMap
+from .conjugacy import ConjugacyMap, _check_pair
 from .errors import (
-    DegreeMismatchError,
     DepthCapExceeded,
     ResolutionExhausted,
     WorkCapExceeded,
@@ -317,13 +316,6 @@ class DilatationReport:
     argmin_word: Word
     coarse_level: int
     coarse_max: tuple[tuple[Word, float], ...]
-
-
-def _check_pair(f: CircleMapSpec, g: CircleMapSpec) -> None:
-    ensure_valid(f)
-    ensure_valid(g)
-    if f.degree != g.degree:
-        raise DegreeMismatchError(f"degree {f.degree} vs {g.degree}")
 
 
 def _dilatation(

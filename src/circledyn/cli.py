@@ -244,15 +244,18 @@ def _cmd_analyze_qs(args, caps) -> int:
     return EXIT_OK
 
 
-def _parse_scales(text: str | None):
-    if not text:
-        return defaults.SCALE_LADDER
-    return tuple(float(p) for p in text.split(","))
+def _parse_entry(parse, text: str, where: str, expected: str):
+    """``parse(text)``, failing with an error that names the option entry ``where``."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{where}: expected {expected}, got {text!r}") from None
 
 
 def _cmd_analyze_symmetry(args, caps) -> int:
     subject, meta = _homeo_subject(args, caps)
-    scales = _parse_scales(args.scales)
+    entries = enumerate(args.scales.split(",") if args.scales else ())
+    scales = tuple(_parse_entry(float, p, f"--scales[{i}]", "a number") for i, p in entries) or defaults.SCALE_LADDER
     # the modulus evaluates the grid and its shifts by each distinct scale both ways
     shifts = 2 * len(set(scales)) + 1
     _check_point_count(shifts * args.grid, f"{shifts} x {args.grid} grid points", caps)
@@ -338,7 +341,7 @@ def _cmd_analyze_tailsum(args, caps) -> int:
     spec = _load_map(args.map)
     report = tail_sum(
         spec,
-        Word.from_text(args.word),
+        _parse_entry(Word.from_text, args.word, "--word", "digits ('011') or dash-separated integers ('0-11-3')"),
         args.kmax,
         work_cap=caps.get("work_cap", defaults.WORK_CAP),
         cell_cap=caps.get("cell_cap", defaults.CELL_CAP),

@@ -28,22 +28,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from . import defaults
 from .circle_maps import CircleMapSpec, branch_points, ensure_valid, is_closed_form, lift_values, slope_bounds
-from .errors import DegreeMismatchError, InvalidMapError
+from .errors import DegreeMismatchError
 from .symbolic_partition import (
     Word,
     chain_error_bound,
     chain_values,
     check_points,
-    iter_levels,
     level_endpoints,
-    level_lengths,
     level_words,
     ragged_chain_values,
     refine_words,
@@ -111,25 +108,12 @@ class ConjugacyResidual:
     tol_met_all: bool
 
 
-@lru_cache(maxsize=256)
-def _mesh_decay_probe(spec: CircleMapSpec) -> None:
-    """Cheap bounded-geometry sanity check: the mesh must decay level by level."""
-    meshes = [float(np.max(level_lengths(lefts))) for lefts in iter_levels(spec, defaults.PROBE_LEVEL)]
-    for a, b in zip(meshes, meshes[1:]):
-        if not b < a:
-            raise InvalidMapError(
-                f"{spec.describe()}: mesh does not decay at shallow levels "
-                f"({a:.6g} -> {b:.6g}); refusing conjugacy computation"
-            )
-
-
 def _check_pair(f: CircleMapSpec, g: CircleMapSpec) -> None:
+    """Validate both maps and match their degrees: the one gate of every two-map entry point."""
     ensure_valid(f)
     ensure_valid(g)
     if f.degree != g.degree:
         raise DegreeMismatchError(f"degree {f.degree} vs {g.degree}")
-    _mesh_decay_probe(f)
-    _mesh_decay_probe(g)
 
 
 def _check_tol(tol: float) -> None:
@@ -258,7 +242,7 @@ def conjugacy_eval(
 
     Raises:
         DegreeMismatchError: maps of different degree.
-        InvalidMapError: validation or mesh-decay probe failure.
+        InvalidMapError: either map fails validation.
     """
     lo, hi, depth, tol_met = conjugacy_enclosures(f, g, np.asarray([x], dtype=float), tol=tol, depth_cap=depth_cap)
     return ConjugacyEnclosure(

@@ -2,7 +2,6 @@ import pytest
 
 from circledyn import (
     circle_maps,
-    conjugacy,
     defaults,
     linear_map,
     make_conjugated,
@@ -37,25 +36,20 @@ def conj_smooth():
     return make_conjugated(linear_map(2), sine_homeo(0.5))
 
 
-def _clear_solved_caches():
-    circle_maps.branch_points.cache_clear()
-    conjugacy._mesh_decay_probe.cache_clear()
-
-
 @pytest.fixture
 def solver_tol(monkeypatch):
     """``solver_tol(value)`` runs the rest of the test with ``defaults.SOLVER_TOL = value``.
 
     The package reads the constant where it solves and where it bounds the
     solves' error (``chain_error_bound``, so the endpoint radii too), so the
-    whole stack follows.  The per-spec caches of solved values (branch
-    points, the mesh-decay probe) are emptied at each call and after the
-    test, so no value solved at one tolerance is served at another.
+    whole stack follows.  The one per-spec cache of solved values, the
+    branch points, is emptied at each call and after the test, so no value
+    solved at one tolerance is served at another.
     """
 
     def set_tol(value: float) -> None:
-        _clear_solved_caches()
+        circle_maps.branch_points.cache_clear()
         monkeypatch.setattr(defaults, "SOLVER_TOL", value)
 
     yield set_tol
-    _clear_solved_caches()
+    circle_maps.branch_points.cache_clear()

@@ -4,6 +4,7 @@ import inspect
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,6 +540,20 @@ class TestSolverTol:
                 assert param.name != "solver_tol", fn
                 default = param.default
                 assert not (isinstance(default, float) and default == defaults.SOLVER_TOL), (fn, param.name)
+
+
+class TestDefaultsTable:
+    """Each knob of ``defaults`` is documented and read: a constant left
+    without a user, or a row left after its constant, fails here."""
+
+    def test_every_constant_has_a_row_and_a_reader(self):
+        constants = {name for name in vars(defaults) if name.isupper()}
+        rows = set(re.findall(r"^([A-Z][A-Z0-9_]*) {2,}\S", defaults.__doc__, re.MULTILINE))
+        assert rows == constants
+        package = Path(defaults.__file__).parent
+        sources = [path.read_text() for path in package.glob("*.py") if path.name != "defaults.py"]
+        for name in constants:
+            assert any(re.search(rf"\bdefaults\.{name}\b", text) for text in sources), name
 
 
 def _family_fn(D, a):

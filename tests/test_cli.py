@@ -18,12 +18,17 @@ CONJ_JSON = (
     '{"kind": "conjugated", "base": {"kind": "linear", "degree": 2},'
     ' "homeo": {"kind": "sine_homeo", "c": 0.5}}'
 )
+LIN11_JSON = '{"kind": "linear", "degree": 11}'
+SMOOTH12_JSON = '{"kind": "smooth_sine", "degree": 12, "epsilon": 3.0}'
 
 
 @pytest.fixture
 def specs(tmp_path):
     paths = {}
-    for name, text in (("f06", F06_JSON), ("lin2", LIN2_JSON), ("conj", CONJ_JSON)):
+    for name, text in (
+        ("f06", F06_JSON), ("lin2", LIN2_JSON), ("conj", CONJ_JSON),
+        ("lin11", LIN11_JSON), ("smooth12", SMOOTH12_JSON),
+    ):
         p = tmp_path / f"{name}.json"
         p.write_text(text)
         paths[name] = str(p)
@@ -132,6 +137,22 @@ class TestConjugacyCommand:
         assert header == ["word", "f_endpoint", "g_endpoint"]
         assert [r[0] for r in rows] == ["00", "01", "10", "11", ""]
         assert [float(r[2]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("name, degree", [("lin11", 11), ("smooth12", 12)])
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [(["conjugacy", "--grid", "4"], lambda d: 4),
+         (["conjugacy", "--level", "2"], lambda d: d**2 + 1),
+         (["analyze", "qs", "--x", "0.3", "--t", "0.1"], lambda d: 1)],
+        ids=["grid", "level", "qs"],
+    )
+    def test_high_degree_pair_exits_0(self, specs, capsys, argv, rows, name, degree):
+        # validation admits every degree up to 1024; no command may refuse
+        # one for the size of a level it does not ask for
+        code = main([*argv, "--from", specs[name], "--to", specs[name]])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert len(_data_rows(captured.out)[1]) == rows(degree)
 
     def test_unreachable_tolerance_flagged_exit2(self, specs, capsys, monkeypatch):
         monkeypatch.setenv("CIRCLEDYN_DEPTH_CAP", "4")
@@ -411,6 +432,31 @@ class TestAnalyzeCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: scales must lie in (0, 0.5]"]
+
+    @pytest.mark.parametrize(
+        "scales, message",
+        [(",", "--scales[0]: expected a number, got ''"),
+         ("0.1,,0.2", "--scales[1]: expected a number, got ''"),
+         ("0.25,x", "--scales[1]: expected a number, got 'x'")],
+    )
+    def test_symmetry_malformed_scales_exit_1(self, tmp_path, capsys, scales, message):
+        p = tmp_path / "h.json"
+        p.write_text('{"kind": "sine_homeo", "c": 0.3}')
+        code = main(["analyze", "symmetry", "--homeo", str(p), "--grid", "16", f"--scales={scales}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("word", ["a", "1-", "-1", "0-x"])
+    def test_tailsum_malformed_word_exits_1(self, specs, capsys, word):
+        code = main(["analyze", "tailsum", "--map", specs["f06"], f"--word={word}", "--kmax", "5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --word: expected digits ('011') or dash-separated integers ('0-11-3'), got {word!r}"
+        ]
 
     @pytest.mark.parametrize(
         "homeo, message",

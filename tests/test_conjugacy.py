@@ -17,7 +17,10 @@ from circledyn import (
     linear_map,
     make_conjugated,
     mesh,
+    qs_ratio,
     sine_homeo,
+    smooth_sine_map,
+    symmetry_modulus,
     word_of_point,
     interval_of_word,
     lift_values,
@@ -196,3 +199,39 @@ class TestConjugacyMap:
         batch = h.lift_values(xs)
         singles = [h(float(x)) for x in xs]
         assert np.allclose(batch, singles, atol=0)
+
+
+# every degree validation admits, up to DEGREE_CAP: level 6 of these maps has
+# 11^6 to 1024^6 cylinders, far past the cell cap, so a gate that walked full
+# levels would refuse them
+HIGH_DEGREE_SELF = [linear_map(11), smooth_sine_map(12, 3.0), linear_map(37), smooth_sine_map(1024, 256.0)]
+HIGH_DEGREE_PAIRS = [(f, f) for f in HIGH_DEGREE_SELF] + [
+    (linear_map(11), smooth_sine_map(11, 2.0)),
+    (linear_map(1024), smooth_sine_map(1024, 256.0)),
+]
+
+
+class TestHighDegree:
+    @pytest.mark.parametrize("f", HIGH_DEGREE_SELF, ids=lambda f: f.describe())
+    def test_self_conjugacy_is_the_identity(self, f):
+        tol = 1e-10
+        xs = np.linspace(0.0, 1.0, 41)
+        lo, hi, _, met = conjugacy_enclosures(f, f, xs, tol=tol)
+        assert met.all()
+        assert np.max(np.abs(0.5 * (lo + hi) - xs)) <= tol
+        enc = conjugacy_eval(f, f, 0.3, tol=tol)
+        assert enc.tol_met and abs(enc.midpoint - 0.3) <= tol
+        assert abs(ConjugacyMap(f, f, tol=tol)(0.3) - 0.3) <= tol
+
+    @pytest.mark.parametrize("pair", HIGH_DEGREE_PAIRS, ids=lambda pair: f"{pair[0].describe()}->{pair[1].describe()}")
+    def test_two_map_entry_points(self, pair):
+        f, g = pair
+        table = endpoint_table(f, g, 1)
+        assert len(table) == f.degree + 1
+        assert np.array_equal(table.g_points, level_endpoints(g, 1))
+        report = conjugacy_residual(f, g, 16, tol=1e-10)
+        assert report.tol_met_all and report.max_residual <= 1e-8
+        h = ConjugacyMap(f, g, tol=1e-10)
+        assert qs_ratio(h, 0.3, 0.01) > 0.0
+        modulus = symmetry_modulus(h, scales=[0.25, 0.1], grid=8)
+        assert len(modulus.rows) == 2

@@ -265,7 +265,8 @@ class TestEndpointRadius:
 
     @pytest.mark.parametrize(
         "spec",
-        [smooth_sine_map(2, 0.5), smooth_sine_map(3, -1.2), make_conjugated(linear_map(2), sine_homeo(0.5))],
+        [smooth_sine_map(2, 0.5), smooth_sine_map(3, -1.2), make_conjugated(linear_map(2), sine_homeo(0.5)),
+         smooth_sine_map(2, 1.99), make_conjugated(linear_map(2), sine_homeo(0.99))],
         ids=_describe,
     )
     def test_root_solved_cylinders_contain_the_mpmath_ends(self, spec):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from circledyn import (
     CircleMapSpec,
@@ -18,6 +18,7 @@ from circledyn import (
     level_endpoints,
     lift_values,
     linear_map,
+    mesh,
     piecewise_linear,
     qs_ratio,
     sine_homeo,
@@ -105,11 +106,37 @@ def any_maps(draw, depth=1):
 
 
 unit_points = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
-# 1 - 10**u for u in [-7, 0], with a random sign: amplitude fractions from 0
-# to within 1e-7 of the validity bound
-near_bound = st.builds(
-    lambda sign, u: sign * (1.0 - 10.0**u), st.sampled_from([-1.0, 1.0]), st.floats(-7.0, 0.0)
-)
+
+
+def near_bound_to(digits: float):
+    """1 - 10**u for u in [-digits, 0], with a random sign: amplitude
+    fractions from 0 to within 10**-digits of the validity bound."""
+    return st.builds(
+        lambda sign, u: sign * (1.0 - 10.0**u), st.sampled_from([-1.0, 1.0]), st.floats(-digits, 0.0)
+    )
+
+
+near_bound = near_bound_to(7)
+
+
+@st.composite
+def boundary_maps(draw, depth=1):
+    """Maps of every kind and degree 2-4 up to validation's bounds (built
+    unvalidated): piecewise-linear branch widths 10**u for u in [-9, 0]
+    before normalising, ``|epsilon|`` up to ``d*(1 - 1e-15)``, and conjugated
+    maps over 1-3 sine parts with ``|c|`` up to ``1 - 1e-8``."""
+    d = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["linear", "pl", "smooth_sine", "conjugated"][: 4 if depth else 3]))
+    if kind == "linear":
+        return linear_map(d)
+    if kind == "pl":
+        widths = draw(st.lists(st.floats(-9.0, 0.0).map(lambda u: 10.0**u), min_size=d, max_size=d))
+        return piecewise_linear(np.cumsum(widths)[:-1] / sum(widths))
+    if kind == "smooth_sine":
+        return smooth_sine_map(d, d * draw(near_bound_to(15)))
+    base = draw(boundary_maps(depth - 1))
+    homeo = compose_homeos(draw(st.lists(near_bound_to(8).map(sine_homeo), min_size=1, max_size=3)))
+    return CircleMapSpec(kind="conjugated", degree=base.degree, base=base, homeo=homeo)
 
 
 @st.composite
@@ -246,10 +273,18 @@ class TestPartitionProperties:
     @settings(max_examples=15, deadline=None)
     @given(pl_maps(), st.integers(1, 6))
     def test_mesh_decays_geometrically(self, spec, n):
-        from circledyn import mesh
-
         tau = max(np.diff(np.concatenate([[0.0], spec.cuts, [1.0]])))
         assert mesh(spec, n) <= tau**n + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(boundary_maps())
+    def test_valid_maps_mesh_strictly_decreases(self, spec):
+        # a valid lift is strictly increasing, so every level-(n+1) cylinder
+        # splits its parent into d pieces of positive length: the mesh falls
+        # at every level, which is all a conjugacy asks of g beyond validity
+        assume(validate(spec).ok)
+        meshes = [mesh(spec, n) for n in range(1, 7)]
+        assert all(b < a for a, b in zip(meshes, meshes[1:])), meshes
 
 
 class TestValidationProperties:
