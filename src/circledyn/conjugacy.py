@@ -19,9 +19,10 @@ backward g-chain at the stop depth.  Refining to depth K thus costs O(K)
 inverse-branch calls per batch instead of O(K^2), and for affine maps the
 enclosures equal those of a full chain per depth bit for bit.
 
-When x lands exactly on a cylinder endpoint of f (within a snap distance) the
-corresponding g-endpoint is returned as a zero-width enclosure: endpoints of
-f-cylinders map to g-endpoints exactly, up to solver tolerance.
+Every point gets the same treatment: a point on an f-division belongs to the
+cylinder on its right (ties go right), so its enclosure is a tol-wide
+g-cylinder whose left end is the division's g-image.  The exact images of
+the level-n divisions are the endpoint table (:func:`endpoint_table`).
 """
 
 from __future__ import annotations
@@ -147,12 +148,12 @@ class _WidthStop:
             self.slack = (0.0, np.inf)
         self.width = np.ones(m)
 
-    def __call__(self, k, rows, sel, words, done) -> np.ndarray:
+    def __call__(self, k, rows, sel, words) -> np.ndarray:
         self.width = self.width * self.factors[sel]
         spread = (k + 2) * self.width
         finished = self.width + self.err[k] + self.slack[1] * spread <= self.tol
         lower = self.width - self.err[k] - self.slack[0] * spread
-        unsure = np.flatnonzero((lower <= self.tol) & ~finished & ~done)
+        unsure = np.flatnonzero((lower <= self.tol) & ~finished)
         if unsure.size:
             ends = chain_values(self.g, words[rows[unsure], :k], self.cuts[[sel[unsure], sel[unsure] + 1]])
             finished[unsure] = ends[1] - ends[0] <= self.tol
@@ -173,14 +174,15 @@ def conjugacy_enclosures(
 
     Returns arrays ``(lo, hi, depth, tol_met)``.  Each point's f-word is
     refined by the shared kernel (:func:`refine_words`) until its g-cylinder
-    is at most ``tol`` wide or x snaps onto the left end of its f-cylinder
-    (zero width).  The enclosure is then one backward g-chain at the stop
-    depth: ``hi - lo`` is the width the stop rule measured, and the values
-    are those the per-depth chains gave before, bit for bit.  Each distinct
-    value of ``xs`` is refined once and its enclosure copied to every
-    repeat, so the cost follows the distinct points, and distinct points
-    are refined in blocks of ``_ENCLOSURE_BLOCK``, which caps the working
-    set.
+    is at most ``tol`` wide.  The enclosure is then one backward g-chain at
+    the stop depth: ``hi - lo`` is the width the stop rule measured, and the
+    values are those the per-depth chains gave before, bit for bit.  A point
+    on an f-division gets the cylinder on its right, so ``lo`` is the
+    division's g-image; :func:`endpoint_table` gives those images alone.
+    Each distinct value of ``xs`` is refined once and its enclosure copied
+    to every repeat, so the cost follows the distinct points, and distinct
+    points are refined in blocks of ``_ENCLOSURE_BLOCK``, which caps the
+    working set.
 
     Raises:
         ValueError: a point is not a finite number in [0,1], tol is negative
@@ -208,19 +210,18 @@ def conjugacy_enclosures(
     hi[at_zero] = 0.0
     live = np.flatnonzero(~(at_one | at_zero)) if tol < 1.0 else np.arange(0)
     # points are refined independently, so blocks change no bit; they bound the
-    # working set (a depth_cap-wide word row per point)
+    # working set (a word row per point, as wide as the deepest stop)
     for start in range(0, live.size, _ENCLOSURE_BLOCK):
         rows = live[start : start + _ENCLOSURE_BLOCK]
         stop = _WidthStop(g, rows.size, tol, depth_cap)
-        words, k, snapped = refine_words(f, xs[rows], depth_cap, defaults.ENDPOINT_SNAP, stop)
+        words, k = refine_words(f, xs[rows], depth_cap, stop)
         deep = k > 0
-        rows, words, k, snapped = rows[deep], words[deep], k[deep], snapped[deep]
+        rows, words, k = rows[deep], words[deep], k[deep]
         last = words[np.arange(rows.size), k - 1]
         # the g-cylinder of the word: the chain of all but the last symbol,
         # applied to the last symbol's branch ends
         ends = ragged_chain_values(g, words, k - 1, stop.cuts[[last, last + 1]])
-        lo[rows] = ends[0]
-        hi[rows] = np.where(snapped, ends[0], ends[1])
+        lo[rows], hi[rows] = ends
         depth[rows] = k
     tol_met = (hi - lo) <= tol
     return lo[repeats], hi[repeats], depth[repeats], tol_met[repeats]
@@ -254,8 +255,8 @@ def conjugacy_eval(
 class ConjugacyMap:
     """The conjugacy h from the f-system to the g-system as an evaluable lift.
 
-    Point values are enclosure midpoints at tolerance ``tol``; exact endpoint
-    hits are returned exactly.  The lift extends by ``H(x+1) = H(x) + 1``.
+    Point values are enclosure midpoints at tolerance ``tol``.  The lift
+    extends by ``H(x+1) = H(x) + 1``.
     """
 
     def __init__(

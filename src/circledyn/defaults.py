@@ -4,8 +4,8 @@ Every tolerance, cap, and grid size used by the workbench is defined here.
 The depth, cell and work caps and the grid and ladder (MODULUS_GRID,
 SCALE_LADDER) are defaults of explicit parameters, but ``interval_of_word``,
 ``word_of_point`` and ``itinerary_batch`` read DEPTH_CAP where they use it;
-SOLVER_TOL, DEGREE_CAP, MIN_CUT_GAP, ENDPOINT_SNAP and QS_DENOM_FLOOR are
-read where they are used and take no parameter.
+SOLVER_TOL, DEGREE_CAP, MIN_CUT_GAP and QS_DENOM_FLOOR are read where they
+are used and take no parameter.
 
 ===================  ============  ====================================================
 name                 default       used by
@@ -25,8 +25,6 @@ WORK_CAP             10**7         max excluded-word tuple count in tail sums
 MIN_CUT_GAP          1e-9          smallest admissible branch width at validation,
                                    and smallest admissible slope floor
                                    ``slope_bounds(spec)[0]`` of a conjugated map
-ENDPOINT_SNAP        1e-12         distance at which a point is treated as a cylinder
-                                   endpoint during conjugacy evaluation
 QS_DENOM_FLOOR       1e-300        denominator floor for distortion ratios
 MODULUS_GRID         1024          default x-grid for modulus reports
 SCALE_LADDER         2^-1..2^-20   default t-ladder for modulus reports
@@ -44,7 +42,6 @@ CELL_CAP = 2**20
 DEGREE_CAP = 2**10
 WORK_CAP = 10**7
 MIN_CUT_GAP = 1e-9
-ENDPOINT_SNAP = 1e-12
 QS_DENOM_FLOOR = 1e-300
 MODULUS_GRID = 1024
 SCALE_LADDER = tuple(2.0**-j for j in range(1, 21))

@@ -268,10 +268,6 @@ class _AffineWords:
         self.off = self.off + self.scale * self.cuts[sel]
         self.scale = self.scale * self.widths[sel]
 
-    def may_snap(self, k: int, x: np.ndarray, near: float, wide: float) -> np.ndarray:
-        err = 2.0 * self.bound[k]
-        return (np.abs(x - self.off) <= near + err) & (self.scale > wide - 2.0 * err)
-
     def keep(self, mask: np.ndarray) -> None:
         self.off, self.scale = self.off[mask], self.scale[mask]
 
@@ -307,11 +303,6 @@ class _OrbitWords:
         # both zeros give the same floor, u and comparisons
         self.u = np.minimum(np.maximum(fu - sel, 0.0), 1.0)
 
-    def may_snap(self, k: int, x: np.ndarray, near: float, wide: float) -> np.ndarray:
-        # 1/slope estimates the cylinder's width only up to its distortion,
-        # so the width test keeps a factor 1e3 of slack
-        return (self.u <= 2.0 * (near + 2.0 * self.bound[k]) * self.slope) & (self.slope * wide < 1e3)
-
     def keep(self, mask: np.ndarray) -> None:
         self.u, self.slope = self.u[mask], self.slope[mask]
 
@@ -326,16 +317,13 @@ class _ConjugatedWords:
     depth-(k+1) chain), which H stretches by at most ``h_hi``, and the
     computed v is off by at most ``delta``.  So G's model is asked for
     decisions that stay sure with v moved by ``h_hi*(pad + err[k]) + delta``:
-    each one equals the F-chain's.  Snap candidates widen the same way: an
-    F-cylinder end within ``near`` of x lies within ``h_hi*(near + err[k]) +
-    delta`` of v, and an F-cylinder wider than ``wide`` has a G-image wider
-    than ``h_lo*(wide - 2*err[k])``.
+    each one equals the F-chain's.
     """
 
     def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
         base, homeo = conjugation(spec)
         self.cuts = np.asarray(branch_points(spec), dtype=float)
-        self.h_lo, self.h_hi = homeo_slope_bounds(homeo)
+        self.h_hi = homeo_slope_bounds(homeo)[1]
         self.delta = homeo_rounding(homeo)
         self.err = chain_error_bound(spec, depth_cap + 1)[1:]
         # the exact H(x) lies in [0, 1], so clipping only moves v toward it
@@ -348,10 +336,6 @@ class _ConjugatedWords:
     def advance(self, sel: np.ndarray) -> None:
         self.base.advance(sel)
 
-    def may_snap(self, k: int, x: np.ndarray, near: float, wide: float) -> np.ndarray:
-        near = self.h_hi * (near + self.err[k]) + self.delta
-        return self.base.may_snap(k, self.v, near, self.h_lo * (wide - 2.0 * self.err[k]))
-
     def keep(self, mask: np.ndarray) -> None:
         self.v = self.v[mask]
         self.base.keep(mask)
@@ -360,12 +344,10 @@ class _ConjugatedWords:
 def _word_model(spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
     """The word model of ``spec`` for the points ``x`` (see :func:`refine_words`).
 
-    Every model has ``cuts``, the map's branch points, and four methods:
+    Every model has ``cuts``, the map's branch points, and three methods:
     ``propose(k, x, pad)`` gives the depth-k symbols and which of them are
     unsure, with ``pad`` more room around each division; ``advance(sel)``
-    takes the chosen symbols; ``may_snap(k, x, near, wide)`` names the points
-    that may lie within ``near`` of the left end of a cylinder wider than
-    ``wide``; ``keep(mask)`` drops the stopped points.
+    takes the chosen symbols; ``keep(mask)`` drops the stopped points.
     """
     if conjugation(spec) is not None:
         return _ConjugatedWords(spec, x, depth_cap)
@@ -376,9 +358,8 @@ def refine_words(
     spec: CircleMapSpec,
     xs: np.ndarray,
     depth_cap: int,
-    snap: float | None = None,
     stop=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The refinement kernel shared by itineraries and conjugacy enclosures.
 
     Refines the word of every point of ``xs`` level by level, up to
@@ -391,31 +372,29 @@ def refine_words(
     within the model's error bound of x, the symbol is decided by the
     backward chain itself, for those points only, at that depth (k calls).
 
-    With ``snap``, a point stops once x lies within ``snap`` of the left end
-    of its cylinder and the cylinder is wider than ``1e3*snap``; the model
-    only picks the candidates, the backward chain decides.  ``stop(k, rows,
-    sel, words, done)`` may stop more points (a bool mask over the live
-    points; ``rows`` index ``words``) and ``stop.keep(mask)`` drops the
-    stopped ones from its state.
+    ``stop(k, rows, sel, words)`` may stop points early (a bool mask over the
+    live points; ``rows`` index ``words``) and ``stop.keep(mask)`` drops the
+    stopped ones from its state.  Without it every point runs to
+    ``depth_cap``.
 
-    Returns ``(words, depth, snapped)``: the (m, depth_cap) symbol matrix
-    (row i is valid up to ``depth[i]``), the stop depth of each point, and
-    which points stopped on the snap rule.
+    Returns ``(words, depth)``: the symbol matrix, one column per depth some
+    point reached (row i is valid up to ``depth[i]``), and the stop depth of
+    each point.  The matrix starts at most 64 columns wide and doubles as
+    the points go deeper, so a large ``depth_cap`` costs no memory that the
+    stop depths do not use.
     """
     m = xs.size
-    words = np.zeros((m, depth_cap), dtype=np.int64)
+    words = np.zeros((m, min(depth_cap, 64)), dtype=np.int64)
     depth = np.full(m, depth_cap, dtype=np.int64)
-    snapped = np.zeros(m, dtype=bool)
     model = _word_model(spec, xs, depth_cap)
     cuts = model.cuts
     rows = np.arange(m)
     x = xs
-    # x's distance to the left end of its cylinder was measured and did not
-    # snap; that end stays put, bit for bit, while the next symbols are 0
-    measured = np.zeros(m, dtype=bool)
     for k in range(depth_cap):
         if rows.size == 0:
             break
+        if k == words.shape[1]:
+            words = np.concatenate((words, np.zeros((m, min(k, depth_cap - k)), dtype=np.int64)), axis=1)
         sel, unsure = model.propose(k, x)
         if unsure.any():
             sub = np.flatnonzero(unsure)
@@ -424,26 +403,15 @@ def refine_words(
             sel[sub] = np.sum(divisions <= x[sub], axis=0)
         words[rows, k] = sel
         model.advance(sel)
-        done = np.zeros(rows.size, dtype=bool)
-        if snap is not None:
-            measured &= sel == 0
-            near = np.flatnonzero(model.may_snap(k, x, snap, 1e3 * snap) & ~measured)
-            if near.size:
-                ends = chain_values(spec, words[rows[near], :k], cuts[[sel[near], sel[near] + 1]])
-                hit = near[(np.abs(x[near] - ends[0]) <= snap) & (ends[1] - ends[0] > 1e3 * snap)]
-                done[hit] = True
-                snapped[rows[hit]] = True
-                measured[near] = True
         if stop is not None:
-            done |= stop(k, rows, sel, words, done)
-        if done.any():
-            depth[rows[done]] = k + 1
-            keep = ~done
-            rows, x, measured = rows[keep], x[keep], measured[keep]
-            model.keep(keep)
-            if stop is not None:
+            done = stop(k, rows, sel, words)
+            if done.any():
+                depth[rows[done]] = k + 1
+                keep = ~done
+                rows, x = rows[keep], x[keep]
+                model.keep(keep)
                 stop.keep(keep)
-    return words, depth, snapped
+    return words[:, : depth.max(initial=0)], depth
 
 
 def itinerary_batch(
@@ -480,7 +448,8 @@ def itinerary_batch(
         raise ValueError("n must be >= 0")
     if n > defaults.DEPTH_CAP:
         raise DepthCapExceeded(f"level {n} exceeds cap {defaults.DEPTH_CAP}")
-    return refine_words(spec, xs, n)[0]
+    # an empty batch reaches no depth, so its matrix has no column until reshaped
+    return refine_words(spec, xs, n)[0].reshape(xs.size, n)
 
 
 def word_of_point(spec: CircleMapSpec, x: float, n: int) -> Word:

@@ -229,6 +229,32 @@ def pl_word_by_scan(cuts: list[float], x: float, n: int) -> tuple[int, ...]:
     return best
 
 
+def pl_exact_word(cuts: list[float], x: float, n: int):
+    """The exact level-n word of the float x under the piecewise-linear map
+    with these float cuts (ties go right), and the exact distance
+    (a ``Fraction``) from x to the nearer end of its level-n cylinder.
+
+    Every cylinder end of such a map is dyadic, so x and the ends are held
+    as integers over one power of two, which each level raises by the cuts'
+    denominator: exact, and far cheaper than ``Fraction`` arithmetic."""
+    from fractions import Fraction
+
+    ext = [Fraction(c) for c in (0.0, *cuts, 1.0)]
+    shift = max(c.denominator for c in ext).bit_length() - 1
+    nums = [int(c * 2**shift) for c in ext]
+    X, q = Fraction(x).as_integer_ratio()
+    a, b, scale = 0, q, q.bit_length() - 1
+    word = []
+    for _ in range(n):
+        X, a, b, scale = X << shift, a << shift, b << shift, scale + shift
+        width = (b - a) >> shift
+        ends = [a + width * c for c in nums]
+        s = sum(X >= e for e in ends[1:-1])
+        word.append(s)
+        a, b = ends[s], ends[s + 1]
+    return tuple(word), Fraction(min(X - a, b - X), 1 << scale)
+
+
 def pl_tail_sum_bruteforce(cuts: list[float], word: tuple[int, ...], k: int) -> float:
     """Sum of |I(w1...wk)| over all block tuples avoiding ``word``, by enumeration."""
     d = len(cuts) + 1
@@ -289,7 +315,7 @@ def reference_itinerary(spec, xs, n: int):
     return symbols
 
 
-def reference_enclosures(f, g, xs, tol: float, depth_cap: int, snap: float):
+def reference_enclosures(f, g, xs, tol: float, depth_cap: int):
     """(lo, hi, depth, tol_met) by refining all points in lockstep, one full
     backward chain per depth for every division point and g-endpoint."""
     import numpy as np
@@ -337,10 +363,7 @@ def reference_enclosures(f, g, xs, tol: float, depth_cap: int, snap: float):
         lo_f[act], hi_f[act] = new_lo_f, new_hi_f
         lo_g[act], hi_g[act] = new_lo_g, new_hi_g
         depth[act] = k + 1
-        exact = (np.abs(x_act - new_lo_f) <= snap) & ((new_hi_f - new_lo_f) > 1e3 * snap)
-        hit = act[exact]
-        lo_g[hit] = hi_g[hit] = new_lo_g[exact]
-        done[act[exact | ((new_hi_g - new_lo_g) <= tol)]] = True
+        done[act[(new_hi_g - new_lo_g) <= tol]] = True
     return lo_g, hi_g, depth, (hi_g - lo_g) <= tol
 
 

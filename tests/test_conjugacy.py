@@ -1,5 +1,8 @@
 """Conjugacy enclosures, endpoint tables, and the functional-equation residual."""
 
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from circledyn import (
     linear_map,
     make_conjugated,
     mesh,
+    piecewise_linear,
     qs_ratio,
     sine_homeo,
     smooth_sine_map,
@@ -26,7 +30,9 @@ from circledyn import (
     lift_values,
 )
 from circledyn import conjugacy
+from circledyn.circle_maps import chain_error_bound
 from circledyn.conjugacy import ConjugacyResidual
+from _oracles import exact_cylinder, pl_exact_word
 
 
 class TestConjugacyEval:
@@ -37,17 +43,22 @@ class TestConjugacyEval:
         assert enc.tol_met
 
     def test_level1_endpoint_maps_exactly(self, f06, lin2):
-        # forced by h(f^{-1}(0)) = g^{-1}(0) with order preserved
+        # forced by h(f^{-1}(0)) = g^{-1}(0) with order preserved: a point on
+        # an f-division gets the tol-wide g-cylinder on its right, whose left
+        # end is the division's g-image
         enc = conjugacy_eval(f06, lin2, 0.6, tol=1e-8)
-        assert (enc.lo, enc.hi) == (0.5, 0.5)
+        table = endpoint_table(f06, lin2, 1)
+        assert table.f_points[1] == 0.6
+        assert enc.lo == table.g_points[1] == 0.5
+        assert enc.width <= 1e-8 and enc.tol_met
 
     def test_level2_endpoint_maps_exactly(self, f06, lin2):
         enc = conjugacy_eval(f06, lin2, 0.84, tol=1e-8)
-        assert (enc.lo, enc.hi) == (0.75, 0.75)
         # oracle: the level-2 endpoint table pairs 0.84 with 0.75
         table = endpoint_table(f06, lin2, 2)
         j = int(np.argmin(np.abs(table.f_points - 0.84)))
-        assert table.g_points[j] == 0.75
+        assert enc.lo == table.g_points[j] == 0.75
+        assert enc.width <= 1e-8 and enc.tol_met
 
     def test_fixed_ends(self, f06, lin2):
         assert conjugacy_eval(f06, lin2, 0.0).lo == 0.0
@@ -96,6 +107,62 @@ class TestConjugacyEval:
         assert mids[0] == 0.0 and mids[-1] == 1.0
 
 
+def _points_near_divisions() -> np.ndarray:
+    """Floats near 300 exact divisions of f_0.6 of depth 1..28: the nearest
+    float, one and two ulps either side, and 1e-13 to 9e-13 off."""
+    f = piecewise_linear([0.6])
+    rng = np.random.default_rng(22)
+    divisions = []
+    for _ in range(300):
+        word = tuple(rng.integers(0, 2, int(rng.integers(0, 28))).tolist()) + (1,)
+        divisions.append(float(exact_cylinder(f, word)[0]))
+    c = np.asarray(divisions)
+    up, down = np.nextafter(c, 2.0), np.nextafter(c, -1.0)
+    near = [c, up, np.nextafter(up, 2.0), down, np.nextafter(down, -1.0)]
+    return np.unique(np.concatenate(near + [c + t for t in (1e-13, 3e-13, 6e-13, 9e-13, -3e-13)]))
+
+
+@functools.lru_cache(maxsize=None)
+def _containment(tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each point of ``_points_near_divisions``: whether its f_0.6 -> linear(2)
+    enclosure holds h(x), and whether x lies farther than the f-chain's
+    error bound at the stop depth k from every division of depth <= k."""
+    f, g = piecewise_linear([0.6]), linear_map(2)
+    xs = _points_near_divisions()
+    lo, hi, depth, met = conjugacy_enclosures(f, g, xs, tol=tol)
+    assert met.all()
+    radius = chain_error_bound(f, int(depth.max()))
+    inside, clear = [], []
+    for x, a, b, k in zip(xs.tolist(), lo.tolist(), hi.tolist(), depth.tolist()):
+        # the divisions of depth <= k nearest x are the ends of its exact
+        # level-k cylinder, and h(x) lies in linear(2)'s cylinder of the same
+        # word, [0.w, 0.w + 2^-k] in binary
+        word, margin = pl_exact_word([0.6], x, k)
+        h_lo = Fraction(int("".join(map(str, word)), 2), 2**k)
+        inside.append(Fraction(a) <= h_lo and h_lo + Fraction(1, 2**k) <= Fraction(b))
+        clear.append(margin > radius[k])
+    return np.asarray(inside), np.asarray(clear)
+
+
+class TestContainment:
+    """Every enclosure is the tol-wide g-cylinder of x's f-word, also for x
+    on or beside an f-division, where h (only Holder for f != g) is steep."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_points_clear_of_every_division(self, tol):
+        inside, clear = _containment(tol)
+        assert clear.sum() >= 1200
+        assert inside[clear].all(), f"{np.sum(~inside[clear])} of {clear.sum()} miss h(x)"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 9: within rounding of a division the chain may put x on "
+        "the wrong side of it, so its enclosure is the neighbouring g-cylinder"))
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_points_within_rounding_of_a_division(self, tol):
+        inside, clear = _containment(tol)
+        assert inside[~clear].all(), f"{np.sum(~inside[~clear])} of {np.sum(~clear)} miss h(x)"
+
+
 class TestEndpointTable:
     def test_identity_pairs(self, f06):
         table = endpoint_table(f06, f06, 6)
@@ -123,9 +190,9 @@ class TestEndpointTable:
     def test_word_equivariance(self, f06, lin2):
         # h maps I_w(f) endpoints onto I_w(g) endpoints, tested through eval
         table = endpoint_table(f06, lin2, 5)
-        lo, hi, _, _ = conjugacy_enclosures(f06, lin2, table.f_points, tol=1e-9)
-        assert np.max(np.abs(lo - table.g_points)) <= 1e-12
-        assert np.max(np.abs(hi - table.g_points)) <= 1e-12
+        lo, hi, _, met = conjugacy_enclosures(f06, lin2, table.f_points, tol=1e-9)
+        assert np.array_equal(lo, table.g_points)
+        assert np.all(hi - lo <= 1e-9) and met.all()
 
 
 class TestFunctionalEquation:

@@ -53,6 +53,8 @@ SPECS = {
 CASES = {
     "conj_f06_lin2_grid64.csv": (
         ["conjugacy", "--from", "f06.json", "--to", "lin2.json", "--grid", "64"], 0, True),
+    "conj_f06_lin2_grid5.csv": (
+        ["conjugacy", "--from", "f06.json", "--to", "lin2.json", "--grid", "5"], 0, True),
     "conj_f06_lin2_grid64.json": (
         ["conjugacy", "--from", "f06.json", "--to", "lin2.json", "--grid", "64", "--json"], 0, True),
     "conj_f06_f06_grid64_tol1e-10.csv": (

@@ -5,9 +5,11 @@ decision with an O(1)-per-level word model and runs the backward chain only
 where the model's error bound cannot settle it.  For linear and
 piecewise-linear maps the result must equal the old loops (kept in
 ``_oracles``) bit for bit, also on points placed on cylinder endpoints, one
-ulp off them and one snap distance off them.  For root-solved maps the
+ulp off them and 1e-12 off them.  For root-solved maps the
 words may differ only where x lies within 1e-12 of a cylinder boundary.
 """
+
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -32,12 +34,14 @@ from circledyn import circle_maps, conjugacy, defaults
 from circledyn.analysis import symmetry_modulus
 from circledyn.conjugacy import ConjugacyMap
 from circledyn.circle_maps import branch_points, inverse_branch_values
-from circledyn.symbolic_partition import _word_model, chain_values, itinerary_batch, level_left_endpoints, refine_words
+from circledyn.symbolic_partition import chain_values, itinerary_batch, level_left_endpoints, refine_words
 from _oracles import MP_DIGITS, mp_conjugated_pl_left_endpoints, reference_enclosures, reference_itinerary
 
 TIE = 1e-12
-SNAP = defaults.ENDPOINT_SNAP
-OFFSETS = (0.0, "up", "down", SNAP, -SNAP, 5e-13, -5e-13, 2 * SNAP, -2 * SNAP)
+# an offset from cylinder endpoints: a point this close to an end, but off
+# it, gets the tol-wide cylinder of its own word like any other point
+NEAR = 1e-12
+OFFSETS = (0.0, "up", "down", NEAR, -NEAR, 5e-13, -5e-13, 2 * NEAR, -2 * NEAR)
 
 
 @st.composite
@@ -50,7 +54,7 @@ def affine_maps(draw, degree):
 
 @st.composite
 def endpoint_points(draw, spec):
-    """Cylinder endpoints of levels 1..4, moved by an ulp or a snap distance,
+    """Cylinder endpoints of levels 1..4, moved by an ulp or by about 1e-12,
     plus a few free points."""
     level = draw(st.integers(1, 4 if spec.degree == 2 else 3))
     ends = level_endpoints(spec, level)
@@ -83,7 +87,7 @@ class TestAffineBitIdentical:
         tol = data.draw(st.sampled_from([1e-4, 1e-8, 1e-10, 1e-12, 1e-14]))
         cap = data.draw(st.sampled_from([defaults.CONJUGACY_DEPTH_CAP, 7]))
         got = conjugacy_enclosures(f, g, xs, tol=tol, depth_cap=cap)
-        want = reference_enclosures(f, g, xs, tol, cap, SNAP)
+        want = reference_enclosures(f, g, xs, tol, cap)
         _assert_same(got, want)
 
     @settings(max_examples=40, deadline=None)
@@ -97,15 +101,15 @@ class TestAffineBitIdentical:
 
     @pytest.mark.parametrize("cuts", [[0.6], [0.37, 0.81], [2e-9, 0.5]])
     def test_points_a_few_ulps_from_the_snap_distance(self, cuts):
-        # the snap rule's threshold, |x - lo| <= snap, decided on both sides.
-        # Left ends of level-12 cylinders matter for the map with a 2e-9
-        # branch: there a point just over snap from a left end can later fall
-        # into the next child, whose left end is within snap of it.
+        # points a few ulps either side of 1e-12, 1.5e-12 and 2e-12 from
+        # cylinder ends, including left ends of level-12 cylinders of the map
+        # with a 2e-9 branch, whose next children start within 1e-12 of such
+        # a point
         f = piecewise_linear(cuts)
         deep = [Word((s,) * 12) for s in range(1, f.degree)] + [Word((1, f.degree - 1) * 6)]
         ends = np.append(level_endpoints(f, 3), [interval_of_word(f, w).left for w in deep])
         xs = []
-        for base in (ends + SNAP, ends - SNAP, ends + 2e-12, ends[:-1] + 1.5e-12):
+        for base in (ends + NEAR, ends - NEAR, ends + 2e-12, ends[:-1] + 1.5e-12):
             for _ in range(4):
                 base = np.nextafter(base, 2.0)
             for _ in range(9):
@@ -114,14 +118,14 @@ class TestAffineBitIdentical:
         xs = np.clip(np.concatenate(xs), 0.0, 1.0)
         for g in (f, linear_map(f.degree)):
             got = conjugacy_enclosures(f, g, xs, tol=1e-10)
-            _assert_same(got, reference_enclosures(f, g, xs, 1e-10, 48, SNAP))
+            _assert_same(got, reference_enclosures(f, g, xs, 1e-10, 48))
 
     def test_criterion_6_grid_and_shifts(self, f06):
         grid = np.arange(1024) / 1024
         for shift in (0.0, 2.0**-1, -(2.0**-1), 2.0**-5, -(2.0**-5), 2.0**-10, -(2.0**-10)):
             xs = np.clip(grid + shift, 0.0, 1.0)
             got = conjugacy_enclosures(f06, f06, xs, tol=1e-10)
-            want = reference_enclosures(f06, f06, xs, 1e-10, 48, SNAP)
+            want = reference_enclosures(f06, f06, xs, 1e-10, 48)
             _assert_same(got, want)
 
 
@@ -169,7 +173,7 @@ class TestSolvedKinds:
         xs = np.asarray(points)
         g = linear_map(spec.degree)
         got = conjugacy_enclosures(spec, g, xs, tol=1e-6)
-        want = reference_enclosures(spec, g, xs, 1e-6, 48, SNAP)
+        want = reference_enclosures(spec, g, xs, 1e-6, 48)
         for i, x in enumerate(xs):
             if all(a[i] == b[i] for a, b in zip(got, want)):
                 continue
@@ -180,7 +184,7 @@ class TestSolvedKinds:
     def test_solved_target_matches_reference(self, f06, smooth05):
         xs = np.arange(64) / 64
         got = conjugacy_enclosures(f06, smooth05, xs, tol=1e-8)
-        _assert_same(got, reference_enclosures(f06, smooth05, xs, 1e-8, 48, SNAP))
+        _assert_same(got, reference_enclosures(f06, smooth05, xs, 1e-8, 48))
 
 
 @st.composite
@@ -230,41 +234,13 @@ class TestConjugatedModel:
         for i, x in enumerate(xs):
             assert _words_agree(f, x, got[i], want[i]), (x, got[i], want[i])
 
-    @pytest.mark.parametrize("tol", [defaults.SOLVER_TOL, 1e-6])
-    @pytest.mark.parametrize("spec", CONJUGATES, ids=lambda s: s.describe())
-    def test_every_chain_snap_is_a_candidate(self, spec, tol, solver_tol):
-        # points within ENDPOINT_SNAP of the level-3 or -4 endpoints and of
-        # the left ends of ten level-30 cylinders (about 1e-9 wide for degree
-        # 2, the snap rule's width threshold): wherever the F-chain's snap
-        # rule holds, the model must name the point
-        solver_tol(tol)
-        depth = 30
-        deep = itinerary_batch(spec, np.linspace(0.05, 0.95, 10), depth)
-        level = 4 if spec.degree == 2 else 3
-        starts = np.append(level_endpoints(spec, level), chain_values(spec, deep, np.zeros(10)))
-        offsets = (0.0, SNAP, -SNAP, 0.5 * SNAP, -0.5 * SNAP, 1e-15, -1e-15)
-        xs = np.clip(np.concatenate([starts + t for t in offsets]), 0.0, 1.0)
-        words = reference_itinerary(spec, xs, depth)
-        model = _word_model(spec, xs, depth)
-        cuts = np.asarray(branch_points(spec))
-        hits = 0
-        for k in range(depth):
-            sel = words[:, k]
-            model.propose(k, xs)
-            model.advance(sel)
-            lo, hi = chain_values(spec, words[:, :k], cuts[[sel, sel + 1]])
-            snaps = (np.abs(xs - lo) <= SNAP) & (hi - lo > 1e3 * SNAP)
-            assert np.all(model.may_snap(k, xs, SNAP, 1e3 * SNAP)[snaps]), k
-            hits += int(snaps.sum())
-        assert hits > xs.size
-
     @pytest.mark.parametrize("spec", CONJUGATES, ids=lambda s: s.describe())
     def test_refinement_solves_no_homeomorphism_inverse(self, spec, monkeypatch):
         xs = np.random.default_rng(3).uniform(0.0, 1.0, 64)
         refine_words(spec, xs[:2], 2)  # fill the caches first
         calls = _count_calls(monkeypatch, "homeo_inverse_values")
         refine_words(spec, xs, 30)
-        refine_words(spec, xs, 40, snap=SNAP)
+        conjugacy_enclosures(spec, linear_map(spec.degree), xs, tol=1e-10)
         assert calls[0] == 0
 
     @pytest.mark.parametrize("spec", AFFINE_CONJUGATES, ids=lambda s: s.describe())
@@ -280,7 +256,7 @@ class TestConjugatedModel:
         assert np.array_equal(got, reference_itinerary(spec, xs, 12))
         g = linear_map(spec.degree)
         got = conjugacy_enclosures(spec, g, xs, tol=1e-5)
-        _assert_same(got, reference_enclosures(spec, g, xs, 1e-5, 48, SNAP))
+        _assert_same(got, reference_enclosures(spec, g, xs, 1e-5, 48))
 
     def test_points_between_a_computed_and_the_exact_division_go_to_the_chain(self, solver_tol):
         # at a solver tol of 1e-6 the sine-homeo solves of the F-chain stop
@@ -352,6 +328,50 @@ class TestCost:
         calls = _count_calls(monkeypatch)
         itinerary_batch(f06, xs, 32)
         assert calls[0] <= 128
+
+
+class TestWordMatrix:
+    """The kernel's word matrix is as wide as the deepest stop, not as
+    ``depth_cap``: it starts at 64 columns and doubles as points go deeper."""
+
+    def test_a_huge_depth_cap_costs_only_the_depth_reached(self, f06, smooth05):
+        # 64 points stop by depth 28; a matrix depth_cap columns wide would
+        # hold 488 MiB, and its copies as much again.  What remains are the
+        # depth_cap-long chain error bounds of the word model and the stop
+        # rule, about 46 MiB.
+        xs = np.random.default_rng(0).uniform(0.0, 1.0, 64)
+        want = conjugacy_enclosures(f06, smooth05, xs, tol=1e-8)
+        tracemalloc.start()
+        try:
+            got = conjugacy_enclosures(f06, smooth05, xs, tol=1e-8, depth_cap=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[2].max() <= 28
+        _assert_same(got, want)
+        assert peak < 64 * 2**20
+
+    def test_stops_past_the_first_64_columns(self, f06, lin2):
+        # a linear(2) cylinder's computed width is exact down to 2^-100, or
+        # rounds to 0, the sooner the farther x is from 0: the stops are
+        # spread over depths 54..100, so the matrix doubles once midway
+        xs = np.concatenate(([0.0, 1.0], 0.77 * 0.6 ** np.arange(0, 80, 8)))
+        got = conjugacy_enclosures(f06, lin2, xs, tol=2.0**-100, depth_cap=130)
+        _assert_same(got, reference_enclosures(f06, lin2, xs, 2.0**-100, 130))
+        assert np.any((got[2] > 0) & (got[2] < 64)) and got[2].max() == 100
+
+    def test_kernel_returns_the_columns_reached(self, f06):
+        words, depth = refine_words(f06, np.asarray([0.3, 0.7]), 100)
+        assert words.shape == (2, 100) and np.all(depth == 100)
+        assert np.array_equal(words[:, :60], itinerary_batch(f06, [0.3, 0.7], 60))
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_empty_itinerary_batch(self, f06, n):
+        assert itinerary_batch(f06, [], n).shape == (0, n)
+
+    def test_empty_enclosures(self, f06, lin2):
+        got = conjugacy_enclosures(f06, lin2, np.zeros(0))
+        assert [a.shape for a in got] == [(0,)] * 4
 
 
 def _same_per_copy(got, distinct, got_single):
