@@ -327,7 +327,7 @@ def _dilatation(
     err_f: float,
     err_g: float,
 ) -> DilatationReport:
-    """The report of one level from the two maps' level-n cylinder lengths.
+    """The report of one level from the two maps' level-n cylinder lengths; the ratios overwrite ``len_g``.
 
     ``err_f`` and ``err_g`` bound the error of every computed level-n
     endpoint, so each length is off by at most twice that, and each ratio by
@@ -344,7 +344,7 @@ def _dilatation(
     shortest = float(np.min(len_f))
     if not shortest > 0.0:
         raise ResolutionExhausted(f"f-cylinder of level {n} has computed length {shortest:.3e}")
-    ratios = len_g / len_f
+    ratios = np.divide(len_g, len_f, out=len_g)
     top, bottom = float(np.max(ratios)), float(np.min(ratios))
     floor = shortest - 2.0 * err_f
     # every radius is at most ``bound``, so only ratios within 2*bound of an

@@ -38,6 +38,7 @@ from .circle_maps import CircleMapSpec, branch_points, ensure_valid, is_closed_f
 from .errors import DegreeMismatchError
 from .symbolic_partition import (
     Word,
+    _DepthTable,
     chain_error_bound,
     chain_values,
     check_points,
@@ -139,7 +140,7 @@ class _WidthStop:
         self.g = g
         self.tol = tol
         self.cuts = np.asarray(branch_points(g), dtype=float)
-        self.err = 2.0 * chain_error_bound(g, depth_cap)
+        self.err = _DepthTable(lambda n: 2.0 * chain_error_bound(g, n), depth_cap)
         if is_closed_form(g):
             self.factors = np.diff(self.cuts)
             self.slack = (np.finfo(float).eps, np.finfo(float).eps)

@@ -239,6 +239,18 @@ def ragged_chain_values(spec: CircleMapSpec, words: np.ndarray, lengths: np.ndar
     return result
 
 
+class _DepthTable:
+    """``build(n)[k]`` for k < ``depth_cap``, grown as the word matrix is (see :func:`refine_words`)."""
+
+    def __init__(self, build, depth_cap: int):
+        self.build, self.cap, self.table = build, depth_cap, build(min(depth_cap, 64))
+
+    def __getitem__(self, k: int) -> float:
+        if k >= self.table.size:
+            self.table = self.build(min(self.cap, 2 * k))
+        return self.table[k]
+
+
 class _AffineWords:
     """Word model of a linear or piecewise-linear map.
 
@@ -254,9 +266,12 @@ class _AffineWords:
         self.widths = np.diff(self.cuts)
         self.off = np.zeros(x.size)
         self.scale = np.ones(x.size)
-        j = np.arange(depth_cap + 1)
-        drift = 2.0 * _UNIT_ROUNDOFF * np.cumsum((1 + j) * float(np.max(self.widths)) ** j)
-        self.bound = chain_error_bound(spec, depth_cap) + 2.0 * _UNIT_ROUNDOFF * (j + 1) + drift
+        widest = float(np.max(self.widths))  # the builder must not hold self: no reference cycle
+        def bound(n: int) -> np.ndarray:
+            j = np.arange(n + 1)
+            drift = 2.0 * _UNIT_ROUNDOFF * np.cumsum((1 + j) * widest**j)
+            return chain_error_bound(spec, n) + 2.0 * _UNIT_ROUNDOFF * (j + 1) + drift
+        self.bound = _DepthTable(bound, depth_cap)
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         divisions = self.off + self.scale * self.cuts[1:-1, None]
@@ -288,7 +303,7 @@ class _OrbitWords:
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.u = x.copy()
         self.slope = np.ones(x.size)
-        self.bound = 2.0 * chain_error_bound(spec, depth_cap + 1)[1:]
+        self.bound = _DepthTable(lambda n: 2.0 * chain_error_bound(spec, n + 1)[1:], depth_cap)
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         gaps = self.u - self.cuts[1:-1, None]
@@ -325,7 +340,7 @@ class _ConjugatedWords:
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.h_hi = homeo_slope_bounds(homeo)[1]
         self.delta = homeo_rounding(homeo)
-        self.err = chain_error_bound(spec, depth_cap + 1)[1:]
+        self.err = _DepthTable(lambda n: chain_error_bound(spec, n + 1)[1:], depth_cap)
         # the exact H(x) lies in [0, 1], so clipping only moves v toward it
         self.v = np.clip(homeo_lift_values(homeo, x), 0.0, 1.0)
         self.base = _word_model(base, self.v, depth_cap)
@@ -379,9 +394,9 @@ def refine_words(
 
     Returns ``(words, depth)``: the symbol matrix, one column per depth some
     point reached (row i is valid up to ``depth[i]``), and the stop depth of
-    each point.  The matrix starts at most 64 columns wide and doubles as
-    the points go deeper, so a large ``depth_cap`` costs no memory that the
-    stop depths do not use.
+    each point.  The matrix and the error tables of the models and the stop
+    rule (each a prefix-stable ``_DepthTable``) start at most 64 deep and double as
+    points go deeper: a large ``depth_cap`` costs nothing the depths do not use.
     """
     m = xs.size
     words = np.zeros((m, min(depth_cap, 64)), dtype=np.int64)
@@ -471,6 +486,22 @@ def word_of_point(spec: CircleMapSpec, x: float, n: int) -> Word:
 # Full-level enumeration
 # ---------------------------------------------------------------------------
 
+def _level_step(spec: CircleMapSpec, lefts: np.ndarray, level: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """Write the level below ``lefts`` into ``level`` (entry ``s*D + j`` is ``phi_s(lefts[j])``), all d
+    ``branches`` (``arange(d)`` shaped (d, 1, 1)) per call; root-solved kinds copy ``lefts[s*D/d + q]``."""
+    d = spec.degree
+    if is_closed_form(spec) or lefts.size == 1:
+        parents, new, branches, per_row = lefts, level.reshape(d, -1), branches[:, 0], d
+    else:
+        new = level.reshape(d, -1, d)
+        new[:, :, 0] = lefts.reshape(d, -1)
+        parents, new, per_row = lefts.reshape(-1, d)[:, 1:], new[:, :, 1:], d * (d - 1)
+    rows = max(1, _SOLVER_BLOCK // per_row)  # parent rows per solver block
+    for q in range(0, len(parents), rows):
+        inverse_branch_values(spec, branches, parents[q : q + rows], out=new[:, q : q + rows])
+    return level
+
+
 def iter_levels(
     spec: CircleMapSpec,
     n: int,
@@ -478,17 +509,12 @@ def iter_levels(
 ) -> Iterator[np.ndarray]:
     """Left endpoints of levels 1..n in word order, one array per level.
 
-    ``level[k+1][::d] == level[k]`` bit for bit: ``phi_0(0) = 0`` exactly and
-    solves are elementwise deterministic.  Root-solved kinds solve level 1
-    in one call, then copy those parents and solve only the other children,
-    d^n solves for a level-n walk instead of d(d^n - 1)/(d - 1), one solver
-    block straight into its strided slots of the new level per call; closed
-    forms, cheaper to recompute than to scatter, apply the d branches to
-    every parent, each branch written straight into its slice.  Every level
-    equals the concatenation of the d branch images of the level above bit
-    for bit.
-    The next level is built from the yielded array, so callers must not
-    modify it.
+    ``level[k+1][::d] == level[k]`` bit for bit: ``phi_0(0) = 0`` exactly and solves
+    are elementwise deterministic.  Each level is the d branch images of the one above,
+    bit for bit, written by :func:`_level_step` one solver block per call (a closed form:
+    ``_SOLVER_BLOCK // d`` parents and all d branches in one broadcast call), so no
+    level-sized temporary is made; root-solved kinds solve d^n endpoints for a level-n
+    walk, not d(d^n - 1)/(d - 1).  Callers must not modify a yielded level: the next is built from it.
 
     Raises:
         CellCapExceeded: if d^n exceeds ``cell_cap``.
@@ -499,26 +525,9 @@ def iter_levels(
         raise ValueError("level must be >= 0")
     if d**n > cell_cap:
         raise CellCapExceeded(f"{d}^{n} cylinders exceed cell cap {cell_cap}")
-    solve_once = not is_closed_form(spec)
-    branches = np.arange(d).reshape(d, 1, 1)
-    rows = max(1, _SOLVER_BLOCK // (d * (d - 1)))  # parent rows per solver block
-    lefts = np.zeros(1)
+    lefts, branches = np.zeros(1), np.arange(d).reshape(d, 1, 1)
     for _ in range(n):
-        level = np.empty(d * lefts.size)
-        if solve_once and lefts.size > 1:
-            # entry s*D + q*d + c of the new level (D parents) is phi_s(parents[q*d + c]);
-            # for c = 0 that is parents[s*D/d + q], which is copied
-            new, parents = level.reshape(d, -1, d), lefts.reshape(-1, d)
-            new[:, :, 0] = lefts.reshape(d, -1)
-            for q in range(0, len(parents), rows):
-                inverse_branch_values(spec, branches, parents[q : q + rows, 1:], out=new[:, q : q + rows, 1:])
-            del new, parents  # hold no level but this one across the yield
-        elif solve_once:
-            inverse_branch_values(spec, branches.reshape(-1), lefts, out=level)
-        else:
-            for s, part in enumerate(level.reshape(d, -1)):
-                inverse_branch_values(spec, s, lefts, out=part)
-        lefts = level
+        lefts = _level_step(spec, lefts, np.empty(d * lefts.size), branches)
         yield lefts
 
 
@@ -574,8 +583,14 @@ def level_endpoints(
     n: int,
     cell_cap: int = defaults.CELL_CAP,
 ) -> np.ndarray:
-    """All d^n + 1 level-n endpoints, ``0 = e_0 < e_1 < ... < e_{d^n} = 1``."""
-    return np.append(level_left_endpoints(spec, n, cell_cap=cell_cap), 1.0)
+    """All d^n + 1 level-n endpoints ``0 = e_0 < ... < e_{d^n} = 1``, level n built into the result."""
+    if n <= 0 or spec.degree**n > cell_cap:  # level 0, or a request refused there
+        return np.append(level_left_endpoints(spec, n, cell_cap=cell_cap), 1.0)
+    parents = level_left_endpoints(spec, n - 1, cell_cap=cell_cap)
+    ends = np.empty(spec.degree * parents.size + 1)
+    ends[-1] = 1.0
+    _level_step(spec, parents, ends[:-1], np.arange(spec.degree).reshape(-1, 1, 1))
+    return ends
 
 
 def cylinder_lengths(
@@ -583,8 +598,13 @@ def cylinder_lengths(
     n: int,
     cell_cap: int = defaults.CELL_CAP,
 ) -> np.ndarray:
-    """Lengths of all level-n cylinders in word order."""
-    return level_lengths(level_left_endpoints(spec, n, cell_cap=cell_cap))
+    """Level-n cylinder lengths in word order (:func:`level_lengths` bit for bit), differenced in place by blocks."""
+    lengths = level_left_endpoints(spec, n, cell_cap=cell_cap)
+    for i in range(0, lengths.size - 1, _SOLVER_BLOCK):  # each block reads its last end before the next writes it
+        block = lengths[i : i + _SOLVER_BLOCK + 1]
+        np.subtract(block[1:], block[:-1], out=block[:-1])
+    lengths[-1] = 1.0 - lengths[-1]
+    return lengths
 
 
 def enumerate_level(
@@ -686,8 +706,7 @@ def verify_markov(
     increasing = bool(np.all(np.diff(ends) > 0))
     ends_ok = ends[0] == 0.0 and ends[-1] == 1.0
     idx = np.arange(count)
-    lefts = ends[:-1].copy()
-    rights = ends[1:].copy()
+    lefts, rights = ends[:-1], ends[1:]
     # iterate both endpoint families forward along each word; the left family
     # must land on 0 and the right family on 1
     for k in range(n):

@@ -9,6 +9,7 @@ ulp off them and 1e-12 off them.  For root-solved maps the
 words may differ only where x lies within 1e-12 of a cylinder boundary.
 """
 
+import gc
 import tracemalloc
 
 import mpmath
@@ -332,24 +333,59 @@ class TestCost:
 
 class TestWordMatrix:
     """The kernel's word matrix is as wide as the deepest stop, not as
-    ``depth_cap``: it starts at 64 columns and doubles as points go deeper."""
+    ``depth_cap``: it starts at 64 columns and doubles as points go deeper.
+    The chain error tables of the word models and the stop rule grow the
+    same way, which needs ``chain_error_bound`` to be prefix-stable."""
 
     def test_a_huge_depth_cap_costs_only_the_depth_reached(self, f06, smooth05):
         # 64 points stop by depth 28; a matrix depth_cap columns wide would
-        # hold 488 MiB, and its copies as much again.  What remains are the
-        # depth_cap-long chain error bounds of the word model and the stop
-        # rule, about 46 MiB.
+        # hold 488 MiB, and its copies as much again, and depth_cap-long
+        # chain error tables of the word model and the stop rule took 46 MiB
+        self._check_huge_cap(f06, smooth05, 28)
+
+    @pytest.mark.parametrize("pair", [("smooth05", "f06"), ("conj_smooth", "lin2")], ids="->".join)
+    def test_every_word_model_sizes_its_tables_by_the_depth_reached(self, pair, request):
+        # the orbit model of smooth_sine and the conjugated model (over the
+        # affine one) with the affine and the root-solved stop rules
+        f, g = (request.getfixturevalue(name) for name in pair)
+        self._check_huge_cap(f, g, 30)
+
+    @staticmethod
+    def _check_huge_cap(f, g, deepest):
         xs = np.random.default_rng(0).uniform(0.0, 1.0, 64)
-        want = conjugacy_enclosures(f06, smooth05, xs, tol=1e-8)
+        want = conjugacy_enclosures(f, g, xs, tol=1e-8)
         tracemalloc.start()
         try:
-            got = conjugacy_enclosures(f06, smooth05, xs, tol=1e-8, depth_cap=10**6)
+            got = conjugacy_enclosures(f, g, xs, tol=1e-8, depth_cap=10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got[2].max() <= 28
+        assert got[2].max() <= deepest
         _assert_same(got, want)
-        assert peak < 64 * 2**20
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("pair", [("f06", "lin2"), ("smooth05", "f06"), ("conj_smooth", "smooth05")], ids="->".join)
+    def test_word_models_need_no_cycle_collector(self, pair, request):
+        # a table builder that held its model would keep the model's
+        # point-sized arrays alive until the cycle collector ran
+        f, g = (request.getfixturevalue(name) for name in pair)
+        xs = np.linspace(0.1, 0.9, 5)
+        conjugacy_enclosures(f, g, xs, tol=1e-8)
+        gc.collect()
+        gc.disable()
+        try:
+            conjugacy_enclosures(f, g, xs, tol=1e-8)
+            itinerary_batch(f, xs, 10)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", ["lin2", "f06", "smooth05", "conj_smooth"])
+    def test_chain_error_bound_is_prefix_stable(self, name, request):
+        spec = request.getfixturevalue(name)
+        whole = circle_maps.chain_error_bound(spec, 10**6)
+        for n in (0, 1, 47, 48, 63, 64, 65, 127, 128, 129, 500, 1000):
+            assert circle_maps.chain_error_bound(spec, n).tobytes() == whole[: n + 1].tobytes(), n
 
     def test_stops_past_the_first_64_columns(self, f06, lin2):
         # a linear(2) cylinder's computed width is exact down to 2^-100, or
