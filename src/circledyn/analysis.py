@@ -318,6 +318,29 @@ class DilatationReport:
     coarse_max: tuple[tuple[Word, float], ...]
 
 
+def _min_tie_threshold(bottom: float, err_f: float, err_g: float, floor: float) -> float:
+    """A float that no ratio able to tie the smallest one, ``bottom``, exceeds.
+
+    Rounding is monotone and each ``den >= floor``, and ``fl(x) = x(1 + e) + t``
+    with ``|e| <= u = 2**-53`` and ``|t| <= tiny``, the least subnormal, so a
+    computed radius is at most ``a + b*q`` with ``c >= (1 + u)**3``, ``a =
+    c*2*(err_g + tiny)/floor + tiny`` and ``b = c*2*err_f/floor``.  A ratio q
+    ties the minimum only if ``q - a - b*q <= S(1 + u)``, S the computed ``bottom
+    + radius(bottom)``: so ``q <= (c*S + a)/(1 - b)``, rounded outward here.
+    """
+    if not floor > 0.0:  # a length under its own error ties everything
+        return math.inf
+
+    def up(x: float) -> float:  # the float after x: above the exact value that rounded to x
+        return math.nextafter(x, math.inf)
+
+    c, tiny = 1.0 + 2.0**-51, 5e-324
+    s = bottom + 2.0 * (err_g + bottom * err_f) / floor
+    b = up(up(c * 2.0 * err_f) / floor)
+    a = up(up(up(c * 2.0 * up(err_g + tiny)) / floor) + tiny)
+    return up(up(up(c * s) + a) / math.nextafter(1.0 - b, 0.0)) if b < 1.0 else math.inf
+
+
 def _dilatation(
     len_f: np.ndarray,
     len_g: np.ndarray,
@@ -347,8 +370,8 @@ def _dilatation(
     ratios = np.divide(len_g, len_f, out=len_g)
     top, bottom = float(np.max(ratios)), float(np.min(ratios))
     floor = shortest - 2.0 * err_f
-    # every radius is at most ``bound``, so only ratios within 2*bound of an
-    # extreme can tie it; the exact radii are taken on those alone
+    # every radius is at most ``bound``, so only ratios within 2*bound of the
+    # top can tie it; the exact radii are taken on those alone
     bound = 2.0 * (err_g + top * err_f) / floor if floor > 0.0 else math.inf
 
     def first_tied(near: np.ndarray, sign: float) -> int:
@@ -363,7 +386,7 @@ def _dilatation(
         return int(near[np.argmax(r + radius >= np.max(r - radius))])
 
     jmax = first_tied(np.flatnonzero(ratios >= top - 2.0 * bound), 1.0)
-    jmin = first_tied(np.flatnonzero(ratios <= bottom + 2.0 * bound), -1.0)
+    jmin = first_tied(np.flatnonzero(ratios <= _min_tie_threshold(bottom, err_f, err_g, floor)), -1.0)
     cells = d**coarse_level
     per_cell = ratios.reshape(cells, -1).max(axis=1)
     coarse = tuple(zip(level_words(coarse_level, d), per_cell.tolist()))

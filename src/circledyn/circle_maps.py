@@ -335,27 +335,19 @@ map_spec_to_dict = homeo_spec_to_dict = spec_to_dict
 # ---------------------------------------------------------------------------
 
 def homeo_lift_values(spec: CircleHomeoSpec, x) -> np.ndarray:
-    """Vectorized lift ``H(x)`` of a circle homeomorphism, any real ``x``."""
-    x = np.asarray(x, dtype=float)
-    if spec.kind == "identity":
-        return x.copy()
-    if spec.kind == "sine_homeo":
-        return _sine_family(1, spec.c, x)
-    out = x
-    for part in reversed(spec.parts):
-        out = homeo_lift_values(part, out)
-    return out
+    """Vectorized lift ``H(x)`` of a circle homeomorphism, any real ``x``: its leaves, last first."""
+    out = np.asarray(x, dtype=float)
+    leaves = _homeo_leaves(spec)
+    for c in reversed(leaves):
+        out = _sine_family(1, c, out)
+    return out if leaves else out.copy()
 
 
 def _homeo_inverse_unit(spec: CircleHomeoSpec, y: np.ndarray) -> np.ndarray:
-    """Inverse of ``H`` restricted to [0,1] -> [0,1] (``y`` must lie in [0,1])."""
-    if spec.kind == "identity":
-        return np.asarray(y, dtype=float).copy()
-    if spec.kind == "sine_homeo":
-        return _solve_sine_family(1, spec.c, y, defaults.SOLVER_TOL)
-    out = np.asarray(y, dtype=float)
-    for part in spec.parts:
-        out = _homeo_inverse_unit(part, out)
+    """Inverse of ``H`` restricted to [0,1] -> [0,1] (``y`` must lie in [0,1]): one solve per leaf, first first."""
+    out = np.array(y, dtype=float)
+    for c in _homeo_leaves(spec):
+        out = _solve_sine_family(1, c, out, defaults.SOLVER_TOL)
     return out
 
 
@@ -642,7 +634,7 @@ def _chain_lipschitz(spec: CircleMapSpec) -> tuple[float, float]:
 
 
 def _homeo_leaves(spec: CircleHomeoSpec) -> list[float]:
-    """The ``c`` of every ``sine_homeo`` at any depth, one root solve each in ``H^{-1}``."""
+    """The ``c`` of every ``sine_homeo`` at any depth, in composition order: ``H`` applies the last first."""
     if spec.kind == "sine_homeo":
         return [spec.c]
     return [c for part in spec.parts for c in _homeo_leaves(part)]

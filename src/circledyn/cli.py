@@ -16,14 +16,18 @@ with ``--json``.  Output is deterministic for a fixed invocation.
 Exit codes: 0 ok; 1 validation or input-schema failure; 2 cap or tolerance
 failure (partial report still written and flagged); 3 I/O error.
 
-The caps honor the environment variables ``CIRCLEDYN_WORK_CAP``,
-``CIRCLEDYN_CELL_CAP`` and ``CIRCLEDYN_DEPTH_CAP``.
+Every command honours every cap: each call reads ``CIRCLEDYN_WORK_CAP``,
+``CIRCLEDYN_CELL_CAP`` and ``CIRCLEDYN_DEPTH_CAP`` (both depth caps) into one
+``ReproConfig``, and ``repro all --depth-cap N`` replaces both depth caps.  The
+cell cap also bounds the points of ``conjugacy --grid``, ``analyze symmetry``
+and ``analyze measure``, checked before any of them is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -56,9 +60,7 @@ from .conjugacy import ConjugacyMap, conjugacy_enclosures, endpoint_table, table
 from .errors import (
     CellCapExceeded,
     CircleDynError,
-    DegreeMismatchError,
     DepthCapExceeded,
-    InvalidMapError,
     ResolutionExhausted,
     SolverError,
     SpecFormatError,
@@ -104,37 +106,32 @@ def _write_report(args, columns: Sequence[str], rows: Iterable[Sequence], config
         sys.stdout.write(text)
 
 
-def _load_map(path: str):
+def _load_spec(path: str, parse=map_spec_from_json):
     with open(path) as fh:
-        return map_spec_from_json(fh.read())
+        return parse(fh.read())
 
 
-def _load_homeo(path: str):
-    with open(path) as fh:
-        return homeo_spec_from_json(fh.read())
-
-
-def _check_point_count(count: int, what: str, caps: dict) -> None:
+def _check_point_count(count: int, what: str, cell_cap: int) -> None:
     """Refuse a request for more evaluation points than the cell cap, before any is built."""
-    cap = caps.get("cell_cap", defaults.CELL_CAP)
-    if count > cap:
-        raise CellCapExceeded(f"{what} exceed cell cap {cap}")
+    if count > cell_cap:
+        raise CellCapExceeded(f"{what} exceed cell cap {cell_cap}")
 
 
-def _caps_from_env() -> dict:
+def _caps_from_env() -> ReproConfig:
+    """The caps of one command: ``ReproConfig``'s defaults, overridden by the environment."""
     caps = {}
-    for name, key in (
-        ("CIRCLEDYN_WORK_CAP", "work_cap"),
-        ("CIRCLEDYN_CELL_CAP", "cell_cap"),
-        ("CIRCLEDYN_DEPTH_CAP", "depth_cap"),
+    for name, keys in (
+        ("CIRCLEDYN_WORK_CAP", ("work_cap",)),
+        ("CIRCLEDYN_CELL_CAP", ("cell_cap",)),
+        ("CIRCLEDYN_DEPTH_CAP", ("depth_cap", "conjugacy_depth_cap")),
     ):
         raw = os.environ.get(name)
         if raw is not None:
             try:
-                caps[key] = int(raw)
+                caps |= dict.fromkeys(keys, int(raw))
             except ValueError:
                 raise SpecFormatError(f"{name}: expected an integer, got {raw!r}") from None
-    return caps
+    return ReproConfig(**caps)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +139,7 @@ def _caps_from_env() -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args, caps) -> int:
-    spec = _load_map(args.map)
+    spec = _load_spec(args.map)
     report = validate(spec)
     config = {"command": "validate", "map": args.map}
     rows = [
@@ -154,8 +151,8 @@ def _cmd_validate(args, caps) -> int:
 
 
 def _cmd_partition(args, caps) -> int:
-    spec = _load_map(args.map)
-    cells = enumerate_level(spec, args.level, cell_cap=caps.get("cell_cap", defaults.CELL_CAP))
+    spec = _load_spec(args.map)
+    cells = enumerate_level(spec, args.level, cell_cap=caps.cell_cap)
     config = {
         "command": "partition",
         "map": args.map,
@@ -169,12 +166,10 @@ def _cmd_partition(args, caps) -> int:
 
 
 def _cmd_conjugacy(args, caps) -> int:
-    f = _load_map(args.from_map)
-    g = _load_map(args.to_map)
-    cell_cap = caps.get("cell_cap", defaults.CELL_CAP)
-    depth_cap = caps.get("depth_cap", defaults.CONJUGACY_DEPTH_CAP)
+    f = _load_spec(args.from_map)
+    g = _load_spec(args.to_map)
     if args.level is not None:
-        table = endpoint_table(f, g, args.level, cell_cap=cell_cap)
+        table = endpoint_table(f, g, args.level, cell_cap=caps.cell_cap)
         config = {
             "command": "conjugacy-table",
             "from": args.from_map,
@@ -191,9 +186,9 @@ def _cmd_conjugacy(args, caps) -> int:
         return EXIT_OK
     if args.grid < 1:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
-    _check_point_count(args.grid, f"{args.grid} grid points", caps)
+    _check_point_count(args.grid, f"{args.grid} grid points", caps.cell_cap)
     xs = np.arange(args.grid, dtype=float) / args.grid
-    lo, hi, depth, met = conjugacy_enclosures(f, g, xs, tol=args.tol, depth_cap=depth_cap)
+    lo, hi, depth, met = conjugacy_enclosures(f, g, xs, tol=args.tol, depth_cap=caps.conjugacy_depth_cap)
     unreached = int(np.count_nonzero(~met))
     config = {
         "command": "conjugacy",
@@ -201,7 +196,7 @@ def _cmd_conjugacy(args, caps) -> int:
         "to": args.to_map,
         "grid": args.grid,
         "tol": args.tol,
-        "depth_cap": depth_cap,
+        "depth_cap": caps.conjugacy_depth_cap,
         "tolerance_unreachable_rows": unreached,
     }
     rows = list(zip(xs.tolist(), lo.tolist(), hi.tolist(), depth.tolist()))
@@ -211,14 +206,13 @@ def _cmd_conjugacy(args, caps) -> int:
 
 def _homeo_subject(args, caps):
     if args.homeo:
-        return _load_homeo(args.homeo), {"homeo": args.homeo}
+        return _load_spec(args.homeo, homeo_spec_from_json), {"homeo": args.homeo}
     if not (args.from_map and args.to_map):
         raise SpecFormatError("need --homeo, or both --from and --to for a conjugacy")
-    f = _load_map(args.from_map)
-    g = _load_map(args.to_map)
-    depth_cap = caps.get("depth_cap", defaults.CONJUGACY_DEPTH_CAP)
+    f = _load_spec(args.from_map)
+    g = _load_spec(args.to_map)
     return (
-        ConjugacyMap(f, g, tol=args.tol, depth_cap=depth_cap),
+        ConjugacyMap(f, g, tol=args.tol, depth_cap=caps.conjugacy_depth_cap),
         {"from": args.from_map, "to": args.to_map, "tol": args.tol},
     )
 
@@ -258,7 +252,7 @@ def _cmd_analyze_symmetry(args, caps) -> int:
     scales = tuple(_parse_entry(float, p, f"--scales[{i}]", "a number") for i, p in entries) or defaults.SCALE_LADDER
     # the modulus evaluates the grid and its shifts by each distinct scale both ways
     shifts = 2 * len(set(scales)) + 1
-    _check_point_count(shifts * args.grid, f"{shifts} x {args.grid} grid points", caps)
+    _check_point_count(shifts * args.grid, f"{shifts} x {args.grid} grid points", caps.cell_cap)
     report = symmetry_modulus(subject, scales=scales, grid=args.grid)
     config = {"command": "analyze-symmetry", "grid": args.grid, "subject": report.subject, **meta}
     rows = [(row.scale, row.deviation, row.argmax_x) for row in report.rows]
@@ -267,18 +261,17 @@ def _cmd_analyze_symmetry(args, caps) -> int:
 
 
 def _cmd_analyze_uqs(args, caps) -> int:
-    spec = _load_map(args.map)
+    spec = _load_spec(args.map)
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    depth_cap = caps.get("depth_cap", defaults.DEPTH_CAP)
-    ratios = iter_uqs_ratios(spec, args.x, args.t, args.n, depth_cap=depth_cap)
+    ratios = iter_uqs_ratios(spec, args.x, args.t, args.n, depth_cap=caps.depth_cap)
     rows = [(n, args.x, args.t, ratio) for n, ratio in enumerate(ratios, 1)]
     config = {"command": "analyze-uqs", "map": args.map, "x": args.x, "t": args.t, "solver_tol": defaults.SOLVER_TOL}
     _write_report(args, ["n", "x", "t", "ratio"], rows, config)
     return EXIT_OK
 
 
-def _parse_intervals(text: str):
+def _parse_intervals(text: str, cell_cap: int):
     if text.startswith("dyadic:"):
         raw = text.split(":", 1)[1]
         try:
@@ -289,10 +282,13 @@ def _parse_intervals(text: str):
             raise ValueError(
                 f"--intervals: interval list is empty; dyadic:N needs an integer N >= 1, got {raw!r}"
             )
+        _check_point_count(count, f"{count} intervals", cell_cap)
         return dyadic_intervals(count)
     with open(text) as fh:
         data = _load_json(fh.read())
-    return _want_list(_want_interval)(data, "--intervals")
+    intervals = _want_list(_want_interval)(data, "--intervals")
+    _check_point_count(len(intervals), f"{len(intervals)} intervals", cell_cap)
+    return intervals
 
 
 def _want_interval(obj, path: str) -> tuple[float, float]:
@@ -302,8 +298,8 @@ def _want_interval(obj, path: str) -> tuple[float, float]:
 
 
 def _cmd_analyze_measure(args, caps) -> int:
-    spec = _load_map(args.map)
-    intervals = _parse_intervals(args.intervals)
+    spec = _load_spec(args.map)
+    intervals = _parse_intervals(args.intervals, caps.cell_cap)
     profile = measure_profile(spec, intervals)
     config = {
         "command": "analyze-measure",
@@ -318,33 +314,32 @@ def _cmd_analyze_measure(args, caps) -> int:
 
 
 def _cmd_analyze_phi(args, caps) -> int:
-    f = _load_map(args.from_map)
-    g = _load_map(args.to_map)
-    cell_cap = caps.get("cell_cap", defaults.CELL_CAP)
+    f = _load_spec(args.from_map)
+    g = _load_spec(args.to_map)
     if args.level < 1:
         raise ValueError(f"--level must be >= 1, got {args.level}")
     config = {"command": "analyze-phi", "from": args.from_map, "to": args.to_map, "solver_tol": defaults.SOLVER_TOL}
     if args.coarse is not None:
-        report = dilatation_report(f, g, args.level, coarse_level=args.coarse, cell_cap=cell_cap)
+        report = dilatation_report(f, g, args.level, coarse_level=args.coarse, cell_cap=caps.cell_cap)
         rows = [(w.to_text(), r) for w, r in report.coarse_max]
         _write_report(args, ["cell_word", "max_ratio"], rows, config | {"level": args.level, "coarse": args.coarse})
         return EXIT_OK
     rows = [
         (r.level, r.max_ratio, r.argmax_word.to_text(), r.min_ratio, r.argmin_word.to_text())
-        for r in iter_dilatation_reports(f, g, args.level, cell_cap=cell_cap)
+        for r in iter_dilatation_reports(f, g, args.level, cell_cap=caps.cell_cap)
     ]
     _write_report(args, ["level", "max_ratio", "argmax_word", "min_ratio", "argmin_word"], rows, config)
     return EXIT_OK
 
 
 def _cmd_analyze_tailsum(args, caps) -> int:
-    spec = _load_map(args.map)
+    spec = _load_spec(args.map)
     report = tail_sum(
         spec,
         _parse_entry(Word.from_text, args.word, "--word", "digits ('011') or dash-separated integers ('0-11-3')"),
         args.kmax,
-        work_cap=caps.get("work_cap", defaults.WORK_CAP),
-        cell_cap=caps.get("cell_cap", defaults.CELL_CAP),
+        work_cap=caps.work_cap,
+        cell_cap=caps.cell_cap,
     )
     config = {
         "command": "analyze-tailsum",
@@ -370,7 +365,7 @@ def _cmd_analyze_tailsum(args, caps) -> int:
 def _cmd_repro_falpha(args, caps) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    rows = falpha_uqs_rows(args.alpha, args.t, args.n)
+    rows = falpha_uqs_rows(args.alpha, args.t, args.n, caps)
     config = {"command": "repro-falpha-uqs", "alpha": args.alpha, "t": args.t}
     _write_report(args, ["n", "ratio", "expected", "rel_error"], rows, config)
     return EXIT_OK
@@ -381,32 +376,27 @@ def _cmd_repro_rigidity(args, caps) -> int:
 
     f = piecewise_linear([0.6])
     g = linear_map(2)
-    depth_cap = caps.get("depth_cap", defaults.CONJUGACY_DEPTH_CAP)
-    rows = []
-    identity = ConjugacyMap(f, f, tol=1e-10, depth_cap=depth_cap)
+    identity = ConjugacyMap(f, f, tol=1e-10, depth_cap=caps.conjugacy_depth_cap)
     xs = np.arange(256, dtype=float) / 256
     values = identity.lift_values(xs)
-    rows.append(("identity_direction_max_offset", float(np.max(np.abs(values - xs))), 0.0))
-    distinct = ConjugacyMap(f, g, tol=1e-10, depth_cap=depth_cap)
+    rows = [("identity_direction_max_offset", float(np.max(np.abs(values - xs))), 0.0)]
+    distinct = ConjugacyMap(f, g, tol=1e-10, depth_cap=caps.conjugacy_depth_cap)
     t = 0.4**3
     ratio = qs_ratio(distinct, 0.0, t)
     rows.append(("distinct_pair_qs_ratio_at_0", ratio, 0.25))
-    for report in iter_dilatation_reports(f, g, 8):
+    for report in iter_dilatation_reports(f, g, 8, cell_cap=caps.cell_cap):
         n = report.level
         if n % 2 == 0:
             rows.append((f"max_cylinder_ratio_level_{n}", report.max_ratio, 1.25**n))
-    config = {"command": "repro-rigidity-demo", "tol": 1e-10, "depth_cap": depth_cap}
+    config = {"command": "repro-rigidity-demo", "tol": 1e-10, "depth_cap": caps.conjugacy_depth_cap}
     _write_report(args, ["quantity", "value", "reference"], rows, config)
     return EXIT_OK
 
 
 def _cmd_repro_all(args, caps) -> int:
-    config = ReproConfig(
-        conjugacy_depth_cap=args.depth_cap if args.depth_cap else caps.get("depth_cap", defaults.CONJUGACY_DEPTH_CAP),
-        depth_cap=args.depth_cap if args.depth_cap else caps.get("depth_cap", defaults.DEPTH_CAP),
-        cell_cap=caps.get("cell_cap", defaults.CELL_CAP),
-        work_cap=caps.get("work_cap", defaults.WORK_CAP),
-    )
+    config = caps
+    if args.depth_cap is not None:
+        config = dataclasses.replace(caps, depth_cap=args.depth_cap, conjugacy_depth_cap=args.depth_cap)
     results = run_suite(config)
     rows = [
         (r.cid, r.title, r.measured, r.threshold, "pass" if r.passed else "FAIL", r.note)
@@ -548,20 +538,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        caps = _caps_from_env()
-        return args.handler(args, caps)
-    except (SpecFormatError, InvalidMapError, DegreeMismatchError, ValueError) as exc:
+        return args.handler(args, _caps_from_env())
+    except (CircleDynError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DepthCapExceeded, CellCapExceeded, WorkCapExceeded, ResolutionExhausted, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CircleDynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, (DepthCapExceeded, CellCapExceeded, WorkCapExceeded, ResolutionExhausted, SolverError)):
+            return EXIT_CAP
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ SOLVER_TOL           1e-13         bracket width at which every root solve stops
 DEPTH_CAP            60            max word length / inverse-iteration depth
 CONJUGACY_DEPTH_CAP  48            max refinement depth for conjugacy enclosures
 CELL_CAP             2**20         max cylinder count for a fully enumerated level;
-                                   the CLI also caps the points of `conjugacy --grid`
-                                   and of `analyze symmetry`, (2 * distinct scales
-                                   + 1) * grid, before building any of them
+                                   the CLI also caps, before building any, the
+                                   points of `conjugacy --grid` and `analyze
+                                   symmetry` and the intervals of `analyze measure`
 DEGREE_CAP           2**10         max map degree, checked at validation before any
                                    per-branch table is built
 WORK_CAP             10**7         max excluded-word tuple count in tail sums

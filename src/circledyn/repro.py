@@ -59,7 +59,7 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class ReproConfig:
-    """Caps shared by the whole suite; lowering them flags affected rows."""
+    """Caps shared by the whole suite and every CLI command; lowering them flags affected rows."""
 
     conjugacy_depth_cap: int = defaults.CONJUGACY_DEPTH_CAP
     depth_cap: int = defaults.DEPTH_CAP
@@ -357,12 +357,14 @@ def run_suite(config: ReproConfig = ReproConfig()) -> list[CriterionResult]:
     return results
 
 
-def falpha_uqs_rows(alpha: float, t: float, n_max: int) -> list[tuple[int, float, float, float]]:
-    """Rows (n, measured ratio, expected (alpha/(1-alpha))^n, relative error)."""
+def falpha_uqs_rows(
+    alpha: float, t: float, n_max: int, config: ReproConfig = ReproConfig()
+) -> list[tuple[int, float, float, float]]:
+    """Rows (n, measured ratio, expected (alpha/(1-alpha))^n, relative error), under ``config``'s depth cap."""
     spec = piecewise_linear([alpha])
     expected_base = alpha / (1.0 - alpha)
     rows = []
-    for n, ratio in enumerate(iter_uqs_ratios(spec, 0.0, t, n_max), 1):
+    for n, ratio in enumerate(iter_uqs_ratios(spec, 0.0, t, n_max, depth_cap=config.depth_cap), 1):
         expected = expected_base**n
         rows.append((n, ratio, expected, abs(ratio - expected) / expected))
     return rows

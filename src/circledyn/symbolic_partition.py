@@ -451,7 +451,7 @@ def itinerary_batch(
     k)[k]`` (depth 26 for ``linear(4)`` and 32 for ``linear(3)``), the
     computed division points may sit on either side of the exact ones, so
     the symbols there are settled by the chain's rounding: reproducible for
-    the same inputs, but not the exact word (ROADMAP item 1).
+    the same inputs, but not the exact word (ROADMAP item 9).
 
     Raises:
         ValueError: a point is not a finite number in [0,1], or n < 0.

@@ -35,7 +35,8 @@ from circledyn import (
     uqs_ratio_endo,
 )
 from circledyn import analysis, circle_maps, conjugacy
-from circledyn.symbolic_partition import index_of_word
+from circledyn.repro import _random_pl_pairs
+from circledyn.symbolic_partition import cylinder_lengths, index_of_word, word_of_index
 from _oracles import (
     conjugated_inverse_branch,
     pl_tail_sum_bruteforce,
@@ -414,6 +415,39 @@ class TestDilatationReport:
             for word in (report.argmax_word, report.argmin_word):
                 j = index_of_word(word, 2)
                 assert j < 2**n - 1 - j, (n, word.to_text())
+
+
+def _seeded_pl(d, seed):
+    gaps = np.random.default_rng(seed).uniform(0.1, 1.0, size=d)
+    return piecewise_linear(np.cumsum(gaps)[:-1] / np.sum(gaps))
+
+
+def _brute_force_witnesses(f, g, n):
+    """The dilatation witnesses from every ratio's radius: the first index tied with each extreme."""
+    len_f, len_g = cylinder_lengths(f, n), cylinder_lengths(g, n)
+    err_f, err_g = (circle_maps.chain_error_bound(spec, n)[n] for spec in (f, g))
+    ratios = len_g / len_f
+    with np.errstate(divide="ignore"):
+        radius = 2.0 * (err_g + ratios * err_f) / np.maximum(len_f - 2.0 * err_f, 0.0)
+    jmax = int(np.argmax(ratios + radius >= np.max(ratios - radius)))
+    jmin = int(np.argmax(-ratios + radius >= np.max(-ratios - radius)))
+    return word_of_index(jmax, n, f.degree), word_of_index(jmin, n, f.degree)
+
+
+class TestDilatationWitnesses:
+    @pytest.mark.parametrize(
+        "f, g, n",
+        [(f, g, 7) for f, g in _random_pl_pairs(12)]
+        + [
+            (_seeded_pl(4, 1), _seeded_pl(4, 2), 9),
+            # mirror cylinders tie: both maps commute with x -> 1 - x
+            (make_conjugated(linear_map(2), sine_homeo(0.5)), smooth_sine_map(2, 0.5), 8),
+        ],
+        ids=[f"pl_pair_{i}" for i in range(12)] + ["d4_n9_wide_ratio_spread", "mirror_ties"],
+    )
+    def test_witnesses_equal_the_brute_force_rule(self, f, g, n):
+        for report in iter_dilatation_reports(f, g, n):
+            assert (report.argmax_word, report.argmin_word) == _brute_force_witnesses(f, g, report.level)
 
 
 class TestIterDilatationReports:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ CONJ_JSON = (
 )
 LIN11_JSON = '{"kind": "linear", "degree": 11}'
 SMOOTH12_JSON = '{"kind": "smooth_sine", "degree": 12, "epsilon": 3.0}'
+SMOOTH2_JSON = '{"kind": "smooth_sine", "degree": 2, "epsilon": 0.5}'
 
 
 @pytest.fixture
@@ -27,7 +29,7 @@ def specs(tmp_path):
     paths = {}
     for name, text in (
         ("f06", F06_JSON), ("lin2", LIN2_JSON), ("conj", CONJ_JSON),
-        ("lin11", LIN11_JSON), ("smooth12", SMOOTH12_JSON),
+        ("lin11", LIN11_JSON), ("smooth12", SMOOTH12_JSON), ("smooth2", SMOOTH2_JSON),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(text)
@@ -523,6 +525,66 @@ class TestReproCommands:
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["config", "columns", "rows"]
         assert doc["columns"] == ["n", "ratio", "expected", "rel_error"]
+
+
+class TestEveryCap:
+    """Every command refuses a request past any cap it meets: exit 2, one
+    ``error:`` line and no report."""
+
+    CASES = {
+        "partition": ("CIRCLEDYN_CELL_CAP", "4", ["partition", "--map", "{f06}", "--level", "3"]),
+        "conjugacy_grid": ("CIRCLEDYN_CELL_CAP", "64", ["conjugacy", "--from", "{f06}", "--to", "{lin2}", "--grid", "65"]),
+        "conjugacy_level": ("CIRCLEDYN_CELL_CAP", "4", ["conjugacy", "--from", "{f06}", "--to", "{lin2}", "--level", "3"]),
+        "symmetry": (
+            "CIRCLEDYN_CELL_CAP", "32",
+            ["analyze", "symmetry", "--from", "{f06}", "--to", "{lin2}", "--grid", "16", "--scales", "0.25"],
+        ),
+        "measure_dyadic": ("CIRCLEDYN_CELL_CAP", "4", ["analyze", "measure", "--map", "{f06}", "--intervals", "dyadic:5"]),
+        "measure_file": ("CIRCLEDYN_CELL_CAP", "1", ["analyze", "measure", "--map", "{f06}", "--intervals", "{pairs}"]),
+        "phi": ("CIRCLEDYN_CELL_CAP", "4", ["analyze", "phi", "--from", "{f06}", "--to", "{lin2}", "--level", "3"]),
+        "tailsum_cells": ("CIRCLEDYN_CELL_CAP", "4", ["analyze", "tailsum", "--map", "{smooth2}", "--word", "0"]),
+        "rigidity_demo": ("CIRCLEDYN_CELL_CAP", "4", ["repro", "rigidity-demo"]),
+        "uqs": ("CIRCLEDYN_DEPTH_CAP", "4", ["analyze", "uqs", "--map", "{f06}", "--x", "0", "--t", "0.2", "--n", "5"]),
+        "falpha_uqs": ("CIRCLEDYN_DEPTH_CAP", "4", ["repro", "falpha-uqs", "--n", "8"]),
+        "tailsum_work": ("CIRCLEDYN_WORK_CAP", "100", ["analyze", "tailsum", "--map", "{f06}", "--word", "01"]),
+    }
+
+    @pytest.mark.parametrize("variable, cap, argv", CASES.values(), ids=CASES.keys())
+    def test_over_cap_exits_2_with_no_report(self, specs, capsys, monkeypatch, variable, cap, argv):
+        (specs["dir"] / "pairs.json").write_text("[[0, 0.5], [0.5, 1]]")
+        names = {**specs, "pairs": specs["dir"] / "pairs.json"}
+        argv = [a.format(**names) for a in argv]
+        out = specs["dir"] / "report.csv"
+        for name in ("CIRCLEDYN_WORK_CAP", "CIRCLEDYN_CELL_CAP", "CIRCLEDYN_DEPTH_CAP"):
+            monkeypatch.delenv(name, raising=False)
+        assert main(argv + ["--out", str(out)]) == 0  # the request alone is fine
+        out.unlink()
+        monkeypatch.setenv(variable, cap)
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_measure_refuses_dyadic_count_before_building_intervals(self, specs, capsys, monkeypatch):
+        monkeypatch.delenv("CIRCLEDYN_CELL_CAP", raising=False)
+        argv = ["analyze", "measure", "--map", specs["f06"], "--intervals", "dyadic:2000000"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert capsys.readouterr().err == "error: 2000000 intervals exceed cell cap 1048576\n"
+
+    def test_repro_all_depth_cap_zero_is_a_cap(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CIRCLEDYN_DEPTH_CAP", raising=False)
+        out = tmp_path / "suite.csv"
+        assert main(["repro", "all", "--depth-cap", "0", "--out", str(out)]) == 2
+        header = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert "# depth_cap=0" in header
+        assert "# conjugacy_depth_cap=0" in header
 
 
 class TestParserReuse:
