@@ -23,7 +23,7 @@ no other module reads ``kind``.  Adding a kind touches: the spec's fields,
 its constructor and its entry in ``_MAP_SCHEMA`` / ``_HOMEO_SCHEMA`` (the
 JSON schema, whose keys are ``MAP_KINDS`` / ``HOMEO_KINDS``); one arm in each
 formula ladder (``describe``, lift, slope bounds, inverse branch, inverse
-step, step error, validation); :func:`is_closed_form` and
+step, chain-error model, validation); :func:`is_closed_form` and
 :func:`closed_form_inverse` when its inverse branches are affine; and
 :func:`lift_slope_values` when it is root-solved and not conjugated (its
 word model is then the forward orbit).
@@ -624,15 +624,6 @@ def slope_bounds(spec: CircleMapSpec) -> tuple[float, float]:
     return g_lo * h_lo / h_hi, g_hi * h_hi / h_lo
 
 
-def _chain_lipschitz(spec: CircleMapSpec) -> tuple[float, float]:
-    """``(rho, lam)`` with every depth-j backward chain ``rho*lam**j``-Lipschitz."""
-    if spec.kind != "conjugated":
-        return 1.0, 1.0 / slope_bounds(spec)[0]
-    rho, lam = _chain_lipschitz(spec.base)
-    h_lo, h_hi = homeo_slope_bounds(spec.homeo)
-    return rho * h_hi / h_lo, lam
-
-
 def _homeo_leaves(spec: CircleHomeoSpec) -> list[float]:
     """The ``c`` of every ``sine_homeo`` at any depth, in composition order: ``H`` applies the last first."""
     if spec.kind == "sine_homeo":
@@ -640,32 +631,33 @@ def _homeo_leaves(spec: CircleHomeoSpec) -> list[float]:
     return [c for part in spec.parts for c in _homeo_leaves(part)]
 
 
-def _step_error(spec: CircleMapSpec) -> float:
-    """Error of one computed inverse branch: 4 ulps of 1 for a lerp, :func:`_root_error` per
-    root solve, carried through a conjugated map's ``H^{-1}`` (``SOLVER_TOL/2`` if that solves nothing)."""
-    if is_closed_form(spec):
-        return 4.0 * _UNIT_ROUNDOFF
+def _chain_error_model(spec: CircleMapSpec) -> tuple[float, float, float]:
+    """``(step, rho, lam)``: one computed inverse branch errs by at most ``step`` (4 ulps of 1 for a lerp,
+    :func:`_root_error` per root solve, carried through a conjugated map's ``H^{-1}``, ``SOLVER_TOL/2`` if
+    that solves nothing), and every depth-j backward chain is ``rho*lam**j``-Lipschitz."""
     tol = defaults.SOLVER_TOL
-    if spec.kind == "smooth_sine":
-        return _root_error(spec.degree, spec.epsilon, tol) + 4.0 * _UNIT_ROUNDOFF
-    h_lo = homeo_slope_bounds(spec.homeo)[0]
+    if spec.kind != "conjugated":
+        solve = 0.0 if is_closed_form(spec) else _root_error(spec.degree, spec.epsilon, tol)
+        return solve + 4.0 * _UNIT_ROUNDOFF, 1.0, 1.0 / slope_bounds(spec)[0]
+    step, rho, lam = _chain_error_model(spec.base)
+    h_lo, h_hi = homeo_slope_bounds(spec.homeo)
     solves = [_root_error(1, c, tol) for c in _homeo_leaves(spec.homeo)] or [0.5 * tol]
-    return (math.fsum(solves) + _step_error(spec.base)) / h_lo + 4.0 * _UNIT_ROUNDOFF
+    return (math.fsum(solves) + step) / h_lo + 4.0 * _UNIT_ROUNDOFF, rho * h_hi / h_lo, lam
 
 
-def chain_error_bound(spec: CircleMapSpec, depth_cap: int) -> np.ndarray:
-    """``out[k]`` bounds the error of a value computed by a depth-k backward chain.
+def chain_error_bound(spec: CircleMapSpec, n: int) -> np.ndarray:
+    """``out[k]``, k = 0..n, bounds the error of a value computed by a depth-k backward chain.
 
     Each step adds one inverse-branch error, which the outer steps carry to
-    the result with their Lipschitz bound.  The bound is rigorous for the
-    closed-form kinds; for root-solved kinds it rests on the solver's
-    :func:`_root_error` and on the slope bounds of :func:`slope_bounds`.
-    """
-    rho, lam = _chain_lipschitz(spec)
+    the result with their Lipschitz bound (:func:`_chain_error_model`).  The
+    bound is rigorous for the closed-form kinds; for root-solved kinds it
+    rests on :func:`_root_error` and :func:`slope_bounds`.  ``out[k]`` does
+    not depend on ``n``."""
+    step, rho, lam = _chain_error_model(spec)
     with np.errstate(over="ignore"):  # lam > 1 for weakly expanding maps
-        reach = rho * lam ** np.arange(depth_cap)
+        reach = rho * lam ** np.arange(n)
     # np.cumsum's dispatch costs more than the sum itself at these depths
-    return _step_error(spec) * np.concatenate(([0.0], np.add.accumulate(reach)))
+    return step * np.concatenate(([0.0], np.add.accumulate(reach)))
 
 
 def eval_lift(spec: CircleMapSpec, x: float) -> float:

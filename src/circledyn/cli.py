@@ -18,9 +18,10 @@ failure (partial report still written and flagged); 3 I/O error.
 
 Every command honours every cap: each call reads ``CIRCLEDYN_WORK_CAP``,
 ``CIRCLEDYN_CELL_CAP`` and ``CIRCLEDYN_DEPTH_CAP`` (both depth caps) into one
-``ReproConfig``, and ``repro all --depth-cap N`` replaces both depth caps.  The
-cell cap also bounds the points of ``conjugacy --grid``, ``analyze symmetry``
-and ``analyze measure``, checked before any of them is built.
+``ReproConfig``, and ``repro all --depth-cap N`` replaces both depth caps; a
+cap below 0 is refused where it is read, with exit 1.  The cell cap also
+bounds the points of ``conjugacy --grid``, ``analyze symmetry`` and ``analyze
+measure``, checked before any of them is built.
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ def _check_point_count(count: int, what: str, cell_cap: int) -> None:
         raise CellCapExceeded(f"{what} exceed cell cap {cell_cap}")
 
 
+def _check_cap(name: str, cap: int) -> int:
+    """``cap`` as read from ``name``; below 0 it raises ``SpecFormatError``, which is no ``ValueError``."""
+    if cap < 0:
+        raise SpecFormatError(f"{name}: expected a cap >= 0, got {cap}")
+    return cap
+
+
 def _caps_from_env() -> ReproConfig:
     """The caps of one command: ``ReproConfig``'s defaults, overridden by the environment."""
     caps = {}
@@ -128,7 +136,7 @@ def _caps_from_env() -> ReproConfig:
         raw = os.environ.get(name)
         if raw is not None:
             try:
-                caps |= dict.fromkeys(keys, int(raw))
+                caps |= dict.fromkeys(keys, _check_cap(name, int(raw)))
             except ValueError:
                 raise SpecFormatError(f"{name}: expected an integer, got {raw!r}") from None
     return ReproConfig(**caps)
@@ -396,7 +404,8 @@ def _cmd_repro_rigidity(args, caps) -> int:
 def _cmd_repro_all(args, caps) -> int:
     config = caps
     if args.depth_cap is not None:
-        config = dataclasses.replace(caps, depth_cap=args.depth_cap, conjugacy_depth_cap=args.depth_cap)
+        cap = _check_cap("--depth-cap", args.depth_cap)
+        config = dataclasses.replace(caps, depth_cap=cap, conjugacy_depth_cap=cap)
     results = run_suite(config)
     rows = [
         (r.cid, r.title, r.measured, r.threshold, "pass" if r.passed else "FAIL", r.note)

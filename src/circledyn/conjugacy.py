@@ -136,11 +136,11 @@ class _WidthStop:
     where that bound reaches ``tol`` on.
     """
 
-    def __init__(self, g: CircleMapSpec, m: int, tol: float, depth_cap: int):
+    def __init__(self, g: CircleMapSpec, m: int, tol: float):
         self.g = g
         self.tol = tol
         self.cuts = np.asarray(branch_points(g), dtype=float)
-        self.err = _DepthTable(lambda n: 2.0 * chain_error_bound(g, n), depth_cap)
+        self.err = _DepthTable(lambda n: 2.0 * chain_error_bound(g, n))
         if is_closed_form(g):
             self.factors = np.diff(self.cuts)
             self.slack = (np.finfo(float).eps, np.finfo(float).eps)
@@ -214,7 +214,7 @@ def conjugacy_enclosures(
     # working set (a word row per point, as wide as the deepest stop)
     for start in range(0, live.size, _ENCLOSURE_BLOCK):
         rows = live[start : start + _ENCLOSURE_BLOCK]
-        stop = _WidthStop(g, rows.size, tol, depth_cap)
+        stop = _WidthStop(g, rows.size, tol)
         words, k = refine_words(f, xs[rows], depth_cap, stop)
         deep = k > 0
         rows, words, k = rows[deep], words[deep], k[deep]

@@ -1,6 +1,12 @@
 """Central table of numeric defaults.
 
-Every tolerance, cap, and grid size used by the workbench is defined here.
+The solver tolerance, the caps and the modulus grid and ladder are defined
+here.  Three tolerances are not: they are literals at their parameters.  They
+are the conjugacy enclosure width 1e-8 (``conjugacy_enclosures``,
+``conjugacy_eval``, ``conjugacy_residual``, ``circledyn conjugacy --tol``),
+the enclosure width 1e-10 (``ConjugacyMap``, ``circledyn analyze ... --tol``)
+and the Markov check's bound 1e-9 (``verify_markov``).
+
 The depth, cell and work caps and the grid and ladder (MODULUS_GRID,
 SCALE_LADDER) are defaults of explicit parameters, but ``interval_of_word``,
 ``word_of_point`` and ``itinerary_batch`` read DEPTH_CAP where they use it;

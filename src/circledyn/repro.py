@@ -2,9 +2,9 @@
 
 Each criterion function measures one closed-form or property-based claim about
 the reference maps (the piecewise-linear family, the linear map, and the
-sine-perturbed smooth map) and returns a structured pass/fail row.  The
-``run_suite`` bundle never raises: a failing sub-run marks its row failed and
-the suite continues.
+sine-perturbed smooth map) and returns a structured pass/fail row under its
+claim, stated once in ``_CLAIMS``.  The ``run_suite`` bundle never raises: a
+failing sub-run marks its row failed and the suite continues.
 """
 
 from __future__ import annotations
@@ -67,6 +67,38 @@ class ReproConfig:
     work_cap: int = defaults.WORK_CAP
 
 
+# criterion id -> (title, threshold): the claim a row states, whether its
+# criterion returns or raises
+_CLAIMS = {
+    "1": ("inverse distortion of f_0.6 at 0 grows as 1.5^n", "rel err <= 1e-10 for n=1..20, runtime < 1s"),
+    "2": ("bounded-geometry constant of f_0.6 is 2.5 with two-valued ratios",
+          "|C - 2.5| <= 1e-9 and ratios within 1e-9 of {1/0.6, 1/0.4}"),
+    "3": ("tail sums obey (1-A)^k; linear case attains 2^-k; cover measure decays",
+          "S_k <= (1-A)^k; |S_k - 2^-k| <= 1e-12; S_k < 1e-3 reached"),
+    "4": ("conjugacy residual of (f_0.6 -> linear) on a 1024 grid", "residual <= 1e-6 at tol 1e-8, runtime < 10s"),
+    "5": ("recovered conjugacy of conjugated(linear, sine 0.5) matches the homeo", "<= 1e-6"),
+    "6": ("self-conjugacy of f_0.6 is the identity and measurably symmetric",
+          "|h(x)-x| <= 1e-10 on 1024 grid; deviation <= 1e-6 for t >= 2^-10"),
+    "7": ("max cylinder ratio grows as 1.25^n and h is quantifiably non-symmetric",
+          "growth within 1e-9 for n<=10; ratio <= 0.25; deviation >= 0.75"),
+    "8": ("property suite over 100 random piecewise-linear maps",
+          "partition invariants <= 1e-10; extremes straddle 1 monotonically; measure <= 1e-12"),
+    "9": ("conjugated(linear, sine 0.5) visibly breaks measure preservation",
+          "> 1e-3 and within 1e-9 of the pinned oracle value"),
+}
+
+
+def _row(cid: str, measured: str, passed: bool, *notes: str) -> CriterionResult:
+    """Criterion ``cid``'s row: its claim, what was measured, and the nonempty notes."""
+    title, threshold = _CLAIMS[cid]
+    return CriterionResult(cid, title, measured, threshold, passed, "; ".join(filter(None, notes)))
+
+
+def _runtime_note(elapsed: float, limit: float) -> str:
+    """The elapsed time, named only where it breaks its bound: a passing row prints no clock."""
+    return "" if elapsed < limit else f"runtime {elapsed:.2f}s"
+
+
 def _f06() -> CircleMapSpec:
     return piecewise_linear([0.6])
 
@@ -80,13 +112,7 @@ def criterion_1(config: ReproConfig = ReproConfig()) -> CriterionResult:
         expected = 1.5**n
         worst = max(worst, abs(ratio - expected) / expected)
     elapsed = time.perf_counter() - start
-    return CriterionResult(
-        cid="1",
-        title="inverse distortion of f_0.6 at 0 grows as 1.5^n",
-        measured=f"max rel err {worst:.3e}, {elapsed:.2f}s",
-        threshold="rel err <= 1e-10 for n=1..20, runtime < 1s",
-        passed=worst <= 1e-10 and elapsed < 1.0,
-    )
+    return _row("1", f"max rel err {worst:.3e}", worst <= 1e-10 and elapsed < 1.0, _runtime_note(elapsed, 1.0))
 
 
 def criterion_2(config: ReproConfig = ReproConfig()) -> CriterionResult:
@@ -103,13 +129,7 @@ def criterion_2(config: ReproConfig = ReproConfig()) -> CriterionResult:
         worst_off = max(worst_off, float(np.max(off)))
         prev = lengths
     ok = abs(constant - 2.5) <= 1e-9 and worst_off <= 1e-9
-    return CriterionResult(
-        cid="2",
-        title="bounded-geometry constant of f_0.6 is 2.5 with two-valued ratios",
-        measured=f"constant {constant!r}, worst ratio offset {worst_off:.3e}",
-        threshold="|C - 2.5| <= 1e-9 and ratios within 1e-9 of {1/0.6, 1/0.4}",
-        passed=ok,
-    )
+    return _row("2", f"constant {constant!r}, worst ratio offset {worst_off:.3e}", ok)
 
 
 def criterion_3(config: ReproConfig = ReproConfig()) -> CriterionResult:
@@ -144,16 +164,11 @@ def criterion_3(config: ReproConfig = ReproConfig()) -> CriterionResult:
         for name in maps
     )
     ok = bound_ok and linear_err <= 1e-12 and equality_err <= 1e-12 and decay_ok
-    return CriterionResult(
-        cid="3",
-        title="tail sums obey (1-A)^k; linear case attains 2^-k; cover measure decays",
-        measured=(
-            f"bounds {'ok' if bound_ok else 'VIOLATED'}, linear err {linear_err:.2e}, "
-            f"decay<1e-3 {'ok' if decay_ok else 'missing'}"
-        ),
-        threshold="S_k <= (1-A)^k; |S_k - 2^-k| <= 1e-12; S_k < 1e-3 reached",
-        passed=ok,
+    measured = (
+        f"bounds {'ok' if bound_ok else 'VIOLATED'}, linear err {linear_err:.2e}, "
+        f"decay<1e-3 {'ok' if decay_ok else 'missing'}"
     )
+    return _row("3", measured, ok)
 
 
 def criterion_4(config: ReproConfig = ReproConfig()) -> CriterionResult:
@@ -165,14 +180,8 @@ def criterion_4(config: ReproConfig = ReproConfig()) -> CriterionResult:
     elapsed = time.perf_counter() - start
     passed = report.max_residual <= 1e-6 and elapsed < 10.0 and report.tol_met_all
     note = "" if report.tol_met_all else "tolerance unreachable within depth cap"
-    return CriterionResult(
-        cid="4",
-        title="conjugacy residual of (f_0.6 -> linear) on a 1024 grid",
-        measured=f"residual {report.max_residual:.3e}, width {report.max_enclosure_width:.1e}, {elapsed:.2f}s",
-        threshold="residual <= 1e-6 at tol 1e-8, runtime < 10s",
-        passed=passed,
-        note=note,
-    )
+    measured = f"residual {report.max_residual:.3e}, width {report.max_enclosure_width:.1e}"
+    return _row("4", measured, passed, note, _runtime_note(elapsed, 10.0))
 
 
 def criterion_5(config: ReproConfig = ReproConfig()) -> CriterionResult:
@@ -183,13 +192,7 @@ def criterion_5(config: ReproConfig = ReproConfig()) -> CriterionResult:
     table = endpoint_table(f, base, 10, cell_cap=config.cell_cap)
     expected = homeo_lift_values(homeo, table.f_points)
     worst = float(np.max(np.abs(table.g_points - expected)))
-    return CriterionResult(
-        cid="5",
-        title="recovered conjugacy of conjugated(linear, sine 0.5) matches the homeo",
-        measured=f"max |h(e) - H(e)| = {worst:.3e} over {len(table)} level-10 endpoints",
-        threshold="<= 1e-6",
-        passed=worst <= 1e-6,
-    )
+    return _row("5", f"max |h(e) - H(e)| = {worst:.3e} over {len(table)} level-10 endpoints", worst <= 1e-6)
 
 
 def criterion_6(config: ReproConfig = ReproConfig()) -> CriterionResult:
@@ -205,14 +208,7 @@ def criterion_6(config: ReproConfig = ReproConfig()) -> CriterionResult:
     modulus = report.worst()
     passed = worst <= 1e-10 and modulus <= 1e-6 and bool(np.all(met))
     note = "" if np.all(met) else "tolerance unreachable within depth cap"
-    return CriterionResult(
-        cid="6",
-        title="self-conjugacy of f_0.6 is the identity and measurably symmetric",
-        measured=f"max |h(x) - x| = {worst:.2e}, modulus <= {modulus:.2e}",
-        threshold="|h(x)-x| <= 1e-10 on 1024 grid; deviation <= 1e-6 for t >= 2^-10",
-        passed=passed,
-        note=note,
-    )
+    return _row("6", f"max |h(x) - x| = {worst:.2e}, modulus <= {modulus:.2e}", passed, note)
 
 
 def criterion_7(config: ReproConfig = ReproConfig()) -> CriterionResult:
@@ -227,13 +223,7 @@ def criterion_7(config: ReproConfig = ReproConfig()) -> CriterionResult:
     ratio = qs_ratio(h, 0.0, t)
     deviation = max(ratio - 1.0, 1.0 / ratio - 1.0)
     passed = worst_err <= 1e-9 and ratio <= 0.25 and deviation >= 0.75
-    return CriterionResult(
-        cid="7",
-        title="max cylinder ratio grows as 1.25^n and h is quantifiably non-symmetric",
-        measured=f"max |ratio - 1.25^n| = {worst_err:.2e}; qs ratio {ratio:.4f}, deviation {deviation:.2f}",
-        threshold="growth within 1e-9 for n<=10; ratio <= 0.25; deviation >= 0.75",
-        passed=passed,
-    )
+    return _row("7", f"max |ratio - 1.25^n| = {worst_err:.2e}; qs ratio {ratio:.4f}, deviation {deviation:.2f}", passed)
 
 
 def _random_pl_pairs(count: int, seed: int = 20250808):
@@ -297,16 +287,11 @@ def criterion_8(config: ReproConfig = ReproConfig()) -> CriterionResult:
         and worst_dynamics <= tile_tol
         and worst_measure <= 1e-12
     )
-    return CriterionResult(
-        cid="8",
-        title="property suite over 100 random piecewise-linear maps",
-        measured=(
-            f"tiling {worst_tiling:.1e}, refine {worst_refine:.1e}, dynamics {worst_dynamics:.1e}, "
-            f"measure {worst_measure:.1e}, mediant {'ok' if mediant_ok else 'VIOLATED'}"
-        ),
-        threshold="partition invariants <= 1e-10; extremes straddle 1 monotonically; measure <= 1e-12",
-        passed=passed,
+    measured = (
+        f"tiling {worst_tiling:.1e}, refine {worst_refine:.1e}, dynamics {worst_dynamics:.1e}, "
+        f"measure {worst_measure:.1e}, mediant {'ok' if mediant_ok else 'VIOLATED'}"
     )
+    return _row("8", measured, passed)
 
 
 def criterion_9(config: ReproConfig = ReproConfig()) -> CriterionResult:
@@ -315,13 +300,7 @@ def criterion_9(config: ReproConfig = ReproConfig()) -> CriterionResult:
     dev = measure_deviation(spec, dyadic_intervals(256))
     off = abs(dev - CONJUGATED_MEASURE_DEVIATION)
     passed = dev > 1e-3 and off <= 1e-9
-    return CriterionResult(
-        cid="9",
-        title="conjugated(linear, sine 0.5) visibly breaks measure preservation",
-        measured=f"deviation {dev:.12e} (pinned {CONJUGATED_MEASURE_DEVIATION:.12e})",
-        threshold="> 1e-3 and within 1e-9 of the pinned oracle value",
-        passed=passed,
-    )
+    return _row("9", f"deviation {dev:.12e} (pinned {CONJUGATED_MEASURE_DEVIATION:.12e})", passed)
 
 
 ALL_CRITERIA = (
@@ -338,22 +317,13 @@ ALL_CRITERIA = (
 
 
 def run_suite(config: ReproConfig = ReproConfig()) -> list[CriterionResult]:
-    """Run every criterion; failures become failed rows, never exceptions."""
+    """Run every criterion; failures become failed rows under the same claim, never exceptions."""
     results = []
-    for fn in ALL_CRITERIA:
+    for cid, fn in zip(_CLAIMS, ALL_CRITERIA, strict=True):
         try:
             results.append(fn(config))
         except Exception as exc:  # noqa: BLE001 - the suite must keep going
-            results.append(
-                CriterionResult(
-                    cid=fn.__name__.rsplit("_", 1)[-1],
-                    title=fn.__doc__.splitlines()[0] if fn.__doc__ else fn.__name__,
-                    measured="error",
-                    threshold="",
-                    passed=False,
-                    note=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            results.append(_row(cid, "error", False, f"{type(exc).__name__}: {exc}"))
     return results
 
 

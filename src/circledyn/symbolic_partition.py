@@ -240,14 +240,15 @@ def ragged_chain_values(spec: CircleMapSpec, words: np.ndarray, lengths: np.ndar
 
 
 class _DepthTable:
-    """``build(n)[k]`` for k < ``depth_cap``, grown as the word matrix is (see :func:`refine_words`)."""
+    """``build(n)[k]`` for any depth k, from a prefix-stable ``build``: the table starts 64
+    deep and doubles past k with no cap, since only :func:`refine_words` limits depth."""
 
-    def __init__(self, build, depth_cap: int):
-        self.build, self.cap, self.table = build, depth_cap, build(min(depth_cap, 64))
+    def __init__(self, build):
+        self.build, self.table = build, build(64)
 
     def __getitem__(self, k: int) -> float:
         if k >= self.table.size:
-            self.table = self.build(min(self.cap, 2 * k))
+            self.table = self.build(2 * k)
         return self.table[k]
 
 
@@ -261,7 +262,7 @@ class _AffineWords:
     and two relative ulps per level for the scale.
     """
 
-    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
+    def __init__(self, spec: CircleMapSpec, x: np.ndarray):
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.widths = np.diff(self.cuts)
         self.off = np.zeros(x.size)
@@ -271,7 +272,7 @@ class _AffineWords:
             j = np.arange(n + 1)
             drift = 2.0 * _UNIT_ROUNDOFF * np.cumsum((1 + j) * widest**j)
             return chain_error_bound(spec, n) + 2.0 * _UNIT_ROUNDOFF * (j + 1) + drift
-        self.bound = _DepthTable(bound, depth_cap)
+        self.bound = _DepthTable(bound)
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         divisions = self.off + self.scale * self.cuts[1:-1, None]
@@ -298,12 +299,12 @@ class _OrbitWords:
     within twice the bound of x counts as unsettled.
     """
 
-    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
+    def __init__(self, spec: CircleMapSpec, x: np.ndarray):
         self.spec = spec
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.u = x.copy()
         self.slope = np.ones(x.size)
-        self.bound = _DepthTable(lambda n: 2.0 * chain_error_bound(spec, n + 1)[1:], depth_cap)
+        self.bound = _DepthTable(lambda n: 2.0 * chain_error_bound(spec, n + 1)[1:])
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         gaps = self.u - self.cuts[1:-1, None]
@@ -335,15 +336,15 @@ class _ConjugatedWords:
     each one equals the F-chain's.
     """
 
-    def __init__(self, spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
+    def __init__(self, spec: CircleMapSpec, x: np.ndarray):
         base, homeo = conjugation(spec)
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.h_hi = homeo_slope_bounds(homeo)[1]
         self.delta = homeo_rounding(homeo)
-        self.err = _DepthTable(lambda n: chain_error_bound(spec, n + 1)[1:], depth_cap)
+        self.err = _DepthTable(lambda n: chain_error_bound(spec, n + 1)[1:])
         # the exact H(x) lies in [0, 1], so clipping only moves v toward it
         self.v = np.clip(homeo_lift_values(homeo, x), 0.0, 1.0)
-        self.base = _word_model(base, self.v, depth_cap)
+        self.base = _word_model(base, self.v)
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         return self.base.propose(k, self.v, self.h_hi * (pad + self.err[k]) + self.delta)
@@ -356,7 +357,7 @@ class _ConjugatedWords:
         self.base.keep(mask)
 
 
-def _word_model(spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
+def _word_model(spec: CircleMapSpec, x: np.ndarray):
     """The word model of ``spec`` for the points ``x`` (see :func:`refine_words`).
 
     Every model has ``cuts``, the map's branch points, and three methods:
@@ -365,8 +366,8 @@ def _word_model(spec: CircleMapSpec, x: np.ndarray, depth_cap: int):
     takes the chosen symbols; ``keep(mask)`` drops the stopped points.
     """
     if conjugation(spec) is not None:
-        return _ConjugatedWords(spec, x, depth_cap)
-    return (_AffineWords if is_closed_form(spec) else _OrbitWords)(spec, x, depth_cap)
+        return _ConjugatedWords(spec, x)
+    return (_AffineWords if is_closed_form(spec) else _OrbitWords)(spec, x)
 
 
 def refine_words(
@@ -394,14 +395,15 @@ def refine_words(
 
     Returns ``(words, depth)``: the symbol matrix, one column per depth some
     point reached (row i is valid up to ``depth[i]``), and the stop depth of
-    each point.  The matrix and the error tables of the models and the stop
-    rule (each a prefix-stable ``_DepthTable``) start at most 64 deep and double as
-    points go deeper: a large ``depth_cap`` costs nothing the depths do not use.
+    each point.  The matrix starts at most 64 columns wide and doubles up to
+    ``depth_cap``; the models' and the stop rule's error tables (``_DepthTable``)
+    start 64 deep and double with no cap.  So a large ``depth_cap`` costs
+    nothing the depths do not use.
     """
     m = xs.size
     words = np.zeros((m, min(depth_cap, 64)), dtype=np.int64)
     depth = np.full(m, depth_cap, dtype=np.int64)
-    model = _word_model(spec, xs, depth_cap)
+    model = _word_model(spec, xs)
     cuts = model.cuts
     rows = np.arange(m)
     x = xs

@@ -420,13 +420,13 @@ def reference_sine_family_solve(D: int, a: float, target, tol: float):
     return out
 
 
-def reference_chain_error_bound(spec, tol: float, depth_cap: int):
+def reference_chain_error_bound(spec, tol: float, n: int):
     """``chain_error_bound`` as it was with ``tol/2`` for every root solve,
     whatever the slope floor, and ``tol/2`` for an ``H^{-1}`` that solves
     nothing; the per-root bound must equal it bit for bit wherever every
     solve has ``(5/4)*pad/(D - |a|) <= tol/2``."""
     import numpy as np
-    from circledyn.circle_maps import _UNIT_ROUNDOFF, _chain_lipschitz, homeo_slope_bounds, is_closed_form
+    from circledyn.circle_maps import _UNIT_ROUNDOFF, _chain_error_model, homeo_slope_bounds, is_closed_form
 
     def solves(homeo):
         return 1 if homeo.kind == "sine_homeo" else sum(solves(part) for part in homeo.parts)
@@ -439,9 +439,9 @@ def reference_chain_error_bound(spec, tol: float, depth_cap: int):
         h_lo = homeo_slope_bounds(s.homeo)[0]
         return (0.5 * tol * max(1, solves(s.homeo)) + step(s.base)) / h_lo + 4.0 * _UNIT_ROUNDOFF
 
-    rho, lam = _chain_lipschitz(spec)
+    _, rho, lam = _chain_error_model(spec)
     with np.errstate(over="ignore"):
-        reach = rho * lam ** np.arange(depth_cap)
+        reach = rho * lam ** np.arange(n)
     return step(spec) * np.concatenate(([0.0], np.cumsum(reach)))
 
 

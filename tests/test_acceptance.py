@@ -227,3 +227,46 @@ class TestReproBundle:
         assert statuses["4"] == "FAIL"  # tolerance unreachable at depth 4
         assert statuses["6"] == "FAIL"
         assert statuses["9"] == "pass"  # unaffected rows still run
+        # an erroring row still states its criterion's claim
+        cid, title, measured, threshold, status, note = doc["rows"][0]
+        assert (cid, title, measured, status) == ("1", "inverse distortion of f_0.6 at 0 grows as 1.5^n", "error", "FAIL")
+        assert threshold == "rel err <= 1e-10 for n=1..20, runtime < 1s"
+        assert note == "DepthCapExceeded: inverse depth 5 exceeds cap 4"
+
+    def test_repro_all_reruns_write_the_same_bytes(self, tmp_path):
+        from circledyn.cli import main
+
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["repro", "all", "--out", str(first)]) == 0
+        assert main(["repro", "all", "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_a_raising_criterion_keeps_its_claim(self, monkeypatch):
+        from circledyn import repro
+
+        passing = repro.run_suite()
+
+        def raises(config):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(repro, "ALL_CRITERIA", (raises,) * len(repro.ALL_CRITERIA))
+        erroring = repro.run_suite()
+        assert len(erroring) == len(passing) == 9
+        for row, want in zip(erroring, passing):
+            assert (row.cid, row.title, row.threshold) == (want.cid, want.title, want.threshold)
+            assert (row.measured, row.passed, row.note) == ("error", False, "RuntimeError: forced")
+
+    def test_a_row_over_its_runtime_bound_names_the_time_in_its_note(self, monkeypatch):
+        # every clock reading is 20 s after the last, so each timed criterion
+        # takes 20 s: over both bounds, with the measurement itself intact
+        from types import SimpleNamespace
+
+        from circledyn import repro
+
+        fast = [repro.criterion_1(), repro.criterion_4()]
+        clock = iter(range(0, 1000, 20))
+        monkeypatch.setattr(repro, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
+        slow = [repro.criterion_1(), repro.criterion_4()]
+        for row, want in zip(slow, fast):
+            assert want.passed and want.note == "" and not want.measured.endswith("s")
+            assert (row.measured, row.passed, row.note) == (want.measured, False, "runtime 20.00s")

@@ -883,6 +883,16 @@ class TestValidate:
     def test_f06_passes(self, f06):
         assert validate(f06).ok
 
+    def test_report_text(self, f06):
+        # a passing report, and a failing one with a violation that has no
+        # location and one that has
+        assert str(validate(f06)) == "piecewise_linear(cuts=[0.6]): ok"
+        assert str(validate(smooth_sine_map(1, 2.5))) == (
+            "smooth_sine(d=1, epsilon=2.5): 2 violation(s)\n"
+            "  [bad_degree] map: degree must be an integer in [2, 1024], got 1\n"
+            "  [non_monotone] map: non-monotone lift, min F' = d - |epsilon| = -1.5 <= 0 (F' changes sign) at x=0.5"
+        )
+
     def test_cuts_not_increasing(self):
         report = validate(piecewise_linear([0.7, 0.3]))
         assert not report.ok

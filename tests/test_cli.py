@@ -578,6 +578,27 @@ class TestEveryCap:
         assert peak < 2**20
         assert capsys.readouterr().err == "error: 2000000 intervals exceed cell cap 1048576\n"
 
+    NEGATIVE = {
+        "depth_variable": ("CIRCLEDYN_DEPTH_CAP", ["conjugacy", "--from", "{f06}", "--to", "{lin2}", "--grid", "8"]),
+        "cell_variable": ("CIRCLEDYN_CELL_CAP", ["partition", "--map", "{f06}", "--level", "0"]),
+        "work_variable": ("CIRCLEDYN_WORK_CAP", ["analyze", "tailsum", "--map", "{f06}", "--word", "01"]),
+        "depth_flag": ("--depth-cap", ["repro", "all", "--depth-cap", "{cap}"]),
+    }
+
+    @pytest.mark.parametrize("name, argv", NEGATIVE.values(), ids=NEGATIVE.keys())
+    def test_a_negative_cap_is_refused_where_it_is_read(self, specs, capsys, monkeypatch, name, argv):
+        out = specs["dir"] / "report.csv"
+        for cap, code in (("-1", 1), ("0", 2)):  # a cap of 0 is a cap of 0
+            for variable in ("CIRCLEDYN_WORK_CAP", "CIRCLEDYN_CELL_CAP", "CIRCLEDYN_DEPTH_CAP"):
+                monkeypatch.delenv(variable, raising=False)
+            if name.startswith("CIRCLEDYN_"):
+                monkeypatch.setenv(name, cap)
+            assert main([a.format(**specs, cap=cap) for a in argv] + ["--out", str(out)]) == code
+            err = capsys.readouterr().err
+            if code == 1:
+                assert err == f"error: {name}: expected a cap >= 0, got -1\n"
+                assert not out.exists()
+
     def test_repro_all_depth_cap_zero_is_a_cap(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CIRCLEDYN_DEPTH_CAP", raising=False)
         out = tmp_path / "suite.csv"

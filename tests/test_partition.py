@@ -388,6 +388,12 @@ class TestVerifyMarkov:
     def test_smooth_level8(self, smooth05):
         assert verify_markov(smooth05, 8, tol=1e-9).ok
 
+    def test_report_text(self, f06):
+        # at tol 0 the level's rounding alone fails the check
+        tail = "max |f^n(endpoint) - {0,1}| = 5.551e-16, sum(lengths)-1 = 0.000e+00"
+        assert str(verify_markov(f06, 3)) == f"markov level 3 (8 cells): pass; {tail}"
+        assert str(verify_markov(f06, 3, tol=0.0)) == f"markov level 3 (8 cells): FAIL; {tail}"
+
     def test_invalid_map_raises_before_check(self):
         with pytest.raises(InvalidMapError):
             verify_markov(smooth_sine_map(2, 2.5), 4)
