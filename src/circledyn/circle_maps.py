@@ -22,11 +22,12 @@ A spec with an unknown kind is rejected when it is built
 no other module reads ``kind``.  Adding a kind touches: the spec's fields,
 its constructor and its entry in ``_MAP_SCHEMA`` / ``_HOMEO_SCHEMA`` (the
 JSON schema, whose keys are ``MAP_KINDS`` / ``HOMEO_KINDS``); one arm in each
-formula ladder (``describe``, lift, slope bounds, inverse branch, inverse
-step, chain-error model, validation); :func:`is_closed_form` and
-:func:`closed_form_inverse` when its inverse branches are affine; and
-:func:`lift_slope_values` when it is root-solved and not conjugated (its
-word model is then the forward orbit).
+formula ladder (``describe``, lift, slope bounds, inverse branch, the array
+inverse step of :func:`inverse_orbit`, chain-error model, validation;
+:func:`branch_points` has none, as it reads every kind's inverse branches at
+0); :func:`is_closed_form` and :func:`closed_form_inverse` when its inverse
+branches are affine; and :func:`lift_slope_values` when it is root-solved
+and not conjugated (its word model is then the forward orbit).
 
 :func:`validate` checks a spec by formula and evaluates no lift.  Each
 kind's checks give a valid lift the slope floor
@@ -542,19 +543,14 @@ def _solve_sine_family(D: int, a: float, target, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=512)
-def _pl_ext(cuts: tuple[float, ...]) -> np.ndarray:
-    """``[0, c_1, ..., c_{d-1}, 1]`` of a piecewise-linear map, built once (read-only)."""
+def _pl_table(cuts: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``(ext, widths)`` of a piecewise-linear map, built once (read-only): the branch
+    endpoints ``[0, c_1, ..., c_{d-1}, 1]`` and their differences."""
     ext = np.concatenate(([0.0], np.asarray(cuts, dtype=float), [1.0]))
+    widths = np.diff(ext)
     ext.setflags(write=False)
-    return ext
-
-
-@lru_cache(maxsize=512)
-def _pl_widths(cuts: tuple[float, ...]) -> np.ndarray:
-    """Branch widths ``np.diff(_pl_ext(cuts))`` of a piecewise-linear map, built once (read-only)."""
-    widths = np.diff(_pl_ext(cuts))
     widths.setflags(write=False)
-    return widths
+    return ext, widths
 
 
 def _unit_lift(spec: CircleMapSpec, u: np.ndarray) -> np.ndarray:
@@ -562,9 +558,9 @@ def _unit_lift(spec: CircleMapSpec, u: np.ndarray) -> np.ndarray:
     if spec.kind == "linear":
         return spec.degree * u
     if spec.kind == "piecewise_linear_full_branch":
-        ext = _pl_ext(spec.cuts)
+        ext, widths = _pl_table(spec.cuts)
         idx = np.searchsorted(ext[1:-1], u, side="right")
-        return idx + (u - ext[idx]) / _pl_widths(spec.cuts)[idx]
+        return idx + (u - ext[idx]) / widths[idx]
     if spec.kind == "smooth_sine":
         return _sine_family(spec.degree, spec.epsilon, u)
     hv = homeo_lift_values(spec.homeo, u)
@@ -615,7 +611,7 @@ def slope_bounds(spec: CircleMapSpec) -> tuple[float, float]:
     if spec.kind == "linear":
         return float(spec.degree), float(spec.degree)
     if spec.kind == "piecewise_linear_full_branch":
-        widths = _pl_widths(spec.cuts).tolist()  # d floats: Python's max and min beat numpy's
+        widths = _pl_table(spec.cuts)[1].tolist()  # d floats: Python's max and min beat numpy's
         return 1.0 / max(widths), 1.0 / min(widths)
     if spec.kind == "smooth_sine":
         return spec.degree - abs(spec.epsilon), spec.degree + abs(spec.epsilon)
@@ -683,7 +679,7 @@ def inverse_branch_values(spec: CircleMapSpec, branch, y, out: np.ndarray | None
     y = np.asarray(y, dtype=float)
     branch = np.asarray(branch, dtype=np.int64)
     if is_closed_form(spec):
-        return closed_form_inverse(spec, _pl_ext(spec.cuts), branch, y, out=out)
+        return closed_form_inverse(spec, _pl_table(spec.cuts)[0], branch, y, out=out)
     if spec.kind == "smooth_sine":
         x = _solve_sine_family(spec.degree, spec.epsilon, branch + y, defaults.SOLVER_TOL)
     else:
@@ -752,49 +748,38 @@ def inverse_branch(spec: CircleMapSpec, branch: int, y: float) -> float:
     return float(inverse_branch_values(spec, branch, np.float64(y)))
 
 
-def _inverse_steps(spec: CircleMapSpec, values: list[float]) -> list[float]:
-    """One inverse step of the lift, ``F^{-1}(v)``, for each real ``v`` in ``values``.
+def _inverse_steps(spec: CircleMapSpec, v: np.ndarray) -> np.ndarray:
+    """``F^{-1}(v)`` for each real ``v`` of an array, in one array step.
 
-    The branch offset is taken from whichever integer endpoint ``v`` is nearer
-    to (fraction from the left, co-fraction from the right), which keeps full
-    relative precision when the inverse orbit approaches an integer fixed
-    point; a naive ``v - floor(v/d)*d`` would cancel catastrophically there.
-    This bookkeeping runs on Python scalars, value by value; a root-solved
-    kind then makes one solver call for all the values.
-    """
+    Each ``v = m*d + branch + frac`` takes its branch offset from the nearer
+    integer endpoint (``frac`` from the left, ``cofrac = 1 - frac`` from the
+    right), which keeps full relative precision near an integer fixed point,
+    where ``v - floor(v/d)*d`` would cancel.  ``m = hi + lo`` with ``hi*d``
+    exact, so ``m*d + c`` rounds once, as exact integers would; past ``2**53``
+    a ``t < 0`` can survive the ``m - 1`` correction, and takes branch 0."""
     d = spec.degree
     if spec.kind == "linear":
-        return [v / d for v in values]
-    splits = [_branch_split(v, d) for v in values]
+        return v / d
+    m = np.floor(v / d)
+    hi = np.rint(m * 2.0**-26) * 2.0**26
+    hd, lo = hi * d, m - hi
+    t = v - (hd + lo * d)
+    lo -= t < 0.0
+    lo += t >= d
+    ld = lo * d
+    t = v - (hd + ld)
+    branch = np.minimum(np.maximum(t, 0.0), d - 1).astype(np.int64)
+    ld += branch
+    frac = np.maximum(v - (hd + ld), 0.0)
+    cofrac = np.maximum((hd + (ld + 1.0)) - v, 0.0)
+    m = hi + lo
     if spec.kind == "piecewise_linear_full_branch":
-        cuts = branch_points(spec)
-        out = []
-        for m, branch, frac, cofrac in splits:
-            left, right = cuts[branch], cuts[branch + 1]
-            gap = right - left
-            out.append((m + right) - cofrac * gap if cofrac <= frac else (m + left) + frac * gap)
-        return out
+        ends = _pl_table(spec.cuts)[0]
+        left, right = ends[branch], ends[branch + 1]
+        gap = right - left
+        return np.where(cofrac <= frac, (m + right) - cofrac * gap, (m + left) + frac * gap)
     # solved kinds: accuracy is bounded by the solver tolerance anyway
-    branches = np.array([branch for _, branch, _, _ in splits], dtype=np.int64)
-    ys = np.array([min(frac, 1.0) for _, _, frac, _ in splits])
-    xs = inverse_branch_values(spec, branches, ys)
-    return [m + x for (m, _, _, _), x in zip(splits, xs.tolist())]
-
-
-def _branch_split(v: float, d: int) -> tuple[int, int, float, float]:
-    """``(m, branch, frac, cofrac)`` of ``v = m*d + branch + frac``, with
-    ``cofrac = 1 - frac`` computed from the right integer endpoint."""
-    m = math.floor(v / d)
-    t = v - m * d
-    if t < 0.0:
-        m -= 1
-        t = v - m * d
-    elif t >= d:
-        m += 1
-        t = v - m * d
-    branch = min(int(t), d - 1)
-    anchor = m * d + branch
-    return m, branch, max(v - anchor, 0.0), max((anchor + 1) - v, 0.0)
+    return m + inverse_branch_values(spec, branch, np.minimum(frac, 1.0))
 
 
 def inverse_orbit(
@@ -805,13 +790,13 @@ def inverse_orbit(
 ) -> Iterator[list[float]]:
     """``[F^{-k}(y) for y in ys]`` for k = 1..n: the orbits of several points, stepped together.
 
-    Every step solves once for all the points (see :func:`_inverse_steps`),
+    Every step is one array step for all the points (:func:`_inverse_steps`),
     and each orbit equals :func:`global_inverse_lift` of its point bit for
     bit.  The arguments are checked as :func:`global_inverse_lift` checks
     them, point by point in order, before the first step.
 
     Raises:
-        ValueError: a ``y`` is not finite, or ``n < 1``.
+        ValueError: a ``y`` is not finite or ``|y| > 1e300``, or ``n < 1``.
         DepthCapExceeded: if ``n`` exceeds ``depth_cap``.
     """
     ensure_valid(spec)
@@ -820,14 +805,17 @@ def inverse_orbit(
         value = float(y)
         if not math.isfinite(value):
             raise ValueError(f"y must be finite, got {value!r}")
+        if abs(value) > 1e300:  # m*d could overflow
+            raise ValueError(f"y must be at most 1e300 in magnitude, got {value!r}")
         if n < 1:
             raise ValueError("n must be >= 1")
         if n > depth_cap:
             raise DepthCapExceeded(f"inverse depth {n} exceeds cap {depth_cap}")
         values.append(value)
+    values = np.asarray(values, dtype=float)
     for _ in range(n):
         values = _inverse_steps(spec, values)
-        yield values
+        yield values.tolist()
 
 
 def global_inverse_lift(
@@ -842,7 +830,7 @@ def global_inverse_lift(
     so the periodic extension is handled exactly by integer bookkeeping.
 
     Raises:
-        ValueError: ``y`` is not finite, or ``n < 1``.
+        ValueError: ``y`` is not finite or ``|y| > 1e300``, or ``n < 1``.
         DepthCapExceeded: if ``n`` exceeds ``depth_cap``.
     """
     *_, last = inverse_orbit(spec, (y,), n, depth_cap=depth_cap)
@@ -966,10 +954,7 @@ def _raise_unless_ok(report: ValidationReport) -> None:
 def branch_points(spec: CircleMapSpec) -> tuple[float, ...]:
     """The d+1 branch endpoints ``0 = c_0 < c_1 < ... < c_d = 1`` of a valid map."""
     ensure_valid(spec)
+    # every kind's interior end c_b is its inverse branch b at 0: a lerp
+    # returns c_b and the linear step b/d exactly
     d = spec.degree
-    if spec.kind == "piecewise_linear_full_branch":
-        return (0.0,) + tuple(spec.cuts) + (1.0,)
-    if spec.kind == "linear":
-        return tuple(i / d for i in range(d)) + (1.0,)
-    interior = inverse_branch_values(spec, np.arange(1, d), np.zeros(d - 1))
-    return (0.0,) + tuple(float(c) for c in interior) + (1.0,)
+    return (0.0, *inverse_branch_values(spec, np.arange(1, d), np.zeros(d - 1)).tolist(), 1.0)

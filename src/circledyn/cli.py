@@ -230,11 +230,7 @@ def _cmd_analyze_qs(args, caps) -> int:
     ratio = qs_ratio(subject, args.x, args.t)
     width = 0.0
     if isinstance(subject, ConjugacyMap):
-        # numpy's remainder rounds as Python's float % does
-        reduced = np.clip(np.asarray([args.x - args.t, args.x, args.x + args.t]) % 1.0, 0.0, 1.0)
-        lo, hi, _, _ = conjugacy_enclosures(
-            subject.f, subject.g, reduced, tol=subject.tol, depth_cap=subject.depth_cap
-        )
+        lo, hi, _ = subject.enclose([args.x - args.t, args.x, args.x + args.t])
         width = float(np.max(hi - lo))
     config = {"command": "analyze-qs", **meta}
     _write_report(

@@ -23,6 +23,7 @@ Every point gets the same treatment: a point on an f-division belongs to the
 cylinder on its right (ties go right), so its enclosure is a tol-wide
 g-cylinder whose left end is the division's g-image.  The exact images of
 the level-n divisions are the endpoint table (:func:`endpoint_table`).
+:meth:`ConjugacyMap.enclose` is the one reader of h at real points.
 """
 
 from __future__ import annotations
@@ -256,8 +257,9 @@ def conjugacy_eval(
 class ConjugacyMap:
     """The conjugacy h from the f-system to the g-system as an evaluable lift.
 
-    Point values are enclosure midpoints at tolerance ``tol``.  The lift
-    extends by ``H(x+1) = H(x) + 1``.
+    :meth:`enclose` is the one reader of h at real points; point values are
+    its enclosure midpoints at tolerance ``tol``.  The lift extends by
+    ``H(x+1) = H(x) + 1``.
     """
 
     def __init__(
@@ -274,22 +276,23 @@ class ConjugacyMap:
         self.tol = tol
         self.depth_cap = depth_cap
 
-    def lift_values(self, x) -> np.ndarray:
-        """Vectorized lift values (enclosure midpoints + integer part).
+    def enclose(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, tol_met)`` of :func:`conjugacy_enclosures` at ``x`` mod 1, shaped as ``x``.
 
-        The enclosures are taken at ``x`` mod 1, and each distinct value is
-        refined once, so shifted copies of one grid (``x + k``, or the rows
-        of a symmetry modulus whose shifts land on grid points) cost what
-        the distinct points cost.
-        """
+        Each distinct ``x - floor(x)`` is refined once, so shifted copies of
+        one grid (``x + k``, or a symmetry modulus's shifts) cost what the
+        distinct points cost."""
         x = np.asarray(x, dtype=float)
-        k = np.floor(x)
-        u = x - k
-        lo, hi, _, _ = conjugacy_enclosures(
-            self.f, self.g, np.atleast_1d(u), tol=self.tol, depth_cap=self.depth_cap
+        lo, hi, _, met = conjugacy_enclosures(
+            self.f, self.g, (x - np.floor(x)).reshape(-1), tol=self.tol, depth_cap=self.depth_cap
         )
-        mid = 0.5 * (lo + hi)
-        return mid.reshape(u.shape) + k
+        return lo.reshape(x.shape), hi.reshape(x.shape), met.reshape(x.shape)
+
+    def lift_values(self, x) -> np.ndarray:
+        """Vectorized lift values: the midpoints of :meth:`enclose` plus ``floor(x)``."""
+        x = np.asarray(x, dtype=float)
+        lo, hi, _ = self.enclose(x)
+        return 0.5 * (lo + hi) + np.floor(x)
 
     def __call__(self, x: float) -> float:
         return float(self.lift_values(np.float64(x)))
@@ -343,12 +346,11 @@ def conjugacy_residual(
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     _check_pair(f, g)
+    h = ConjugacyMap(f, g, tol=tol, depth_cap=depth_cap)
     xs = np.arange(grid_size, dtype=float) / grid_size
-    fx = lift_values(f, xs)
-    fx_frac = np.clip(fx - np.floor(fx), 0.0, 1.0)
     # points are refined independently, so one call on the grid and its images
     # gives the bits of two calls
-    lo, hi, _, met = conjugacy_enclosures(f, g, np.concatenate((xs, fx_frac)), tol=tol, depth_cap=depth_cap)
+    lo, hi, met = h.enclose(np.concatenate((xs, lift_values(f, xs))))
     mid = 0.5 * (lo + hi)
     h_x, h_fx = mid[:grid_size], mid[grid_size:]
 

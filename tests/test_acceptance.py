@@ -233,6 +233,17 @@ class TestReproBundle:
         assert threshold == "rel err <= 1e-10 for n=1..20, runtime < 1s"
         assert note == "DepthCapExceeded: inverse depth 5 exceeds cap 4"
 
+    def test_every_failing_row_names_its_cause_under_low_depth_caps(self):
+        from circledyn.repro import ReproConfig, run_suite
+
+        rows = run_suite(ReproConfig(conjugacy_depth_cap=4, depth_cap=4))
+        failing = [row for row in rows if not row.passed]
+        assert {row.cid for row in failing} == {"1", "4", "6", "7"}
+        assert all(row.note for row in failing), [(row.cid, row.note) for row in failing]
+        # criterion 7's qs ratio reads h at depth 4, far wider than its tol
+        assert rows[6].note == "tolerance unreachable within depth cap"
+        assert rows[6].measured.endswith("qs ratio 0.3333, deviation 2.00")
+
     def test_repro_all_reruns_write_the_same_bytes(self, tmp_path):
         from circledyn.cli import main
 

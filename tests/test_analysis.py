@@ -11,6 +11,7 @@ from circledyn import (
     DepthCapExceeded,
     InvalidMapError,
     ResolutionExhausted,
+    SolverError,
     WorkCapExceeded,
     CellCapExceeded,
     Word,
@@ -22,6 +23,7 @@ from circledyn import (
     inverse_orbit,
     iter_dilatation_reports,
     iter_uqs_ratios,
+    lift_values,
     linear_map,
     make_conjugated,
     measure_deviation,
@@ -281,6 +283,37 @@ class TestUqsOneOrbit:
         for n, values in enumerate(inverse_orbit(spec, ys, 7), 1):
             assert _bits(values) == _bits([global_inverse_lift(spec, y, n) for y in ys])
             assert _bits(values) == _bits([reference_inverse_lift(spec, y, n) for y in ys])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [piecewise_linear([0.3, 0.55]), piecewise_linear([0.1, 0.35, 0.5, 0.9]),
+         piecewise_linear([0.1, 0.2, 0.35, 0.5, 0.6, 0.9]), smooth_sine_map(7, 3.0),
+         make_conjugated(piecewise_linear([0.1, 0.35, 0.5, 0.9]), sine_homeo(-0.4))],
+        ids=lambda spec: spec.describe(),
+    )
+    def test_large_targets_keep_the_scalar_bits(self, spec):
+        # past 2**53 the array step's m*d + c must round once, as the scalar
+        # chain's exact integers do; where that chain's t stays below 0 (its
+        # branch is negative, and it raises) the array step takes branch 0
+        rng = np.random.default_rng(spec.degree)
+        sign = rng.choice([-1.0, 1.0], 3000)
+        ys = np.concatenate((
+            sign[:1000] * np.exp2(rng.uniform(53.0, 54.0, 1000)),
+            sign[1000:] * np.exp2(rng.uniform(54.0, 996.5, 2000)),
+            [2.0**53 - 1, -(2.0**53 - 1), 2.0**53 + 2, 1e300, -1e300],
+        ))
+        (got,) = inverse_orbit(spec, ys.tolist(), 1)
+        assert np.all(np.isfinite(got))
+        kept = 0
+        for y, x in zip(ys.tolist(), got):
+            try:
+                want = reference_inverse_lift(spec, y, 1)
+            except (ValueError, SolverError):
+                continue
+            assert _bits([x]) == _bits([want]), y
+            kept += 1
+        assert kept >= 0.9 * ys.size
+        np.testing.assert_allclose(lift_values(spec, got), ys, rtol=4e-16 * spec.degree)
 
     def test_walk_stops_where_the_per_n_loop_raises(self, f06):
         # the f_0.6 orbit of 0 - 0.2 lands on 0 - 0 (denominator 0) at n = 40

@@ -102,9 +102,10 @@ class TestEvalLift:
         got = circle_maps.lift_values(spec, xs)
         assert got.tobytes() == want.tobytes()
         assert [eval_lift(spec, float(x)) for x in xs[:50]] == want[:50].tolist()
-        widths = circle_maps._pl_widths(spec.cuts)
-        assert not widths.flags.writeable
-        assert widths is circle_maps._pl_widths(spec.cuts)
+        table = circle_maps._pl_table(spec.cuts)
+        assert not any(part.flags.writeable for part in table)
+        assert table is circle_maps._pl_table(spec.cuts)
+        assert table[1].tobytes() == np.diff(ext).tobytes()
 
     def test_rejects_invalid_spec(self):
         bad = smooth_sine_map(2, 2.5)
@@ -870,6 +871,29 @@ class TestGlobalInverseLift:
     def test_depth_cap(self, f06):
         with pytest.raises(DepthCapExceeded):
             global_inverse_lift(f06, 0.5, 61)
+
+    @pytest.mark.parametrize("y", [1.7976931348623157e308, -1.7976931348623157e308, np.nextafter(1e300, 2e300)])
+    @pytest.mark.parametrize(
+        "spec", [linear_map(3), piecewise_linear([0.3, 0.55]), smooth_sine_map(3, 0.85)], ids=lambda s: s.kind
+    )
+    def test_huge_target_refused_before_any_step(self, monkeypatch, spec, y):
+        # the scalar chain raised OverflowError on y = 1.797e308 for a degree-3 PL map
+        want = rf"^y must be at most 1e300 in magnitude, got {re.escape(repr(float(y)))}$"
+        with pytest.raises(ValueError, match=want):
+            global_inverse_lift(spec, y, 1)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("inverse step taken for a huge target")
+
+        monkeypatch.setattr(circle_maps, "_inverse_steps", no_work)
+        with pytest.raises(ValueError, match=want):
+            next(circle_maps.inverse_orbit(spec, [0.5, y], 1))
+
+    @pytest.mark.parametrize("spec", [linear_map(3), piecewise_linear([0.3, 0.55]), smooth_sine_map(3, 0.85)])
+    def test_targets_at_the_bound_are_stepped(self, spec):
+        for y in (1e300, -1e300):
+            x = global_inverse_lift(spec, y, 2)
+            assert x == pytest.approx(y / 9, rel=1e-15)
 
     @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("spec_name", ["lin2", "f06", "smooth05"])

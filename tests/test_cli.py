@@ -410,6 +410,16 @@ class TestAnalyzeCommands:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {name} must be finite, got {float(value)!r}"]
 
+    def test_uqs_huge_x_exits_1(self, specs, capsys):
+        # the scalar inverse step raised OverflowError here, a traceback
+        pl3 = specs["dir"] / "pl3.json"
+        pl3.write_text('{"kind": "piecewise_linear_full_branch", "cuts": [0.3, 0.55]}')
+        code = main(["analyze", "uqs", "--map", str(pl3), "--x", "1.7976931348623157e308", "--t", "1", "--n", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: y must be at most 1e300 in magnitude, got 1.7976931348623157e+308"]
+
     @pytest.mark.parametrize(
         "flag, value, name",
         [("--x", "nan", "x"), ("--x", "inf", "x"), ("--x", "-inf", "x"),

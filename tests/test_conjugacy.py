@@ -267,6 +267,53 @@ class TestConjugacyMap:
         singles = [h(float(x)) for x in xs]
         assert np.allclose(batch, singles, atol=0)
 
+    @staticmethod
+    def _points():
+        ints = np.arange(-3.0, 4.0)
+        return np.concatenate((
+            np.linspace(-3.0, 3.0, 241), ints, [-0.0, 0.0, -1e-20, 1e-20],
+            np.nextafter(ints, -np.inf), np.nextafter(ints, np.inf),
+        ))
+
+    @pytest.mark.parametrize("tol, depth_cap", [(1e-10, 48), (1e-10, 4)])
+    def test_enclose_reads_the_enclosures_at_x_mod_1(self, f06, lin2, smooth05, tol, depth_cap):
+        xs = self._points()
+        u = xs - np.floor(xs)
+        # the reductions it replaced: Python's float %, clipped, and x - floor(x), clipped
+        assert np.clip(xs % 1.0, 0.0, 1.0).tobytes() == u.tobytes()
+        assert np.clip(u, 0.0, 1.0).tobytes() == u.tobytes()
+        for g in (lin2, smooth05):
+            lo, hi, met = ConjugacyMap(f06, g, tol=tol, depth_cap=depth_cap).enclose(xs)
+            want_lo, want_hi, _, want_met = conjugacy_enclosures(f06, g, u, tol=tol, depth_cap=depth_cap)
+            assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+            assert met.dtype == bool and np.array_equal(met, want_met)
+            assert met.all() == (depth_cap == 48)
+
+    def test_enclose_keeps_the_shape_of_x(self, f06, lin2):
+        h = ConjugacyMap(f06, lin2, tol=1e-10)
+        grid = self._points()[:240].reshape(12, 20)
+        flat = h.enclose(grid.reshape(-1))
+        for got, want in zip(h.enclose(grid), flat):
+            assert got.shape == (12, 20) and got.tobytes() == want.tobytes()
+        for x in (0.3, -2.7, np.float64(1.0)):
+            point = h.enclose(x)
+            assert all(part.shape == () for part in point)
+            assert [part.item() for part in point] == [part[0].item() for part in h.enclose([x])]
+        assert h.lift_values(grid).shape == (12, 20)
+
+    def test_lift_values_are_the_midpoints_plus_floor(self, f06, lin2):
+        h = ConjugacyMap(f06, lin2, tol=1e-10)
+        xs = self._points()
+        lo, hi, _ = h.enclose(xs)
+        assert h.lift_values(xs).tobytes() == (0.5 * (lo + hi) + np.floor(xs)).tobytes()
+        assert [h(x) for x in xs[:20].tolist()] == h.lift_values(xs[:20]).tolist()
+
+    def test_residual_checks_the_pair_before_the_tol(self, f06):
+        with pytest.raises(DegreeMismatchError):
+            conjugacy_residual(f06, linear_map(3), 8, tol=float("nan"))
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            conjugacy_residual(f06, linear_map(2), 8, tol=float("nan"))
+
 
 # every degree validation admits, up to DEGREE_CAP: level 6 of these maps has
 # 11^6 to 1024^6 cylinders, far past the cell cap, so a gate that walked full

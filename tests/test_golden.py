@@ -8,9 +8,12 @@ as parsed values within 1e-12, because numpy's ``sin`` may round differently
 on another CPU.  Of ``repro all`` only the rows of criteria 1, 2, 4, 6, 7 and
 8 are kept: they use piecewise-linear maps alone, while criteria 3, 5 and 9
 solve roots.  No row prints a clock (a row names its runtime only in the
-note of a failed runtime bound).  A report is what the command
-writes to stdout and stderr, so the ``validate`` cases of invalid specs
-(exit 1) also pin the message of a spec the JSON reader refuses.
+note of a failed runtime bound).  The ``analyze uqs``, ``analyze phi
+--coarse``, ``repro rigidity-demo`` and ``repro falpha-uqs`` cases pin the
+inverse orbits, the conjugacy lift and the coarse dilatation report on
+piecewise-linear maps.  A report is what the command writes to stdout and
+stderr, so the ``validate`` cases of invalid specs (exit 1) also pin the
+message of a spec the JSON reader refuses.
 
 With no arguments the script records the cases whose file is missing (a new
 case); cases named on the command line are recorded again, which is only for
@@ -40,6 +43,8 @@ SPECS = {
     "lin2.json": '{"kind": "linear", "degree": 2}',
     "sine.json": '{"kind": "smooth_sine", "degree": 2, "epsilon": 0.5}',
     "lin1.json": '{"kind": "linear", "degree": 1}',
+    "pl3.json": '{"kind": "piecewise_linear_full_branch", "cuts": [0.3, 0.55]}',
+    "lin3.json": '{"kind": "linear", "degree": 3}',
     "cuts_down.json": '{"kind": "piecewise_linear_full_branch", "cuts": [0.6, 0.4]}',
     "cuts_close.json": '{"kind": "piecewise_linear_full_branch", "cuts": [0.5, 0.5000000001]}',
     "sine_nan.json": '{"kind": "smooth_sine", "degree": 2, "epsilon": NaN}',
@@ -73,6 +78,14 @@ CASES = {
     "qs_f06_lin2_wrapped.csv": (
         ["analyze", "qs", "--from", "f06.json", "--to", "lin2.json", "--x", "0.02", "--t", "0.1"], 0, True),
     "repro_all_pl_rows.csv": (["repro", "all"], 0, True),
+    "uqs_f06.csv": (
+        ["analyze", "uqs", "--map", "f06.json", "--x", "0", "--t", "0.2", "--n", "30"], 0, True),
+    "uqs_pl3.csv": (
+        ["analyze", "uqs", "--map", "pl3.json", "--x", "-1.7", "--t", "0.4", "--n", "30"], 0, True),
+    "phi_pl3_lin3_coarse2.csv": (
+        ["analyze", "phi", "--from", "pl3.json", "--to", "lin3.json", "--level", "6", "--coarse", "2"], 0, True),
+    "repro_rigidity_demo.csv": (["repro", "rigidity-demo"], 0, True),
+    "repro_falpha_uqs_n25.csv": (["repro", "falpha-uqs", "--n", "25"], 0, True),
     "validate_bad_degree.csv": (["validate", "--map", "lin1.json"], 1, True),
     "validate_cuts_not_increasing.csv": (["validate", "--map", "cuts_down.json"], 1, True),
     "validate_branch_too_small.csv": (["validate", "--map", "cuts_close.json"], 1, True),
