@@ -792,8 +792,8 @@ def inverse_orbit(
 
     Every step is one array step for all the points (:func:`_inverse_steps`),
     and each orbit equals :func:`global_inverse_lift` of its point bit for
-    bit.  The arguments are checked as :func:`global_inverse_lift` checks
-    them, point by point in order, before the first step.
+    bit.  The points are checked in order, then ``n``, before the first
+    step, with or without points.
 
     Raises:
         ValueError: a ``y`` is not finite or ``|y| > 1e300``, or ``n < 1``.
@@ -807,11 +807,11 @@ def inverse_orbit(
             raise ValueError(f"y must be finite, got {value!r}")
         if abs(value) > 1e300:  # m*d could overflow
             raise ValueError(f"y must be at most 1e300 in magnitude, got {value!r}")
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if n > depth_cap:
-            raise DepthCapExceeded(f"inverse depth {n} exceeds cap {depth_cap}")
         values.append(value)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > depth_cap:
+        raise DepthCapExceeded(f"inverse depth {n} exceeds cap {depth_cap}")
     values = np.asarray(values, dtype=float)
     for _ in range(n):
         values = _inverse_steps(spec, values)

@@ -11,7 +11,9 @@ One binary, subcommand style::
 
 Reports are CSV by default (17 significant digits, '.' decimal separator, LF
 line endings, config echoed in '#' header lines) or a single JSON document
-with ``--json``.  Output is deterministic for a fixed invocation.
+with ``--json``.  Output is deterministic for a fixed invocation.  A CSV report
+goes to its sink row by row as it is formatted, a JSON document in one write;
+rows that can still fail are built before the sink opens, so an error writes none.
 
 Exit codes: 0 ok; 1 validation or input-schema failure; 2 cap or tolerance
 failure (partial report still written and flagged); 3 I/O error.
@@ -27,10 +29,10 @@ measure``, checked before any of them is built.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
-import io
 import json
 import os
 import sys
@@ -83,28 +85,19 @@ def _fmt(value) -> str:
 
 
 def _write_report(args, columns: Sequence[str], rows: Iterable[Sequence], config: dict) -> None:
-    rows = [list(r) for r in rows]
+    """Write one report to ``--out`` or stdout: CSV row by row as ``rows`` yields, JSON in one write."""
     if args.json:
-        doc = {
-            "config": config,
-            "columns": list(columns),
-            "rows": [[v if isinstance(v, (int, str)) else float(v) for v in row] for row in rows],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
+        rows = [[v if isinstance(v, (int, str)) else float(v) for v in row] for row in rows]
+        doc = {"config": config, "columns": list(columns), "rows": rows}
+    with open(args.out, "w", newline="\n") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.json:
+            fh.write(json.dumps(doc, indent=2) + "\n")
+            return
         for key, val in config.items():
-            buf.write(f"# {key}={_fmt(val)}\n")
-        writer = csv.writer(buf, lineterminator="\n")
+            fh.write(f"# {key}={_fmt(val)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _load_spec(path: str, parse=map_spec_from_json):
@@ -168,7 +161,7 @@ def _cmd_partition(args, caps) -> int:
         "solver_tol": defaults.SOLVER_TOL,
         "endpoint_radius": cells[0].endpoint_radius if cells else 0.0,
     }
-    rows = [(c.word.to_text(), c.left, c.right, c.length) for c in cells]
+    rows = ((c.word.to_text(), c.left, c.right, c.length) for c in cells)
     _write_report(args, ["word", "left", "right", "length"], rows, config)
     return EXIT_OK
 
@@ -186,10 +179,10 @@ def _cmd_conjugacy(args, caps) -> int:
             "solver_tol": defaults.SOLVER_TOL,
         }
         words = table_words(table, f.degree)
-        rows = [
+        rows = (
             (words[j].to_text() if j < len(words) else "", fp, gp)
             for j, (fp, gp) in enumerate(table.pairs())
-        ]
+        )
         _write_report(args, ["word", "f_endpoint", "g_endpoint"], rows, config)
         return EXIT_OK
     if args.grid < 1:
@@ -207,7 +200,7 @@ def _cmd_conjugacy(args, caps) -> int:
         "depth_cap": caps.conjugacy_depth_cap,
         "tolerance_unreachable_rows": unreached,
     }
-    rows = list(zip(xs.tolist(), lo.tolist(), hi.tolist(), depth.tolist()))
+    rows = zip(xs.tolist(), lo.tolist(), hi.tolist(), depth.tolist())
     _write_report(args, ["x", "h_lo", "h_hi", "depth"], rows, config)
     return EXIT_OK if unreached == 0 else EXIT_CAP
 
@@ -312,7 +305,7 @@ def _cmd_analyze_measure(args, caps) -> int:
         "solver_tol": defaults.SOLVER_TOL,
         "max_deviation": float(np.max(profile)),
     }
-    rows = [(a, b, float(dev)) for (a, b), dev in zip(intervals, profile)]
+    rows = ((a, b, float(dev)) for (a, b), dev in zip(intervals, profile))
     _write_report(args, ["left", "right", "deviation"], rows, config)
     return EXIT_OK
 

@@ -119,9 +119,11 @@ def _check_pair(f: CircleMapSpec, g: CircleMapSpec) -> None:
         raise DegreeMismatchError(f"degree {f.degree} vs {g.degree}")
 
 
-def _check_tol(tol: float) -> None:
+def _check_refinement(tol: float, depth_cap: int) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap must be >= 0, got {depth_cap}")
 
 
 class _WidthStop:
@@ -193,9 +195,7 @@ def conjugacy_enclosures(
     xs = check_points(xs, "conjugacy evaluation points")
     if xs.ndim != 1:
         raise ValueError("xs must be one-dimensional")
-    _check_tol(tol)
-    if depth_cap < 0:
-        raise ValueError(f"depth_cap must be >= 0, got {depth_cap}")
+    _check_refinement(tol, depth_cap)
     _check_pair(f, g)
     # points are refined independently, so refining each distinct value once
     # and copying it back changes no bit (0.0 and -0.0 are one value here,
@@ -269,7 +269,7 @@ class ConjugacyMap:
         tol: float = 1e-10,
         depth_cap: int = defaults.CONJUGACY_DEPTH_CAP,
     ):
-        _check_tol(tol)
+        _check_refinement(tol, depth_cap)
         _check_pair(f, g)
         self.f = f
         self.g = g
@@ -281,8 +281,10 @@ class ConjugacyMap:
 
         Each distinct ``x - floor(x)`` is refined once, so shifted copies of
         one grid (``x + k``, or a symmetry modulus's shifts) cost what the
-        distinct points cost."""
+        distinct points cost; a point that is not finite is refused first."""
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("conjugacy evaluation points must be finite")
         lo, hi, _, met = conjugacy_enclosures(
             self.f, self.g, (x - np.floor(x)).reshape(-1), tol=self.tol, depth_cap=self.depth_cap
         )

@@ -1,6 +1,7 @@
 """Distortion ratios, moduli, measure preservation, dilatation, tail sums."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -572,3 +573,32 @@ class TestTailSum:
         for spec in (lin2, f06, smooth05):
             report = tail_sum(spec, Word.from_text("0"), 10)
             assert any(row.excluded_sum < 1e-3 for row in report.rows)
+
+
+F06 = piecewise_linear([0.6])
+REFUSALS = {
+    "qs_of_a_number": (lambda: qs_ratio(42, 0.3, 0.1), TypeError, "not an evaluable circle homeomorphism: int"),
+    "modulus_of_a_name": (
+        lambda: symmetry_modulus("identity", scales=[0.25], grid=4),
+        TypeError, "not an evaluable circle homeomorphism: str",
+    ),
+    "scales_increasing": (
+        lambda: analysis.ModulusReport("s", 4, (analysis.ModulusRow(0.25, 0.0, 0.0), analysis.ModulusRow(0.5, 0.0, 0.0))),
+        ValueError, "scales must be strictly decreasing",
+    ),
+    "scales_repeated": (
+        lambda: analysis.ModulusReport("s", 4, (analysis.ModulusRow(0.25, 0.0, 0.0), analysis.ModulusRow(0.25, 0.0, 0.0))),
+        ValueError, "scales must be strictly decreasing",
+    ),
+    "uqs_zero_t": (lambda: uqs_ratio_endo(F06, 0.3, 0.0, 3), ValueError, "t must be positive"),
+    "uqs_negative_t": (lambda: uqs_ratio_endo(F06, 0.3, -0.1, 3), ValueError, "t must be positive"),
+    "uqs_walk_zero_t": (lambda: next(iter_uqs_ratios(F06, 0.3, 0.0, 3)), ValueError, "t must be positive"),
+    "tail_sum_empty_word": (lambda: tail_sum(F06, Word(()), 3), ValueError, "base word must be nonempty"),
+    "tail_sum_zero_k_max": (lambda: tail_sum(F06, Word((0,)), 0), ValueError, "k_max must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_with_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -141,6 +141,11 @@ class TestInverseBranch:
         with pytest.raises(ValueError):
             inverse_branch(f06, 2, 0.5)
 
+    @pytest.mark.parametrize("branch, y", [(0, 1.5), (1, -0.25)])
+    def test_target_outside_unit_interval(self, f06, branch, y):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'y={y!r} outside [0,1]')}$"):
+            inverse_branch(f06, branch, y)
+
 
 class TestRootSolver:
     def test_smooth_sine_matches_oracle(self, smooth05):
@@ -902,6 +907,28 @@ class TestGlobalInverseLift:
         with pytest.raises(ValueError, match=r"^y must be finite, got (inf|-inf|nan)$"):
             global_inverse_lift(spec, y, 3)
 
+    @pytest.mark.parametrize(
+        "ys, n, error, message",
+        [
+            ([0.5], 0, ValueError, "n must be >= 1"),
+            ([], 0, ValueError, "n must be >= 1"),
+            ([], 10**9, DepthCapExceeded, "inverse depth 1000000000 exceeds cap 60"),
+            ([0.5, -1.3], 61, DepthCapExceeded, "inverse depth 61 exceeds cap 60"),
+            ([math.inf], 0, ValueError, "y must be finite, got inf"),  # the point before n
+        ],
+        ids=["one_point_n0", "no_point_n0", "no_point_past_cap", "two_points_past_cap", "point_checked_first"],
+    )
+    def test_n_checked_once_after_the_points(self, f06, monkeypatch, ys, n, error, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("inverse step taken for a refused request")
+
+        monkeypatch.setattr(circle_maps, "_inverse_steps", no_work)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            list(circle_maps.inverse_orbit(f06, ys, n))
+        if len(ys) == 1:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                global_inverse_lift(f06, ys[0], n)
+
 
 class TestValidate:
     def test_f06_passes(self, f06):
@@ -956,6 +983,29 @@ class TestValidate:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "spec, code, message",
+        [
+            (CircleMapSpec(kind="piecewise_linear_full_branch", degree=3, cuts=(0.6,)),
+             "bad_degree", "map: degree must equal len(cuts)+1"),
+            (CircleMapSpec(kind="conjugated", base=linear_map(2)), "missing_field", "map: conjugated needs base and homeo"),
+            (CircleMapSpec(kind="conjugated", homeo=identity_homeo()), "missing_field", "map: conjugated needs base and homeo"),
+            (CircleMapSpec(kind="conjugated", degree=3, base=linear_map(2), homeo=identity_homeo()),
+             "bad_degree", "map: degree must match the base map"),
+            (CircleMapSpec(kind="conjugated", base=linear_map(2), homeo=compose_homeos([])),
+             "empty_composition", "map.homeo: empty composition"),
+            (compose_homeos([]), "empty_composition", "homeo: empty composition"),
+        ],
+        ids=["pl_degree", "no_homeo", "no_base", "conjugated_degree", "empty_composition", "empty_composition_homeo"],
+    )
+    def test_structural_violation_reported(self, spec, code, message):
+        report = validate(spec) if isinstance(spec, CircleMapSpec) else validate_homeo(spec)
+        assert [(v.code, v.message, v.location) for v in report.violations] == [(code, message, None)]
+
+    def test_non_spec_refused(self):
+        with pytest.raises(TypeError, match=r"^expected CircleMapSpec, got str$"):
+            validate("linear")
 
     def test_degree_at_cap_passes(self):
         assert validate(linear_map(defaults.DEGREE_CAP)).ok
@@ -1190,6 +1240,22 @@ class TestJsonIngestion:
     )
     def test_non_finite_number_names_field(self, text, field):
         with pytest.raises(SpecFormatError, match=field + ": not a finite number"):
+            map_spec_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"kind":"linear","degree":2.0}', "$.degree: not an integer (got 2.0)"),
+            ('{"kind":"smooth_sine","degree":true,"epsilon":0.5}', "$.degree: not an integer (got True)"),
+            ("[0.6]", "$: expected an object"),
+            ('{"kind":"conjugated","base":"linear","homeo":{"kind":"identity"}}', "$.base: expected an object"),
+            ('{"kind":"smooth_sine","degree":2}', "$.epsilon: missing"),
+            ('{"kind":"conjugated","base":{"kind":"linear","degree":2}}', "$.homeo: missing"),
+        ],
+        ids=["float_degree", "bool_degree", "not_an_object", "base_not_an_object", "missing_epsilon", "missing_homeo"],
+    )
+    def test_malformed_field_named_by_path(self, text, message):
+        with pytest.raises(SpecFormatError, match=f"^{re.escape(message)}$"):
             map_spec_from_json(text)
 
     def test_invalid_json_reports_position(self):

@@ -1,6 +1,8 @@
 """Command-line behavior: report formats, determinism, and exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circledyn.cli import build_parser, main
+from circledyn.cli import _write_report, build_parser, main
 
 F06_JSON = '{"kind": "piecewise_linear_full_branch", "cuts": [0.6]}'
 LIN2_JSON = '{"kind": "linear", "degree": 2}'
@@ -245,6 +247,14 @@ class TestAnalyzeCommands:
         # the default ladder of 20 scales: 41 rows
         assert main(["analyze", "symmetry", *source, "--grid", "2"]) == 2
         assert capsys.readouterr().err == "error: 41 x 2 grid points exceed cell cap 64\n"
+
+    @pytest.mark.parametrize("source", [[], ["--from", "{f06}"], ["--to", "{lin2}"]], ids=["none", "from", "to"])
+    def test_qs_without_a_subject_exits_1(self, specs, capsys, source):
+        argv = ["analyze", "qs", *(a.format(**specs) for a in source), "--x", "0.3", "--t", "0.1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need --homeo, or both --from and --to for a conjugacy\n"
 
     def test_qs_for_conjugacy_refines_twice(self, specs, capsys, monkeypatch):
         # one enclosure call for the ratio and one for the three widths
@@ -609,6 +619,15 @@ class TestEveryCap:
                 assert err == f"error: {name}: expected a cap >= 0, got -1\n"
                 assert not out.exists()
 
+    @pytest.mark.parametrize("variable", ["CIRCLEDYN_WORK_CAP", "CIRCLEDYN_CELL_CAP", "CIRCLEDYN_DEPTH_CAP"])
+    @pytest.mark.parametrize("raw", ["1.5", "", "lots"])
+    def test_a_non_integer_cap_is_refused(self, specs, capsys, monkeypatch, variable, raw):
+        out = specs["dir"] / "report.csv"
+        monkeypatch.setenv(variable, raw)
+        assert main(["partition", "--map", specs["f06"], "--level", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {variable}: expected an integer, got {raw!r}\n"
+        assert not out.exists()
+
     def test_repro_all_depth_cap_zero_is_a_cap(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CIRCLEDYN_DEPTH_CAP", raising=False)
         out = tmp_path / "suite.csv"
@@ -616,6 +635,50 @@ class TestEveryCap:
         header = [line for line in out.read_text().splitlines() if line.startswith("#")]
         assert "# depth_cap=0" in header
         assert "# conjugacy_depth_cap=0" in header
+
+
+class TestReportWriter:
+    """``_write_report`` writes a CSV report row by row: it keeps no row and no text."""
+
+    COLUMNS = ["word", "left", "right", "depth"]
+    CONFIG = {"command": "stream", "tol": 1e-10}
+
+    @staticmethod
+    def _rows(count):
+        return ((format(j, "b"), j / 7, (j + 1) / 7, j % 61) for j in range(count))
+
+    def test_rows_are_written_as_they_are_formatted(self, tmp_path):
+        out = tmp_path / "report.csv"
+        args = argparse.Namespace(json=False, out=str(out))
+        tracemalloc.start()
+        try:
+            _write_report(args, self.COLUMNS, self._rows(200_000), self.CONFIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # holding the rows and the report's text would take about 54 MiB
+        buf = io.StringIO()
+        buf.write(f"# command=stream\n# tol={1e-10:.17g}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.COLUMNS)
+        for word, left, right, depth in self._rows(200_000):
+            writer.writerow([word, format(left, ".17g"), format(right, ".17g"), str(depth)])
+        assert out.read_text() == buf.getvalue()
+
+    def test_a_failing_command_writes_no_report(self, specs, capsys, monkeypatch):
+        # rows from a library iterator that raises are built before the file opens
+        import circledyn.cli as cli
+
+        def failing(*args, **kwargs):
+            yield 1.5
+            raise cli.ResolutionExhausted("denominator below floor")
+
+        monkeypatch.setattr(cli, "iter_uqs_ratios", failing)
+        out = specs["dir"] / "report.csv"
+        argv = ["analyze", "uqs", "--map", specs["f06"], "--x", "0", "--t", "0.2", "--n", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: denominator below floor\n"
+        assert not out.exists()
 
 
 class TestParserReuse:

@@ -1,6 +1,8 @@
 """Conjugacy enclosures, endpoint tables, and the functional-equation residual."""
 
 import functools
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -308,11 +310,48 @@ class TestConjugacyMap:
         assert h.lift_values(xs).tobytes() == (0.5 * (lo + hi) + np.floor(xs)).tobytes()
         assert [h(x) for x in xs[:20].tolist()] == h.lift_values(xs[:20]).tolist()
 
+    @pytest.mark.parametrize(
+        "reader, x",
+        [(reader, x) for reader in ("enclose", "lift_values", "__call__") for x in (np.inf, -np.inf, np.nan)]
+        + [(reader, [0.3, np.inf, -2.0, np.nan]) for reader in ("enclose", "lift_values")],
+        ids=[f"{reader}-{x}" for reader in ("enclose", "lift_values", "__call__") for x in ("inf", "-inf", "nan")]
+        + ["enclose-mixed", "lift_values-mixed"],
+    )
+    def test_non_finite_points_refused_before_they_are_reduced(self, f06, lin2, reader, x):
+        h = ConjugacyMap(f06, lin2, tol=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # x - floor(x) on inf warns before any check
+            with pytest.raises(ValueError, match=r"^conjugacy evaluation points must be finite$"):
+                getattr(h, reader)(x)
+
     def test_residual_checks_the_pair_before_the_tol(self, f06):
         with pytest.raises(DegreeMismatchError):
             conjugacy_residual(f06, linear_map(3), 8, tol=float("nan"))
         with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
             conjugacy_residual(f06, linear_map(2), 8, tol=float("nan"))
+
+
+class TestRefusals:
+    CASES = {
+        "table_lengths": (
+            lambda f, g: EndpointTable(level=1, f_points=np.asarray([0.0, 0.6, 1.0]), g_points=np.asarray([0.0, 1.0])),
+            ValueError, "endpoint arrays must have equal length",
+        ),
+        "two_dimensional_points": (
+            lambda f, g: conjugacy_enclosures(f, g, np.zeros((2, 2))), ValueError, "xs must be one-dimensional",
+        ),
+        "empty_residual_grid": (
+            lambda f, g: conjugacy_residual(f, g, 0), ValueError, "grid_size must be >= 1, got 0",
+        ),
+        "negative_depth_cap_when_built": (
+            lambda f, g: ConjugacyMap(f, g, depth_cap=-1), ValueError, "depth_cap must be >= 0, got -1",
+        ),
+    }
+
+    @pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES.keys())
+    def test_refused_with_its_message(self, f06, lin2, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(f06, lin2)
 
 
 # every degree validation admits, up to DEGREE_CAP: level 6 of these maps has

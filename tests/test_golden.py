@@ -13,7 +13,8 @@ note of a failed runtime bound).  The ``analyze uqs``, ``analyze phi
 inverse orbits, the conjugacy lift and the coarse dilatation report on
 piecewise-linear maps.  A report is what the command writes to stdout and
 stderr, so the ``validate`` cases of invalid specs (exit 1) also pin the
-message of a spec the JSON reader refuses.
+message of a spec the JSON reader refuses.  Each case also runs once to
+stdout and once with ``--out``: the two reports must be the same bytes.
 
 With no arguments the script records the cases whose file is missing (a new
 case); cases named on the command line are recorded again, which is only for
@@ -144,6 +145,21 @@ def test_cli_output_matches_golden(name, tmp_path):
     for got, ref in zip(got_rows, want_rows):
         assert len(got) == len(ref)
         assert all(_close(a, b) for a, b in zip(got, ref)), (got, ref)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_report_equals_out_file(name, tmp_path, capsys, monkeypatch):
+    # a report is written to its sink row by row; stdout and --out get the same bytes
+    argv, want_code, _ = CASES[name]
+    for spec, text in SPECS.items():
+        (tmp_path / spec).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == want_code
+    stdout = capsys.readouterr().out
+    assert main([*argv, "--out", "report.out"]) == want_code
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "report.out"
+    assert (out.read_bytes() if out.exists() else b"") == stdout.encode()
 
 
 def _record(names: list[str]) -> None:

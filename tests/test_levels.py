@@ -165,6 +165,8 @@ class TestAgainstReferenceLoop:
 
     def test_level_zero_and_cap(self, smooth05):
         assert list(iter_levels(smooth05, 0)) == []
+        with pytest.raises(ValueError, match=r"^level must be >= 0$"):
+            next(iter_levels(smooth05, -1))
         assert _same_bits(level_left_endpoints(smooth05, 0), np.zeros(1))
         with pytest.raises(CellCapExceeded):
             list(iter_levels(smooth05, 11, cell_cap=2**10))
