@@ -14,6 +14,10 @@ line endings, config echoed in '#' header lines) or a single JSON document
 with ``--json``.  Output is deterministic for a fixed invocation.  A CSV report
 goes to its sink row by row as it is formatted, a JSON document in one write;
 rows that can still fail are built before the sink opens, so an error writes none.
+``partition``, ``conjugacy --level`` and ``conjugacy --grid`` make their rows
+from slices of the finished endpoint or enclosure arrays and the blocks of
+``level_texts``, one solver block of rows at a time, with no ``Word`` or
+``CylinderInterval`` per cell.
 
 Exit codes: 0 ok; 1 validation or input-schema failure; 2 cap or tolerance
 failure (partial report still written and flagged); 3 I/O error.
@@ -33,10 +37,11 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +57,7 @@ from .analysis import (
     tail_sum,
 )
 from .circle_maps import (
+    _SOLVER_BLOCK,
     _load_json,
     _want_list,
     _want_number,
@@ -59,7 +65,7 @@ from .circle_maps import (
     map_spec_from_json,
     validate,
 )
-from .conjugacy import ConjugacyMap, conjugacy_enclosures, endpoint_table, table_words
+from .conjugacy import ConjugacyMap, conjugacy_enclosures, endpoint_table
 from .errors import (
     CellCapExceeded,
     CircleDynError,
@@ -70,7 +76,7 @@ from .errors import (
     WorkCapExceeded,
 )
 from .repro import ReproConfig, falpha_uqs_rows, run_suite
-from .symbolic_partition import Word, enumerate_level
+from .symbolic_partition import Word, enumerate_level, level_texts
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -98,6 +104,17 @@ def _write_report(args, columns: Sequence[str], rows: Iterable[Sequence], config
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _block_rows(blocks: Iterable[list], columns) -> Iterator[tuple]:
+    """Report rows one block at a time: each block of first values is zipped with
+    ``columns(start, stop)``, the lists of the other values of its rows, so no
+    column is converted to Python objects whole."""
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        yield from zip(block, *columns(start, stop))
+        start = stop
 
 
 def _load_spec(path: str, parse=map_spec_from_json):
@@ -159,9 +176,15 @@ def _cmd_partition(args, caps) -> int:
         "map": args.map,
         "level": args.level,
         "solver_tol": defaults.SOLVER_TOL,
-        "endpoint_radius": cells[0].endpoint_radius if cells else 0.0,
+        "endpoint_radius": cells.endpoint_radius,
     }
-    rows = ((c.word.to_text(), c.left, c.right, c.length) for c in cells)
+
+    def columns(start, stop):
+        # the length is CylinderInterval.length's subtraction, elementwise
+        left, right = cells.ends[start:stop], cells.ends[start + 1 : stop + 1]
+        return left.tolist(), right.tolist(), (right - left).tolist()
+
+    rows = _block_rows(level_texts(args.level, spec.degree), columns)
     _write_report(args, ["word", "left", "right", "length"], rows, config)
     return EXIT_OK
 
@@ -178,11 +201,9 @@ def _cmd_conjugacy(args, caps) -> int:
             "level": args.level,
             "solver_tol": defaults.SOLVER_TOL,
         }
-        words = table_words(table, f.degree)
-        rows = (
-            (words[j].to_text() if j < len(words) else "", fp, gp)
-            for j, (fp, gp) in enumerate(table.pairs())
-        )
+        # the last endpoint starts no cylinder: its row has no word
+        texts = itertools.chain(level_texts(args.level, f.degree), [[""]])
+        rows = _block_rows(texts, lambda i, j: (table.f_points[i:j].tolist(), table.g_points[i:j].tolist()))
         _write_report(args, ["word", "f_endpoint", "g_endpoint"], rows, config)
         return EXIT_OK
     if args.grid < 1:
@@ -200,7 +221,8 @@ def _cmd_conjugacy(args, caps) -> int:
         "depth_cap": caps.conjugacy_depth_cap,
         "tolerance_unreachable_rows": unreached,
     }
-    rows = zip(xs.tolist(), lo.tolist(), hi.tolist(), depth.tolist())
+    blocks = (xs[i : i + _SOLVER_BLOCK].tolist() for i in range(0, xs.size, _SOLVER_BLOCK))
+    rows = _block_rows(blocks, lambda i, j: (lo[i:j].tolist(), hi[i:j].tolist(), depth[i:j].tolist()))
     _write_report(args, ["x", "h_lo", "h_hi", "depth"], rows, config)
     return EXIT_OK if unreached == 0 else EXIT_CAP
 

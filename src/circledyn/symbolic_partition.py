@@ -19,6 +19,8 @@ bound leaves open, so refining to depth K costs O(K) inverse-branch calls.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -66,11 +68,7 @@ class Word:
         return cls(tuple(int(ch) for ch in text))
 
     def to_text(self) -> str:
-        if not self.symbols:
-            return ""
-        if all(s <= 9 for s in self.symbols):
-            return "".join(str(s) for s in self.symbols)
-        return "-".join(str(s) for s in self.symbols)
+        return _symbols_text(self.symbols)
 
     @property
     def level(self) -> int:
@@ -87,6 +85,13 @@ class Word:
 
     def __str__(self) -> str:
         return self.to_text() or "<empty>"
+
+
+def _symbols_text(symbols: tuple[int, ...]) -> str:
+    """A word's text: digits when every symbol is at most 9, else dash-separated symbols."""
+    if all(s <= 9 for s in symbols):
+        return "".join(map(str, symbols))
+    return "-".join(map(str, symbols))
 
 
 def left_shift(word: Word) -> Word:
@@ -128,6 +133,34 @@ def word_of_index(index: int, level: int, degree: int) -> Word:
 def level_words(level: int, degree: int) -> list[Word]:
     """Every level-``level`` word in lexicographic order, the order of :func:`word_of_index`."""
     return [Word(symbols) for symbols in itertools.product(range(degree), repeat=level)]
+
+
+def level_texts(level: int, degree: int) -> Iterator[list[str]]:
+    """The texts of the level-``level`` words in index order, in blocks of at most
+    ``_SOLVER_BLOCK`` (more only when the degree alone is larger): text j is
+    ``word_of_index(j, level, degree).to_text()``, and no ``Word`` is built.
+
+    A block is every word with one prefix of ``level - m`` symbols, where
+    ``degree**m`` is the block size.  For degree <= 10 every text is digits, so a
+    block joins the prefix's digits with a table of the suffix texts, built once
+    per call.  A larger degree prints a word in digits only when all its symbols
+    are at most 9, so "93" but "10-3": there each text is made from its symbols.
+    """
+    m = min(level, 1)
+    while m < level and degree ** (m + 1) <= _SOLVER_BLOCK:
+        m += 1
+    if degree > 10:
+        tails = list(itertools.product(range(degree), repeat=m))
+        for head in itertools.product(range(degree), repeat=level - m):
+            yield [_symbols_text(head + tail) for tail in tails]
+        return
+    digits = [str(s) for s in range(degree)]
+    tails = [""]
+    for _ in range(m):
+        tails = [t + s for t in tails for s in digits]
+    for head in itertools.product(digits, repeat=level - m):
+        prefix = "".join(head)
+        yield [prefix + t for t in tails]
 
 
 def index_of_word(word: Word, degree: int) -> int:
@@ -609,22 +642,57 @@ def cylinder_lengths(
     return lengths
 
 
+class LevelCells(Sequence[CylinderInterval]):
+    """The level-``level`` cylinders over the level's d^n + 1 endpoints ``ends``.
+
+    A lazy sequence: a cell is built when it is read, by index, slice (a list)
+    or iteration, and equals the ``CylinderInterval`` of its word and ends.
+    Report writers read ``ends`` and :func:`level_texts` instead.
+    """
+
+    def __init__(self, ends: np.ndarray, level: int, degree: int, endpoint_radius: float):
+        self.ends, self.level, self.degree, self.endpoint_radius = ends, level, degree, endpoint_radius
+
+    def __len__(self) -> int:
+        return self.ends.size - 1
+
+    def _cell(self, word: Word, left: float, right: float) -> CylinderInterval:
+        return CylinderInterval(word=word, left=left, right=right, level=self.level, endpoint_radius=self.endpoint_radius)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[j] for j in range(*index.indices(len(self)))]
+        j = operator.index(index)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError(f"cell {index} of a level of {len(self)}")
+        return self._cell(word_of_index(j, self.level, self.degree), float(self.ends[j]), float(self.ends[j + 1]))
+
+    def __iter__(self) -> Iterator[CylinderInterval]:
+        words = itertools.product(range(self.degree), repeat=self.level)
+        for i in range(0, len(self), _SOLVER_BLOCK):
+            ends = self.ends[i : i + _SOLVER_BLOCK + 1].tolist()
+            for left, right, symbols in zip(ends, ends[1:], words):  # words last: zip stops before it
+                yield self._cell(Word(symbols), left, right)
+
+
 def enumerate_level(
     spec: CircleMapSpec,
     n: int,
     cell_cap: int = defaults.CELL_CAP,
-) -> list[CylinderInterval]:
+) -> LevelCells:
     """All d^n level-n cylinders, left to right; neighbors share endpoints.
+
+    The result is lazy (:class:`LevelCells`): it holds the d^n + 1 endpoints of
+    :func:`level_endpoints` and builds each cell when it is read, so a level
+    costs one endpoint array, not one ``Word`` and ``CylinderInterval`` per cell.
 
     Raises:
         CellCapExceeded: if d^n exceeds ``cell_cap``.
     """
-    ends = level_endpoints(spec, n, cell_cap=cell_cap).tolist()
-    radius = float(chain_error_bound(spec, n)[n])
-    return [
-        CylinderInterval(word=word, left=left, right=right, level=n, endpoint_radius=radius)
-        for word, left, right in zip(level_words(n, spec.degree), ends, ends[1:])
-    ]
+    ends = level_endpoints(spec, n, cell_cap=cell_cap)
+    return LevelCells(ends, n, spec.degree, float(chain_error_bound(spec, n)[n]))
 
 
 def mesh(

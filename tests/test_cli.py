@@ -13,7 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circledyn import defaults, endpoint_table, level_endpoints
+from circledyn.circle_maps import chain_error_bound, map_spec_from_json
 from circledyn.cli import _write_report, build_parser, main
+from circledyn.conjugacy import conjugacy_enclosures
+from circledyn.symbolic_partition import CylinderInterval, level_words
 
 F06_JSON = '{"kind": "piecewise_linear_full_branch", "cuts": [0.6]}'
 LIN2_JSON = '{"kind": "linear", "degree": 2}'
@@ -635,6 +639,73 @@ class TestEveryCap:
         header = [line for line in out.read_text().splitlines() if line.startswith("#")]
         assert "# depth_cap=0" in header
         assert "# conjugacy_depth_cap=0" in header
+
+
+class TestStreamedReports:
+    """``partition``, ``conjugacy --level`` and ``conjugacy --grid`` stream their rows
+    from endpoint or enclosure slices and word-text blocks.  Each report must be
+    the bytes of the rows built the old way, a ``CylinderInterval`` and a
+    ``Word.to_text`` per cell or whole-array lists, written by the same writer.
+    Degree 11 hits the dash rule ("10-3") and the single symbol "10"; level 16
+    of degree 2 takes two blocks."""
+
+    CASES = [("lin2", "f06", 0), ("lin2", "f06", 1), ("lin2", "f06", 16),
+             ("pl3", "lin3", 0), ("pl3", "lin3", 1), ("pl3", "lin3", 5),
+             ("lin11", "lin11", 0), ("lin11", "lin11", 1), ("lin11", "lin11", 2)]
+
+    @pytest.fixture
+    def maps(self, specs):
+        for name, text in (("pl3", '{"kind": "piecewise_linear_full_branch", "cuts": [0.3, 0.55]}'),
+                           ("lin3", '{"kind": "linear", "degree": 3}')):
+            path = specs["dir"] / f"{name}.json"
+            path.write_text(text)
+            specs[name] = str(path)
+        return specs
+
+    @staticmethod
+    def _same_report(maps, argv, as_json, columns, rows, config):
+        got, want = maps["dir"] / "got.out", maps["dir"] / "want.out"
+        flag = ["--json"] if as_json else []
+        assert main(argv + ["--out", str(got)] + flag) in (0, 2)
+        _write_report(argparse.Namespace(json=as_json, out=str(want)), columns, rows, config)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize("f, g, n", CASES)
+    def test_partition(self, maps, f, g, n, as_json):
+        spec = map_spec_from_json(Path(maps[f]).read_text())
+        ends = level_endpoints(spec, n).tolist()
+        radius = float(chain_error_bound(spec, n)[n])
+        cells = [CylinderInterval(w, a, b, n, radius) for w, a, b in zip(level_words(n, spec.degree), ends, ends[1:])]
+        config = {"command": "partition", "map": maps[f], "level": n, "solver_tol": defaults.SOLVER_TOL,
+                  "endpoint_radius": radius}
+        rows = [(c.word.to_text(), c.left, c.right, c.length) for c in cells]
+        argv = ["partition", "--map", maps[f], "--level", str(n)]
+        self._same_report(maps, argv, as_json, ["word", "left", "right", "length"], rows, config)
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize("f, g, n", CASES)
+    def test_conjugacy_level(self, maps, f, g, n, as_json):
+        f_spec, g_spec = (map_spec_from_json(Path(maps[m]).read_text()) for m in (f, g))
+        table = endpoint_table(f_spec, g_spec, n)
+        words = level_words(n, f_spec.degree)
+        rows = [(words[j].to_text() if j < len(words) else "", fp, gp) for j, (fp, gp) in enumerate(table.pairs())]
+        config = {"command": "conjugacy-table", "from": maps[f], "to": maps[g], "level": n,
+                  "solver_tol": defaults.SOLVER_TOL}
+        argv = ["conjugacy", "--from", maps[f], "--to", maps[g], "--level", str(n)]
+        self._same_report(maps, argv, as_json, ["word", "f_endpoint", "g_endpoint"], rows, config)
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize("f, g, grid", [("f06", "lin2", 1), ("f06", "lin2", 5), ("pl3", "lin3", 40_000)])
+    def test_conjugacy_grid(self, maps, f, g, grid, as_json):
+        f_spec, g_spec = (map_spec_from_json(Path(maps[m]).read_text()) for m in (f, g))
+        xs = np.arange(grid, dtype=float) / grid
+        lo, hi, depth, met = conjugacy_enclosures(f_spec, g_spec, xs, tol=1e-8)
+        rows = list(zip(xs.tolist(), lo.tolist(), hi.tolist(), depth.tolist()))
+        config = {"command": "conjugacy", "from": maps[f], "to": maps[g], "grid": grid, "tol": 1e-8,
+                  "depth_cap": defaults.CONJUGACY_DEPTH_CAP, "tolerance_unreachable_rows": int(np.count_nonzero(~met))}
+        argv = ["conjugacy", "--from", maps[f], "--to", maps[g], "--grid", str(grid)]
+        self._same_report(maps, argv, as_json, ["x", "h_lo", "h_hi", "depth"], rows, config)
 
 
 class TestReportWriter:

@@ -19,6 +19,7 @@ place and ratios divided into the g-lengths.  Their values must equal the
 walk's, bit for bit, and every refusal comes before any level is built.
 """
 
+import collections
 import math
 import tracemalloc
 
@@ -35,6 +36,7 @@ from circledyn import (
     cylinder_lengths,
     dilatation_report,
     endpoint_table,
+    enumerate_level,
     iter_levels,
     level_endpoints,
     linear_map,
@@ -46,6 +48,7 @@ from circledyn import (
 from circledyn import analysis, defaults, symbolic_partition
 from circledyn.analysis import tail_sum
 from circledyn.circle_maps import chain_error_bound, compose_homeos, is_closed_form
+from circledyn.cli import main
 from circledyn.symbolic_partition import descent_ratio, level_left_endpoints, level_lengths
 from _oracles import (
     MP_DIGITS,
@@ -105,9 +108,10 @@ def _seeded_pl(d, seed):
     return piecewise_linear(np.cumsum(gaps)[:-1] / np.sum(gaps))
 
 
-def _traced_peak(call):
-    """The tracemalloc peak of ``call()``, run once before to build caches and seed tables."""
-    call()
+def _traced_peak(call, warm=None):
+    """The tracemalloc peak of ``call()``, after ``warm()`` (by default ``call()``
+    itself) has built the caches and seed tables."""
+    (warm or call)()
     tracemalloc.start()
     try:
         call()
@@ -458,3 +462,41 @@ class TestLevelOpMemory:
         level, parent = 8 * f.degree**n, 8 * f.degree ** (n - 1)
         peak = _traced_peak(lambda: dilatation_report(f, g, n, coarse_level=2))
         assert peak <= 2 * level + parent + self.BLOCK + self.SMALL
+
+    # A level and its reports hold the level's endpoint arrays and one block of
+    # rows, nothing per cell (with a Word and a CylinderInterval per cell these
+    # level-18 runs peaked at 108, 108 and 88 MiB).  A list of one block of
+    # Python floats takes 24 B and an 8 B slot each; of 18-symbol texts, 72 B
+    # (the allocator's size class) and the slot.
+    REPORT_LEVEL = 18
+    FLOATS, TEXTS = 4 * BLOCK, 10 * BLOCK
+
+    def _report_sizes(self):
+        return 8 * 2**self.REPORT_LEVEL + 8, 8 * 2 ** (self.REPORT_LEVEL - 1)
+
+    def test_enumerate_level_built_and_iterated_peak(self):
+        lin2, (level, parent) = linear_map(2), self._report_sizes()
+
+        def built_and_iterated(n):
+            collections.deque(enumerate_level(lin2, n), maxlen=0)
+
+        peak = _traced_peak(lambda: built_and_iterated(self.REPORT_LEVEL), warm=lambda: built_and_iterated(2))
+        assert peak <= level + parent + self.FLOATS + self.BLOCK + self.SMALL
+
+    def _report_peak(self, tmp_path, argv):
+        spec = tmp_path / "lin2.json"
+        spec.write_text('{"kind": "linear", "degree": 2}')
+        argv = [str(spec) if a == "SPEC" else a for a in argv] + ["--out", str(tmp_path / "report.csv"), "--level"]
+        return _traced_peak(lambda: main(argv + [str(self.REPORT_LEVEL)]), warm=lambda: main(argv + ["2"]))
+
+    def test_partition_report_peak(self, tmp_path):
+        level, parent = self._report_sizes()
+        peak = self._report_peak(tmp_path, ["partition", "--map", "SPEC"])
+        # the table of suffix texts and one block of texts, lefts, rights and lengths
+        assert peak <= level + parent + 2 * self.TEXTS + 3 * self.FLOATS + self.BLOCK + self.SMALL
+
+    def test_conjugacy_level_report_peak(self, tmp_path):
+        level, parent = self._report_sizes()
+        peak = self._report_peak(tmp_path, ["conjugacy", "--from", "SPEC", "--to", "SPEC"])
+        # both maps' levels, then the texts and the two endpoint columns of one block
+        assert peak <= 2 * level + parent + 2 * self.TEXTS + 2 * self.FLOATS + self.BLOCK + self.SMALL

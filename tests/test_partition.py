@@ -30,7 +30,7 @@ from circledyn import (
 )
 from circledyn import circle_maps, defaults, symbolic_partition
 from circledyn.circle_maps import chain_error_bound
-from circledyn.symbolic_partition import index_of_word, level_words, word_of_index
+from circledyn.symbolic_partition import CylinderInterval, index_of_word, level_words, word_of_index
 from _oracles import (
     MP_DIGITS,
     exact_cylinder,
@@ -69,6 +69,17 @@ class TestWord:
         words = level_words(level, degree)
         assert words == [word_of_index(j, level, degree) for j in range(degree**level)]
         assert [index_of_word(w, degree) for w in words] == list(range(degree**level))
+
+    # degree 11 prints "93" but "10-3"; levels with more than one block join a
+    # prefix to every suffix (degree 200: one symbol a block)
+    @pytest.mark.parametrize(
+        "level, degree",
+        [(0, 2), (1, 2), (16, 2), (10, 3), (5, 10), (0, 11), (1, 11), (3, 11), (2, 200)],
+    )
+    def test_level_texts_are_the_word_texts(self, level, degree):
+        blocks = list(symbolic_partition.level_texts(level, degree))
+        assert max(map(len, blocks)) <= max(symbolic_partition._SOLVER_BLOCK, degree)
+        assert [t for block in blocks for t in block] == [w.to_text() for w in level_words(level, degree)]
 
 
 class TestIntervalOfWord:
@@ -342,6 +353,26 @@ class TestEnumerateLevel:
     def test_cell_cap(self, lin2):
         with pytest.raises(CellCapExceeded):
             enumerate_level(lin2, 8, cell_cap=100)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 16])
+    def test_lazy_level_equals_the_cell_list(self, f06, smooth05, n):
+        # the cell list enumerate_level returned before it went lazy
+        spec = f06 if n > 6 else smooth05
+        ends = level_endpoints(spec, n).tolist()
+        radius = float(chain_error_bound(spec, n)[n])
+        want = [
+            CylinderInterval(word=w, left=a, right=b, level=n, endpoint_radius=radius)
+            for w, a, b in zip(level_words(n, 2), ends, ends[1:])
+        ]
+        cells = enumerate_level(spec, n)
+        assert (len(cells), cells.level, cells.endpoint_radius) == (len(want), n, radius)
+        assert cells[-1] == want[-1] and cells[0] == want[0] and cells[-len(want)] == want[0]
+        assert cells[:3] == want[:3] and cells[5:1:-2] == want[5:1:-2]
+        assert list(zip(cells, cells[1:])) == list(zip(want, want[1:]))
+        assert list(cells) == want
+        for j in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                cells[j]
 
     def test_word_level_agreement(self, f06):
         for cyl in enumerate_level(f06, 3):
