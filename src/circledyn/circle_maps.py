@@ -641,6 +641,39 @@ def _chain_error_model(spec: CircleMapSpec) -> tuple[float, float, float]:
     return (math.fsum(solves) + step) / h_lo + 4.0 * _UNIT_ROUNDOFF, rho * h_hi / h_lo, lam
 
 
+class _DepthTable:
+    """``build(n)[k]`` for any depth k, from a prefix-stable ``build`` (n + 1 entries): the table
+    starts 64 deep and is rebuilt at least twice as deep past k, with no cap."""
+
+    def __init__(self, build):
+        self.build, self.table = build, build(64)
+
+    def __getitem__(self, k: int) -> float:
+        if k >= self.table.size:
+            self.table = self.build(max(k, 2 * (self.table.size - 1)))
+        return self.table[k]
+
+
+@lru_cache(maxsize=128)  # about 1.2 KiB a table of 64 depths; repro all reads about 100
+def _chain_error_table(spec: CircleMapSpec, tol: float) -> _DepthTable:  # tol: the model's SOLVER_TOL
+    step, rho, lam = _chain_error_model(spec)
+
+    def build(n: int) -> np.ndarray:
+        with np.errstate(over="ignore"):  # lam > 1 for weakly expanding maps
+            reach = rho * lam ** np.arange(n)
+        # np.cumsum's dispatch costs more than the sum itself at these depths
+        table = step * np.concatenate(([0.0], np.add.accumulate(reach)))
+        table.setflags(write=False)
+        return table
+
+    return _DepthTable(build)
+
+
+def _chain_errors(spec: CircleMapSpec) -> _DepthTable:
+    """The :func:`chain_error_bound` table (``[k]`` is entry k): one per spec and ``SOLVER_TOL``, shared."""
+    return _chain_error_table(spec, defaults.SOLVER_TOL)
+
+
 def chain_error_bound(spec: CircleMapSpec, n: int) -> np.ndarray:
     """``out[k]``, k = 0..n, bounds the error of a value computed by a depth-k backward chain.
 
@@ -648,12 +681,10 @@ def chain_error_bound(spec: CircleMapSpec, n: int) -> np.ndarray:
     the result with their Lipschitz bound (:func:`_chain_error_model`).  The
     bound is rigorous for the closed-form kinds; for root-solved kinds it
     rests on :func:`_root_error` and :func:`slope_bounds`.  ``out[k]`` does
-    not depend on ``n``."""
-    step, rho, lam = _chain_error_model(spec)
-    with np.errstate(over="ignore"):  # lam > 1 for weakly expanding maps
-        reach = rho * lam ** np.arange(n)
-    # np.cumsum's dispatch costs more than the sum itself at these depths
-    return step * np.concatenate(([0.0], np.add.accumulate(reach)))
+    not depend on ``n``: ``out`` is a read-only view of :func:`_chain_errors`."""
+    table = _chain_errors(spec)
+    table[n]  # grows the table to depth n
+    return table.table[: n + 1]
 
 
 def eval_lift(spec: CircleMapSpec, x: float) -> float:
@@ -673,8 +704,9 @@ def inverse_branch_values(spec: CircleMapSpec, branch, y, out: np.ndarray | None
     whose values lie in [0,1]; the result has the broadcast shape.  Closed
     forms are used for the linear and piecewise-linear kinds; the other kinds
     use the bracketed root solver on the unit interval.  Given ``out``, an
-    array of the broadcast shape that does not overlap ``y``, the values are
-    stored there and ``out`` is returned; closed forms compute them in place.
+    array of the broadcast shape that is ``y`` itself or does not overlap
+    it, the values are stored there and ``out`` is returned; closed forms
+    compute them in place (:func:`closed_form_inverse`).
     """
     y = np.asarray(y, dtype=float)
     branch = np.asarray(branch, dtype=np.int64)
@@ -699,8 +731,11 @@ def closed_form_inverse(spec: CircleMapSpec, ends, branch, y, out: np.ndarray | 
     table ``[0, c_1, ..., c_{d-1}, 1]`` indexed by ``branch`` (the linear map
     ignores it).  Either way the same IEEE operations run in the same order,
     so a chain on floats equals the same chain on arrays bit for bit.  An
-    ndarray ``out`` of the broadcast shape, not overlapping ``y``, receives
-    the values of those same operations in place of new arrays.
+    ndarray ``out`` of the broadcast shape, ``y`` itself or not overlapping
+    it, gets ``(1-y)*e[b]`` and then the sum with ``y*e[b+1]``, made in one
+    scratch array before ``out`` is written when ``y`` has its shape: both
+    products round on their own and the sum commutes, so this is the
+    ``out=None`` value bit for bit.  Broadcast branches share one ``1 - y``.
     """
     if spec.kind == "linear":
         if out is None:
@@ -709,8 +744,10 @@ def closed_form_inverse(spec: CircleMapSpec, ends, branch, y, out: np.ndarray | 
     # lerp form is exact at y = 0 and y = 1
     if out is None:
         return (1.0 - y) * ends[branch] + y * ends[branch + 1]
-    np.multiply(np.subtract(1.0, y, out=out), ends[branch], out=out)
-    return np.add(out, y * ends[branch + 1], out=out)
+    if out.shape != y.shape:  # branches broadcast over y: its 1 - y is freed before the scratch is made
+        return np.add(np.multiply(1.0 - y, ends[branch], out=out), y * ends[1:][branch], out=out)
+    scratch = y * ends[1:][branch]  # a chain step, maybe in place: y is read before out is written
+    return np.add(np.multiply(np.subtract(1.0, y, out=out), ends[branch], out=out), scratch, out=out)
 
 
 def closed_form_cylinder(spec: CircleMapSpec, symbols: tuple[int, ...]) -> tuple[float, float]:

@@ -35,12 +35,10 @@ from typing import Iterator
 import numpy as np
 
 from . import defaults
-from .circle_maps import CircleMapSpec, branch_points, ensure_valid, is_closed_form, lift_values, slope_bounds
+from .circle_maps import CircleMapSpec, _chain_errors, branch_points, ensure_valid, is_closed_form, lift_values, slope_bounds
 from .errors import DegreeMismatchError
 from .symbolic_partition import (
     Word,
-    _DepthTable,
-    chain_error_bound,
     chain_values,
     check_points,
     level_endpoints,
@@ -137,13 +135,21 @@ class _WidthStop:
     root-solved g-cylinder closely, but ``(max g')^-k`` bounds its width from
     below (with no upper bound), so the chain measures it from the depth
     where that bound reaches ``tol`` on.
+
+    The affine bounds at depth k, ``width*(1 +- s) -+ err`` with exact
+    ``1 +- s``, ``s = (k+2)*eps``, are ``width -+ err -+ s*width`` rounded
+    otherwise.  The 2k+2 roundings of the model and of the chain's measuring
+    subtraction need ``(k+1)*eps*width``; the spare ``eps*width`` and err's
+    margin (a step allows 4u, a lerp rounds by 3u: 2u >= 2u*width at k >= 1)
+    cover the bound's own roundings in either form, and at depth 0 the chain
+    measures the model's width.  So sure decisions, stops and enclosures stay.
     """
 
     def __init__(self, g: CircleMapSpec, m: int, tol: float):
         self.g = g
         self.tol = tol
         self.cuts = np.asarray(branch_points(g), dtype=float)
-        self.err = _DepthTable(lambda n: 2.0 * chain_error_bound(g, n))
+        self.err = _chain_errors(g)
         if is_closed_form(g):
             self.factors = np.diff(self.cuts)
             self.slack = (np.finfo(float).eps, np.finfo(float).eps)
@@ -153,10 +159,10 @@ class _WidthStop:
         self.width = np.ones(m)
 
     def __call__(self, k, rows, sel, words) -> np.ndarray:
-        self.width = self.width * self.factors[sel]
-        spread = (k + 2) * self.width
-        finished = self.width + self.err[k] + self.slack[1] * spread <= self.tol
-        lower = self.width - self.err[k] - self.slack[0] * spread
+        self.width *= self.factors[sel]
+        err = 2.0 * self.err[k]
+        finished = self.width * (1.0 + self.slack[1] * (k + 2)) + err <= self.tol
+        lower = self.width * (1.0 - self.slack[0] * (k + 2)) - err
         unsure = np.flatnonzero((lower <= self.tol) & ~finished)
         if unsure.size:
             ends = chain_values(self.g, words[rows[unsure], :k], self.cuts[[sel[unsure], sel[unsure] + 1]])
@@ -210,21 +216,20 @@ def conjugacy_enclosures(
     lo[at_one] = 1.0
     at_zero = xs == 0.0
     hi[at_zero] = 0.0
-    live = np.flatnonzero(~(at_one | at_zero)) if tol < 1.0 else np.arange(0)
+    # with depth_cap > 0 every refined point stops at depth 1 or deeper
+    live = np.flatnonzero(~(at_one | at_zero)) if tol < 1.0 and depth_cap > 0 else np.arange(0)
     # points are refined independently, so blocks change no bit; they bound the
     # working set (a word row per point, as wide as the deepest stop)
     for start in range(0, live.size, _ENCLOSURE_BLOCK):
         rows = live[start : start + _ENCLOSURE_BLOCK]
         stop = _WidthStop(g, rows.size, tol)
         words, k = refine_words(f, xs[rows], depth_cap, stop)
-        deep = k > 0
-        rows, words, k = rows[deep], words[deep], k[deep]
         last = words[np.arange(rows.size), k - 1]
         # the g-cylinder of the word: the chain of all but the last symbol,
         # applied to the last symbol's branch ends
-        ends = ragged_chain_values(g, words, k - 1, stop.cuts[[last, last + 1]])
-        lo[rows], hi[rows] = ends
+        lo[rows], hi[rows] = ragged_chain_values(g, words, k - 1, stop.cuts[[last, last + 1]])
         depth[rows] = k
+        del words  # else the next block's matrix is built while this one is held
     tol_met = (hi - lo) <= tol
     return lo[repeats], hi[repeats], depth[repeats], tol_met[repeats]
 

@@ -31,6 +31,8 @@ from .circle_maps import (
     CircleMapSpec,
     _SOLVER_BLOCK,
     _UNIT_ROUNDOFF,
+    _DepthTable,
+    _chain_errors,
     branch_points,
     ensure_valid,
     inverse_branch_values,
@@ -225,7 +227,7 @@ def interval_of_word(spec: CircleMapSpec, word: Word) -> CylinderInterval:
         left=left,
         right=right,
         level=word.level,
-        endpoint_radius=float(chain_error_bound(spec, word.level)[word.level]),
+        endpoint_radius=float(_chain_errors(spec)[word.level]),
     )
 
 
@@ -248,41 +250,32 @@ def chain_values(spec: CircleMapSpec, words: np.ndarray, values: np.ndarray) -> 
 
     ``words`` is an (n, k) symbol matrix and ``values`` has shape (..., n):
     every value in column i goes through the chain of row i.  Costs k calls.
+    ``values`` (a read-only broadcast view will do) is copied once, and the
+    copy is stepped in place, bit for bit the values of new arrays per step.
     """
+    values = np.array(values, dtype=float)
     for j in range(words.shape[1] - 1, -1, -1):
-        values = inverse_branch_values(spec, words[:, j], values)
+        inverse_branch_values(spec, words[:, j], values, out=values)
     return values
 
 
 def ragged_chain_values(spec: CircleMapSpec, words: np.ndarray, lengths: np.ndarray, values: np.ndarray) -> np.ndarray:
     """:func:`chain_values` where row i uses only its first ``lengths[i]`` symbols.
 
-    Rows are sorted by length, so each step is one call on a prefix of them:
-    max(lengths) calls in all.
+    Rows are sorted by length, so each step is one call, in place, on a prefix
+    of a sorted copy of ``values``, with that column of ``words`` gathered in
+    the same order: max(lengths) calls in all.
     """
     order = np.argsort(-lengths, kind="stable")
     steps = -lengths[order]
     out = np.asarray(values, dtype=float)[..., order]
-    rows = words[order]
     for j in range(int(-steps[0]) - 1 if steps.size else -1, -1, -1):
         n = int(np.searchsorted(steps, -j, side="left"))
-        out[..., :n] = inverse_branch_values(spec, rows[:n, j], out[..., :n])
+        step = out[..., :n]
+        inverse_branch_values(spec, words[order[:n], j], step, out=step)
     result = np.empty_like(out)
     result[..., order] = out
     return result
-
-
-class _DepthTable:
-    """``build(n)[k]`` for any depth k, from a prefix-stable ``build``: the table starts 64
-    deep and doubles past k with no cap, since only :func:`refine_words` limits depth."""
-
-    def __init__(self, build):
-        self.build, self.table = build, build(64)
-
-    def __getitem__(self, k: int) -> float:
-        if k >= self.table.size:
-            self.table = self.build(2 * k)
-        return self.table[k]
 
 
 class _AffineWords:
@@ -308,14 +301,17 @@ class _AffineWords:
         self.bound = _DepthTable(bound)
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        divisions = self.off + self.scale * self.cuts[1:-1, None]
-        sel = np.sum(divisions <= x, axis=0)
-        unsure = np.any(np.abs(divisions - x) <= self.bound[k] + pad, axis=0)
+        # gaps division - x in one array: a rounded difference is <= 0 iff division <= x
+        gaps = np.multiply(self.scale, self.cuts[1:-1, None])
+        gaps += self.off
+        gaps -= x
+        sel = np.add.reduce(gaps <= 0.0, axis=0)
+        unsure = np.logical_or.reduce(np.abs(gaps, out=gaps) <= self.bound[k] + pad, axis=0)
         return sel, unsure
 
     def advance(self, sel: np.ndarray) -> None:
-        self.off = self.off + self.scale * self.cuts[sel]
-        self.scale = self.scale * self.widths[sel]
+        self.off += self.scale * self.cuts[sel]
+        self.scale *= self.widths[sel]
 
     def keep(self, mask: np.ndarray) -> None:
         self.off, self.scale = self.off[mask], self.scale[mask]
@@ -326,10 +322,10 @@ class _OrbitWords:
 
     ``slope`` is the derivative of F^k at x, so ``|u - c| / slope`` is, to
     first order, the distance in x from x to the division point that the cut
-    c maps to.  ``bound[k]`` estimates how far that distance may be from the
-    backward chain's: the error bound of a chain one step deeper, and as much
-    again for the orbit's own lift errors carried back to x.  A division
-    within twice the bound of x counts as unsettled.
+    c maps to.  ``2*err[k+1]`` estimates how far that distance may be from
+    the backward chain's: the error bound of a chain one step deeper, and as
+    much again for the orbit's own lift errors carried back to x.  A division
+    within twice that of x counts as unsettled.
     """
 
     def __init__(self, spec: CircleMapSpec, x: np.ndarray):
@@ -337,12 +333,12 @@ class _OrbitWords:
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.u = x.copy()
         self.slope = np.ones(x.size)
-        self.bound = _DepthTable(lambda n: 2.0 * chain_error_bound(spec, n + 1)[1:])
+        self.err = _chain_errors(spec)
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         gaps = self.u - self.cuts[1:-1, None]
         sel = np.sum(gaps >= 0.0, axis=0)
-        unsure = np.any(np.abs(gaps) <= (2.0 * self.bound[k] + pad) * self.slope, axis=0)
+        unsure = np.any(np.abs(gaps) <= (4.0 * self.err[k + 1] + pad) * self.slope, axis=0)
         return sel, unsure
 
     def advance(self, sel: np.ndarray) -> None:
@@ -362,10 +358,10 @@ class _ConjugatedWords:
     H is increasing and carries F's depth-k division points onto G's, so G's
     count of divisions at or left of v is F's symbol, and no root solve is
     needed (a conjugated G recurses).  The backward F-chain that decides the
-    unsure cases errs by at most ``err[k]`` (a depth-k division is a
+    unsure cases errs by at most ``err[k+1]`` (a depth-k division is a
     depth-(k+1) chain), which H stretches by at most ``h_hi``, and the
     computed v is off by at most ``delta``.  So G's model is asked for
-    decisions that stay sure with v moved by ``h_hi*(pad + err[k]) + delta``:
+    decisions that stay sure with v moved by ``h_hi*(pad + err[k+1]) + delta``:
     each one equals the F-chain's.
     """
 
@@ -374,13 +370,13 @@ class _ConjugatedWords:
         self.cuts = np.asarray(branch_points(spec), dtype=float)
         self.h_hi = homeo_slope_bounds(homeo)[1]
         self.delta = homeo_rounding(homeo)
-        self.err = _DepthTable(lambda n: chain_error_bound(spec, n + 1)[1:])
+        self.err = _chain_errors(spec)
         # the exact H(x) lies in [0, 1], so clipping only moves v toward it
         self.v = np.clip(homeo_lift_values(homeo, x), 0.0, 1.0)
         self.base = _word_model(base, self.v)
 
     def propose(self, k: int, x: np.ndarray, pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        return self.base.propose(k, self.v, self.h_hi * (pad + self.err[k]) + self.delta)
+        return self.base.propose(k, self.v, self.h_hi * (pad + self.err[k + 1]) + self.delta)
 
     def advance(self, sel: np.ndarray) -> None:
         self.base.advance(sel)
@@ -429,8 +425,9 @@ def refine_words(
     Returns ``(words, depth)``: the symbol matrix, one column per depth some
     point reached (row i is valid up to ``depth[i]``), and the stop depth of
     each point.  The matrix starts at most 64 columns wide and doubles up to
-    ``depth_cap``; the models' and the stop rule's error tables (``_DepthTable``)
-    start 64 deep and double with no cap.  So a large ``depth_cap`` costs
+    ``depth_cap``; the error tables of the models and the stop rule (the
+    shared :func:`circle_maps._chain_errors` and the affine model's own) start
+    64 deep and at least double with no cap.  So a large ``depth_cap`` costs
     nothing the depths do not use.
     """
     m = xs.size
@@ -523,7 +520,8 @@ def word_of_point(spec: CircleMapSpec, x: float, n: int) -> Word:
 
 def _level_step(spec: CircleMapSpec, lefts: np.ndarray, level: np.ndarray, branches: np.ndarray) -> np.ndarray:
     """Write the level below ``lefts`` into ``level`` (entry ``s*D + j`` is ``phi_s(lefts[j])``), all d
-    ``branches`` (``arange(d)`` shaped (d, 1, 1)) per call; root-solved kinds copy ``lefts[s*D/d + q]``."""
+    ``branches`` (``arange(d)`` shaped (d, 1, 1)) per call; root-solved kinds copy ``lefts[s*D/d + q]``.
+    A closed-form call takes ``1 - y`` once per parent and one block of scratch (:func:`closed_form_inverse`)."""
     d = spec.degree
     if is_closed_form(spec) or lefts.size == 1:
         parents, new, branches, per_row = lefts, level.reshape(d, -1), branches[:, 0], d

@@ -33,6 +33,7 @@ from circledyn import (
     InvalidMapError,
     Word,
     bounded_geometry_constant,
+    conjugacy_enclosures,
     cylinder_lengths,
     dilatation_report,
     endpoint_table,
@@ -45,7 +46,7 @@ from circledyn import (
     sine_homeo,
     smooth_sine_map,
 )
-from circledyn import analysis, defaults, symbolic_partition
+from circledyn import analysis, conjugacy, defaults, symbolic_partition
 from circledyn.analysis import tail_sum
 from circledyn.circle_maps import chain_error_bound, compose_homeos, is_closed_form
 from circledyn.cli import main
@@ -500,3 +501,20 @@ class TestLevelOpMemory:
         peak = self._report_peak(tmp_path, ["conjugacy", "--from", "SPEC", "--to", "SPEC"])
         # both maps' levels, then the texts and the two endpoint columns of one block
         assert peak <= 2 * level + parent + 2 * self.TEXTS + 2 * self.FLOATS + self.BLOCK + self.SMALL
+
+
+class TestEnclosureMemory:
+    """One enclosure block holds its word matrix, ``CONJUGACY_DEPTH_CAP``
+    columns wide, and a few point-sized arrays.  While the enclosure step
+    copied the deep rows of the matrix and sorted a second copy for the
+    chain, this block of 2^15 points peaked at 21.1 MiB."""
+
+    def test_one_block_peak(self):
+        m = conjugacy._ENCLOSURE_BLOCK
+        xs = np.random.default_rng(0).uniform(0.0, 1.0, m)
+        f, g = piecewise_linear([0.6]), linear_map(2)
+        peak = _traced_peak(
+            lambda: conjugacy_enclosures(f, g, xs, tol=1e-8), warm=lambda: conjugacy_enclosures(f, g, xs[:8])
+        )
+        words, point = 8 * m * defaults.CONJUGACY_DEPTH_CAP, 8 * m
+        assert peak <= words + 20 * point

@@ -35,7 +35,13 @@ from circledyn import circle_maps, conjugacy, defaults
 from circledyn.analysis import symmetry_modulus
 from circledyn.conjugacy import ConjugacyMap
 from circledyn.circle_maps import branch_points, inverse_branch_values
-from circledyn.symbolic_partition import chain_values, itinerary_batch, level_left_endpoints, refine_words
+from circledyn.symbolic_partition import (
+    chain_values,
+    itinerary_batch,
+    level_left_endpoints,
+    ragged_chain_values,
+    refine_words,
+)
 from _oracles import MP_DIGITS, mp_conjugated_pl_left_endpoints, reference_enclosures, reference_itinerary
 
 TIE = 1e-12
@@ -128,6 +134,78 @@ class TestAffineBitIdentical:
             got = conjugacy_enclosures(f06, f06, xs, tol=1e-10)
             want = reference_enclosures(f06, f06, xs, 1e-10, 48)
             _assert_same(got, want)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_rounding_floor(self, d):
+        # depth 32 of degree 3 and 4 lies below the chain's rounding floor
+        # (ROADMAP item 9): the model is unsure everywhere past depth ~22, so
+        # the backward chain decides every symbol, and so does the stop rule
+        # near its tol
+        gaps = np.random.default_rng([d, 29]).uniform(0.1, 1.0, size=d)
+        f = piecewise_linear(np.cumsum(gaps)[:-1] / np.sum(gaps))
+        xs = np.sort(np.random.default_rng([d, 30]).uniform(0.0, 1.0, 1024))
+        assert np.array_equal(itinerary_batch(f, xs, 32), reference_itinerary(f, xs, 32))
+        grid = np.arange(1024) / 1024
+        g = linear_map(d)
+        _assert_same(conjugacy_enclosures(f, g, grid, tol=1e-10), reference_enclosures(f, g, grid, 1e-10, 48))
+
+
+class TestChains:
+    """The in-place backward chains against one :func:`inverse_branch_values`
+    call per symbol on new arrays, bit for bit; ``values`` is only read."""
+
+    SPECS = [linear_map(d) for d in (2, 3, 5)] + [
+        piecewise_linear([0.6]),
+        piecewise_linear([0.37, 0.81]),
+        piecewise_linear([0.1, 0.35, 0.7]),
+        piecewise_linear([2e-9, 0.3, 0.5, 0.9]),
+    ]
+
+    @staticmethod
+    def _loop(spec, words, values):
+        for j in range(words.shape[1] - 1, -1, -1):
+            values = inverse_branch_values(spec, words[:, j], values)
+        return values
+
+    @staticmethod
+    def _values(spec, n, rows):
+        # 0.0, 1.0 and the cuts, then seeded points
+        rng = np.random.default_rng(n)
+        special = np.asarray(branch_points(spec))
+        line = np.concatenate((special, rng.uniform(0.0, 1.0, n)))[:n]
+        return np.stack([np.roll(line, 3 * i) for i in range(rows)])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
+    @pytest.mark.parametrize("k", [0, 1, 7, 60])
+    def test_chain_values(self, spec, k):
+        words = np.random.default_rng(k).integers(spec.degree, size=(40, k))
+        for rows in (spec.degree - 1, 2):
+            values = self._values(spec, 40, rows)
+            before = values.copy()
+            got = chain_values(spec, words, values)
+            assert got.tobytes() == self._loop(spec, words, before).tobytes()
+            assert values.tobytes() == before.tobytes()
+        # a read-only broadcast view of the cuts, as the refinement kernel passes them
+        cuts = np.asarray(branch_points(spec))[1:-1, None]
+        start = np.broadcast_to(cuts, (cuts.size, 40))
+        got = chain_values(spec, words, start)
+        assert got.tobytes() == self._loop(spec, words, np.array(start)).tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
+    def test_ragged_chain_values(self, spec):
+        rng = np.random.default_rng(spec.degree)
+        words = rng.integers(spec.degree, size=(80, 60))
+        lengths = np.concatenate(([0, 60, 60, 1], rng.integers(0, 61, size=76)))
+        for rows in (spec.degree - 1, 2):
+            values = self._values(spec, 80, rows)
+            before, words_before = values.copy(), words.copy()
+            got = ragged_chain_values(spec, words, lengths, values)
+            want = np.empty_like(before)
+            for n in np.unique(lengths):
+                at = lengths == n
+                want[:, at] = self._loop(spec, words[at, :n], before[:, at])
+            assert got.tobytes() == want.tobytes()
+            assert values.tobytes() == before.tobytes() and words.tobytes() == words_before.tobytes()
 
 
 def _margins(spec, x, word):
